@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_LN2 = float(np.log(2.0))
-
 from semrelay.model import (
     DEFAULT_ALPHA_FLOOR,
     DesignPoint,
@@ -27,6 +25,8 @@ from semrelay.model import (
     semantic_similarity,
     snr_br_db,
 )
+
+_LN2 = float(np.log(2.0))
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,18 @@ def _argmax_first(values: np.ndarray):
     return np.unravel_index(flat, values.shape)
 
 
+def _grid_rate(p: SystemParams, fit: SigmoidFit, d_br, alpha_br):
+    """SNR and effective rate at d_br, alpha_br (broadcast against each
+    other) with d_ru = D - d_br and alpha_ru = 1 - alpha_br; the rate is
+    -inf where the similarity threshold fails."""
+    gamma = snr_br_db(p, d_br, alpha_br)
+    eps = semantic_similarity(fit, gamma)
+    eta = np.minimum(
+        semantic_bit_rate(p, fit, alpha_br, eps), bit_rate_ru(p, p.D - d_br, 1.0 - alpha_br)
+    )
+    return gamma, np.where(gamma >= min_snr_threshold_db(fit), eta, -np.inf)
+
+
 def oracle_search(p: SystemParams, fit: SigmoidFit, g: GridSpec = GridSpec()):
     """Ground-truth grid search over placement and bandwidth split.
 
@@ -61,14 +73,7 @@ def oracle_search(p: SystemParams, fit: SigmoidFit, g: GridSpec = GridSpec()):
     """
     d = np.linspace(0.0, p.D, g.n_d)
     a = np.linspace(g.alpha_floor, 1.0 - g.alpha_floor, g.n_alpha)
-    dd = d[:, None]
-    aa = a[None, :]
-    gamma = snr_br_db(p, dd, aa)
-    eps = semantic_similarity(fit, gamma)
-    r_sem = semantic_bit_rate(p, fit, aa, eps)
-    r_bit = bit_rate_ru(p, p.D - dd, 1.0 - aa)
-    eta = np.minimum(r_sem, r_bit)
-    eta = np.where(gamma >= min_snr_threshold_db(fit), eta, -np.inf)
+    gamma, eta = _grid_rate(p, fit, d[:, None], a[None, :])
     idx = _argmax_first(eta)
     if idx is None:
         return None
@@ -109,12 +114,7 @@ def equal_bandwidth_search(p: SystemParams, fit: SigmoidFit, g: GridSpec = GridS
     """Optimized placement under an even bandwidth split; None if no
     feasible placement exists."""
     d = np.linspace(0.0, p.D, g.n_d)
-    gamma = snr_br_db(p, d, 0.5)
-    eps = semantic_similarity(fit, gamma)
-    eta = np.minimum(
-        semantic_bit_rate(p, fit, 0.5, eps), bit_rate_ru(p, p.D - d, 0.5)
-    )
-    eta = np.where(gamma >= min_snr_threshold_db(fit), eta, -np.inf)
+    gamma, eta = _grid_rate(p, fit, d, 0.5)
     idx = _argmax_first(eta)
     if idx is None:
         return None
@@ -134,12 +134,7 @@ def fixed_placement_search(p: SystemParams, fit: SigmoidFit, g: GridSpec = GridS
     """
     a = np.linspace(g.alpha_floor, 1.0 - g.alpha_floor, g.n_alpha)
     d_mid = p.D / 2.0
-    gamma = snr_br_db(p, d_mid, a)
-    eps = semantic_similarity(fit, gamma)
-    eta = np.minimum(
-        semantic_bit_rate(p, fit, a, eps), bit_rate_ru(p, d_mid, 1.0 - a)
-    )
-    eta = np.where(gamma >= min_snr_threshold_db(fit), eta, -np.inf)
+    gamma, eta = _grid_rate(p, fit, d_mid, a)
     idx = _argmax_first(eta)
     if idx is None:
         return None

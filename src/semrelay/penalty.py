@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from semrelay.bounds import LocalPoint
 from semrelay.model import (
     DEFAULT_ALPHA_FLOOR,
@@ -100,12 +98,14 @@ def violation(d, alpha, aux, D: float) -> float:
     )
 
 
-def _coarse_feasible(p: SystemParams, fit: SigmoidFit, alpha_floor: float, n: int = 101) -> bool:
-    """Scan a coarse grid for any point meeting the similarity threshold."""
-    d = np.linspace(0.0, p.D, n)
-    a = np.linspace(alpha_floor, 1.0 - alpha_floor, n)
-    gamma = snr_br_db(p, d[:, None], a[None, :])
-    return bool(np.any(gamma >= min_snr_threshold_db(fit)))
+def _has_feasible_point(p: SystemParams, fit: SigmoidFit, alpha_floor: float) -> bool:
+    """Whether any point meets the similarity threshold.
+
+    The received SNR falls in both d_br and alpha_br, so the best point is
+    the corner d_br = 0, alpha_br = alpha_floor. With H = 0 its SNR is
+    unbounded.
+    """
+    return p.H == 0 or bool(snr_br_db(p, 0.0, alpha_floor) >= min_snr_threshold_db(fit))
 
 
 def _tighten(p, fit, d, alpha, eta_cap=float("inf")):
@@ -148,11 +148,12 @@ def run(
 
     Returns a report whose best point satisfies both sum equalities exactly
     (final Euclidean projection) with the SNR recomputed from it. Status is
-    "infeasible" when no coarse grid point meets the similarity threshold,
-    "converged" when the violation metric reached eps1, else
+    "infeasible" when no point meets the similarity threshold (an exact
+    test, before any block solve) or when both blocks are infeasible at the
+    incumbent, "converged" when the violation metric reached eps1, else
     "iteration-cap".
     """
-    if not _coarse_feasible(p, fit, cfg.alpha_floor):
+    if not _has_feasible_point(p, fit, cfg.alpha_floor):
         return SolveReport(None, float("inf"), 0, 0, (), (), "infeasible")
 
     if init is None:

@@ -20,8 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from semrelay import barrier
-from semrelay.bounds import LocalPoint
-from semrelay.model import SigmoidFit, SystemParams, min_snr_threshold_db
+from semrelay.bounds import (
+    LocalPoint,
+    log_path_coeffs,
+    logistic_coeffs,
+    rate_ru_coeffs,
+    snr_cap_coeffs,
+    square_coeffs,
+)
+from semrelay.model import SigmoidFit, SystemParams, min_snr_threshold_db, path_factor
 
 # Relative duality gap for each block solve.
 TOL_SUB = 1e-9
@@ -50,6 +57,19 @@ def rate_scale(p: SystemParams, fit: SigmoidFit) -> float:
     return p.W * p.mu * (fit.a1 + fit.a2) / fit.K
 
 
+def _interior(hi: float, lo: float) -> float:
+    """A point strictly inside (lo, hi), _REL_MARGIN of the width below hi."""
+    x = hi - max(1e-9, _REL_MARGIN * (hi - lo))
+    return x if x > lo else 0.5 * (hi + lo)
+
+
+def _barrier_value(t: float, f: float, slacks: tuple) -> float:
+    """Log-barrier objective t*f + sum(log s), -inf outside the interior."""
+    if min(slacks) <= 0.0:
+        return -math.inf
+    return t * f + sum(map(math.log, slacks))
+
+
 def solve_placement(
     p: SystemParams,
     fit: SigmoidFit,
@@ -75,130 +95,84 @@ def solve_placement(
     half_beta = p.beta / 2.0
     gamma_min = float(min_snr_threshold_db(fit))
 
-    # Surrogate coefficients from the incumbent.
-    u_t = (lp.d_ru * lp.d_ru + H2) ** half_beta
-    snr_t = p.P_r * p.rho0_lin / (u_t * alpha_ru * p.W * p.n0_w_hz)
-    a1c = alpha_ru * p.W / R0  # constraint 1 rate unit
-    e1 = math.log1p(snr_t) / _LN2
-    e2 = (snr_t / u_t) * math.log2(math.e) / (1.0 + snr_t)
-
+    u_t, r_t, r_u = rate_ru_coeffs(p, lp, alpha_ru)
+    v_t, sig_t, sig_v = logistic_coeffs(fit, lp)
+    y_t, l_t, l_y = log_path_coeffs(lp, p.H)
+    a1c = alpha_ru * p.W / R0
     b2 = alpha_br * p.W * p.mu / (fit.K * R0)
-    chi_t = fit.c1 * lp.gamma_br_db + fit.c2
-    sig_t = 1.0 / (1.0 + math.exp(-chi_t))
-    e3, e4 = sig_t, sig_t * sig_t
-    exp_chi_t = math.exp(-chi_t)
-
+    # With the log-path tangent the SNR ceiling is a downward parabola in
+    # d_br: cap_peak - q3 * d_br^2.
     cb = 10.0 * math.log10(p.P_b * p.rho0_lin / (alpha_br * p.W * p.n0_w_hz))
-    base_t = lp.d_br * lp.d_br + H2
-    e5 = math.log10(base_t)
-    e6 = math.log10(math.e) / base_t
-    q3 = 5.0 * p.beta * e6  # quadratic coefficient of the ceiling in d_br
-
-    # gamma ceiling as a downward parabola in d_br: peak - q3 * d^2
-    cap_peak = cb - 5.0 * p.beta * (e5 - e6 * lp.d_br * lp.d_br)
+    q3 = 5.0 * p.beta * l_y
+    cap_peak = cb - 5.0 * p.beta * (l_t - l_y * y_t)
     if cap_peak <= gamma_min + 1e-12:
         return SubproblemSolution({}, -math.inf, "infeasible")
 
-    def rhs1(d_ru):
-        return a1c * (e1 - e2 * ((d_ru * d_ru + H2) ** half_beta - u_t))
+    def slacks(d_br, d_ru, gamma, y):
+        return (
+            a1c * (r_t + r_u * ((d_ru * d_ru + H2) ** half_beta - u_t)) - y,
+            b2 * (fit.a1 + fit.a2 * (sig_t + sig_v * (math.exp(-(fit.c1 * gamma + fit.c2)) - v_t))) - y,
+            cap_peak - q3 * d_br * d_br - gamma,
+            d_br,
+            d_ru,
+            gamma - gamma_min,
+            y_cap - y,
+            y + y_cap,
+        )
 
-    def rhs2(gamma):
-        chi = fit.c1 * gamma + fit.c2
-        return b2 * (fit.a1 + fit.a2 * (e3 - e4 * (math.exp(-chi) - exp_chi_t)))
+    def objective(d_br, d_ru, y):
+        return y - w * ((d_br - d_hat_br) ** 2 + (d_ru - d_hat_ru) ** 2)
 
-    def cap3(d_br):
-        return cap_peak - q3 * d_br * d_br
-
-    # Strictly feasible start from the incumbent.
+    # Strictly feasible start from the incumbent; a slack taken at zero of
+    # the variable it bounds is that variable's upper limit.
     margin_d = _DIST_MARGIN_FRAC * p.D
     d_max_strict = math.sqrt((cap_peak - gamma_min) / q3) if q3 > 0 else math.inf
     d_br0 = min(max(lp.d_br, margin_d), 0.999 * d_max_strict)
     if d_br0 <= 0:
         d_br0 = 0.5 * d_max_strict
     d_ru0 = max(lp.d_ru, margin_d)
-    g_hi = cap3(d_br0)
-    gamma0 = g_hi - max(1e-9, _REL_MARGIN * (g_hi - gamma_min))
-    y_hi = min(rhs1(d_ru0), rhs2(gamma0), y_cap)
-    y0 = y_hi - max(1e-9, _REL_MARGIN * (y_hi + y_cap))
-    if y0 <= -y_cap:
-        y0 = 0.5 * (y_hi - y_cap)
-
-    n_cons = 8
+    gamma0 = _interior(slacks(d_br0, d_ru0, 0.0, 0.0)[2], gamma_min)
+    y0 = _interior(min(*slacks(d_br0, d_ru0, gamma0, 0.0)[:2], y_cap), -y_cap)
 
     def eval_value(z, t):
         d_br, d_ru, gamma, y = z
-        chi = fit.c1 * gamma + fit.c2
-        s1 = rhs1(d_ru) - y
-        s2 = b2 * (fit.a1 + fit.a2 * (e3 - e4 * (math.exp(-chi) - exp_chi_t))) - y
-        s3 = cap3(d_br) - gamma
-        s6 = gamma - gamma_min
-        s7 = y_cap - y
-        s8 = y + y_cap
-        if min(s1, s2, s3, d_br, d_ru, s6, s7, s8) <= 0:
-            return -math.inf
-        f = y - w * ((d_br - d_hat_br) ** 2 + (d_ru - d_hat_ru) ** 2)
-        return t * f + (
-            math.log(s1) + math.log(s2) + math.log(s3) + math.log(d_br)
-            + math.log(d_ru) + math.log(s6) + math.log(s7) + math.log(s8)
-        )
+        return _barrier_value(t, objective(d_br, d_ru, y), slacks(d_br, d_ru, gamma, y))
 
     def eval_full(z, t):
         d_br, d_ru, gamma, y = z
-        chi = fit.c1 * gamma + fit.c2
-        exp_chi = math.exp(-chi)
-        u = (d_ru * d_ru + H2) ** half_beta
-        up = p.beta * d_ru * (d_ru * d_ru + H2) ** (half_beta - 1.0)
-        upp = p.beta * (d_ru * d_ru + H2) ** (half_beta - 2.0) * ((p.beta - 1.0) * d_ru * d_ru + H2)
+        s = slacks(d_br, d_ru, gamma, y)
+        s1, s2, s3, s4, s5, s6, s7, s8 = s
+        phi = _barrier_value(t, objective(d_br, d_ru, y), s)
 
-        s1 = a1c * (e1 - e2 * (u - u_t)) - y
-        s2 = b2 * (fit.a1 + fit.a2 * (e3 - e4 * (exp_chi - exp_chi_t))) - y
-        s3 = cap3(d_br) - gamma
-        s4 = d_br
-        s5 = d_ru
-        s6 = gamma - gamma_min
-        s7 = y_cap - y
-        s8 = y + y_cap
-
-        f = y - w * ((d_br - d_hat_br) ** 2 + (d_ru - d_hat_ru) ** 2)
-        phi = t * f + (
-            math.log(s1) + math.log(s2) + math.log(s3) + math.log(s4)
-            + math.log(s5) + math.log(s6) + math.log(s7) + math.log(s8)
-        )
-
-        # Nonzero partials of the slacks.
-        s1_dru = -a1c * e2 * up
-        s1_y = -1.0
-        s2_g = b2 * fit.a2 * e4 * fit.c1 * exp_chi
-        s2_y = -1.0
+        # Nonzero partials of the slacks other than the +-1 entries.
+        base = d_ru * d_ru + H2
+        s1_dru = a1c * r_u * p.beta * d_ru * base ** (half_beta - 1.0)
+        s1_dru2 = a1c * r_u * p.beta * base ** (half_beta - 2.0) * ((p.beta - 1.0) * d_ru * d_ru + H2)
+        s2_g = -b2 * fit.a2 * sig_v * fit.c1 * math.exp(-(fit.c1 * gamma + fit.c2))
         s3_db = -2.0 * q3 * d_br
-        s3_g = -1.0
 
-        g_dbr = t * (-2.0 * w * (d_br - d_hat_br)) + s3_db / s3 + 1.0 / s4
-        g_dru = t * (-2.0 * w * (d_ru - d_hat_ru)) + s1_dru / s1 + 1.0 / s5
-        g_g = s2_g / s2 + s3_g / s3 + 1.0 / s6
-        g_y = t + s1_y / s1 + s2_y / s2 - 1.0 / s7 + 1.0 / s8
-        grad = np.array([g_dbr, g_dru, g_g, g_y])
-
+        grad = np.array([
+            t * (-2.0 * w * (d_br - d_hat_br)) + s3_db / s3 + 1.0 / s4,
+            t * (-2.0 * w * (d_ru - d_hat_ru)) + s1_dru / s1 + 1.0 / s5,
+            s2_g / s2 - 1.0 / s3 + 1.0 / s6,
+            t - 1.0 / s1 - 1.0 / s2 - 1.0 / s7 + 1.0 / s8,
+        ])
         # Hessian of phi: t*hess(f) + sum(s''/s - (s'/s) outer (s'/s)).
         h = np.zeros((4, 4))
-        h[0, 0] = t * (-2.0 * w) + (-2.0 * q3) / s3 - (s3_db / s3) ** 2 - 1.0 / (s4 * s4)
-        h[1, 1] = t * (-2.0 * w) + (-a1c * e2 * upp) / s1 - (s1_dru / s1) ** 2 - 1.0 / (s5 * s5)
-        h[2, 2] = (
-            (-b2 * fit.a2 * e4 * fit.c1 * fit.c1 * exp_chi) / s2
-            - (s2_g / s2) ** 2 - (s3_g / s3) ** 2 - 1.0 / (s6 * s6)
-        )
-        h[3, 3] = -(s1_y / s1) ** 2 - (s2_y / s2) ** 2 - 1.0 / (s7 * s7) - 1.0 / (s8 * s8)
-        h[0, 2] = h[2, 0] = -(s3_db / s3) * (s3_g / s3)
-        h[1, 3] = h[3, 1] = -(s1_dru / s1) * (s1_y / s1)
-        h[2, 3] = h[3, 2] = -(s2_g / s2) * (s2_y / s2)
+        h[0, 0] = t * (-2.0 * w) - 2.0 * q3 / s3 - (s3_db / s3) ** 2 - 1.0 / (s4 * s4)
+        h[1, 1] = t * (-2.0 * w) + s1_dru2 / s1 - (s1_dru / s1) ** 2 - 1.0 / (s5 * s5)
+        h[2, 2] = -fit.c1 * s2_g / s2 - (s2_g / s2) ** 2 - 1.0 / (s3 * s3) - 1.0 / (s6 * s6)
+        h[3, 3] = -1.0 / (s1 * s1) - 1.0 / (s2 * s2) - 1.0 / (s7 * s7) - 1.0 / (s8 * s8)
+        h[0, 2] = h[2, 0] = s3_db / (s3 * s3)
+        h[1, 3] = h[3, 1] = s1_dru / (s1 * s1)
+        h[2, 3] = h[3, 2] = s2_g / (s2 * s2)
         return phi, grad, h
 
     z0 = np.array([d_br0, d_ru0, gamma0, y0])
-    z, ok = barrier.maximize(eval_full, eval_value, z0, n_cons, TOL_SUB)
+    z, ok = barrier.maximize(eval_full, eval_value, z0, len(slacks(*z0)), TOL_SUB)
     d_br, d_ru, gamma, y = (float(v) for v in z)
-    obj = (y - w * ((d_br - d_hat_br) ** 2 + (d_ru - d_hat_ru) ** 2)) * R0
     point = {"d_br": d_br, "d_ru": d_ru, "gamma_br_db": gamma, "eta": y * R0}
-    return SubproblemSolution(point, obj, "optimal" if ok else "max-iter")
+    return SubproblemSolution(point, objective(d_br, d_ru, y) * R0, "optimal" if ok else "max-iter")
 
 
 def solve_bandwidth(
@@ -222,146 +196,93 @@ def solve_bandwidth(
     R0 = rate_scale(p, fit)
     w = 1.0 / (2.0 * lam * R0)
     y_cap = ETA_CAP_FACTOR
-    H2 = p.H * p.H
     gamma_min = float(min_snr_threshold_db(fit))
 
-    u_ru = (d_ru * d_ru + H2) ** (p.beta / 2.0)
-    c_ru = p.P_r * p.rho0_lin / (u_ru * p.W * p.n0_w_hz)  # SNR times alpha_ru
+    c_ru = p.P_r * p.rho0_lin / (path_factor(p, d_ru) * p.W * p.n0_w_hz)  # SNR times alpha_ru
     wr = p.W / R0
-
     q2 = p.W * p.mu / (4.0 * fit.K * R0)
-    t_sum = lp.alpha_br + lp.similarity
-
-    tau_t = fit.c1 * lp.gamma_br_db + fit.c2
-    sig_t = 1.0 / (1.0 + math.exp(-tau_t))
-    e7, e8 = sig_t, sig_t * sig_t
-    exp_tau_t = math.exp(-tau_t)
-
-    u_br = (d_br * d_br + H2) ** (p.beta / 2.0)
-    cd = 10.0 * math.log10(p.P_b * p.rho0_lin / (u_br * p.W * p.n0_w_hz))
-    e9 = 10.0 * math.log10(lp.alpha_br)
-    e10 = 10.0 * math.log10(math.e) / lp.alpha_br
-
-    def cap4(a_br):
-        return cd - e9 - e10 * (a_br - lp.alpha_br)
-
-    if cap4(alpha_floor) <= gamma_min + 1e-12:
+    x_t, sq_t, sq_x = square_coeffs(lp)
+    v_t, sig_t, sig_v = logistic_coeffs(fit, lp)
+    a_t, cap_t, cap_a = snr_cap_coeffs(lp)
+    # SNR ceiling, affine in alpha_br: cd + cap_t + cap_a * (alpha_br - a_t).
+    cd = 10.0 * math.log10(p.P_b * p.rho0_lin / (path_factor(p, d_br) * p.W * p.n0_w_hz))
+    a_max_strict = a_t + (gamma_min - cd - cap_t) / cap_a  # the ceiling meets gamma_min
+    if a_max_strict <= alpha_floor:
         return SubproblemSolution({}, -math.inf, "infeasible")
 
-    def r_ru(a):
-        return wr * a * math.log1p(c_ru / a) / _LN2
+    def slacks(a_br, a_ru, gamma, S, y):
+        return (
+            wr * a_ru * math.log1p(c_ru / a_ru) / _LN2 - y,
+            q2 * (sq_t + sq_x * (a_br + S - x_t) - (a_br - S) ** 2) - y,
+            fit.a1 + fit.a2 * (sig_t + sig_v * (math.exp(-(fit.c1 * gamma + fit.c2)) - v_t)) - S,
+            cd + cap_t + cap_a * (a_br - a_t) - gamma,
+            a_br - alpha_floor,
+            a_ru - alpha_floor,
+            gamma - gamma_min,
+            y_cap - y,
+            y + y_cap,
+        )
 
-    def s_cap(gamma):
-        tau = fit.c1 * gamma + fit.c2
-        return fit.a1 + fit.a2 * (e7 - e8 * (math.exp(-tau) - exp_tau_t))
+    def objective(a_br, a_ru, y):
+        return y - w * ((a_br - a_hat_br) ** 2 + (a_ru - a_hat_ru) ** 2)
 
-    def rhs2(a_br, S):
-        return q2 * (-t_sum * t_sum + 2.0 * t_sum * (a_br + S) - (a_br - S) ** 2)
-
-    # Strictly feasible start. The incumbent alpha_ru is not part of the
-    # expansion point, so the auxiliary copy seeds that coordinate.
-    a_max_strict = lp.alpha_br + (cd - e9 - gamma_min) / e10
+    # Strictly feasible start; a slack taken at zero of the variable it
+    # bounds is that variable's upper limit. The incumbent alpha_ru is not
+    # part of the expansion point, so the auxiliary copy seeds that
+    # coordinate.
     a_br_hi = alpha_floor + 0.999 * (a_max_strict - alpha_floor)
     a_br0 = min(max(lp.alpha_br, 2.0 * alpha_floor), a_br_hi)
     if not alpha_floor < a_br0 < a_max_strict:
         a_br0 = 0.5 * (alpha_floor + a_max_strict)
     a_ru0 = max(2.0 * alpha_floor, a_hat_ru)
-    g_hi = cap4(a_br0)
-    gamma0 = g_hi - max(1e-9, _REL_MARGIN * (g_hi - gamma_min))
-    s_hi = s_cap(gamma0)
-    S0 = s_hi - max(1e-9, _REL_MARGIN * fit.a2)
-    y_hi = min(r_ru(a_ru0), rhs2(a_br0, S0), y_cap)
-    y0 = y_hi - max(1e-9, _REL_MARGIN * (y_hi + y_cap))
-    if y0 <= -y_cap:
-        y0 = 0.5 * (y_hi - y_cap)
-
-    n_cons = 9
+    gamma0 = _interior(slacks(a_br0, a_ru0, 0.0, 0.0, 0.0)[3], gamma_min)
+    S0 = slacks(a_br0, a_ru0, gamma0, 0.0, 0.0)[2] - max(1e-9, _REL_MARGIN * fit.a2)
+    y0 = _interior(min(*slacks(a_br0, a_ru0, gamma0, S0, 0.0)[:2], y_cap), -y_cap)
 
     def eval_value(z, t):
         a_br, a_ru, gamma, S, y = z
-        if a_br <= alpha_floor or a_ru <= alpha_floor:
+        if a_ru <= alpha_floor:  # outside the domain of the exact rate
             return -math.inf
-        s1 = r_ru(a_ru) - y
-        s2 = rhs2(a_br, S) - y
-        s3 = s_cap(gamma) - S
-        s4 = cap4(a_br) - gamma
-        s5 = a_br - alpha_floor
-        s6 = a_ru - alpha_floor
-        s7 = gamma - gamma_min
-        s8 = y_cap - y
-        s9 = y + y_cap
-        if min(s1, s2, s3, s4, s5, s6, s7, s8, s9) <= 0:
-            return -math.inf
-        f = y - w * ((a_br - a_hat_br) ** 2 + (a_ru - a_hat_ru) ** 2)
-        return t * f + (
-            math.log(s1) + math.log(s2) + math.log(s3) + math.log(s4) + math.log(s5)
-            + math.log(s6) + math.log(s7) + math.log(s8) + math.log(s9)
-        )
+        return _barrier_value(t, objective(a_br, a_ru, y), slacks(a_br, a_ru, gamma, S, y))
 
     def eval_full(z, t):
         a_br, a_ru, gamma, S, y = z
-        tau = fit.c1 * gamma + fit.c2
-        exp_tau = math.exp(-tau)
+        s = slacks(a_br, a_ru, gamma, S, y)
+        s1, s2, s3, s4, s5, s6, s7, s8, s9 = s
+        phi = _barrier_value(t, objective(a_br, a_ru, y), s)
 
-        ratio = c_ru / a_ru
-        s1 = wr * a_ru * math.log1p(ratio) / _LN2 - y
-        s1_aru = wr * (math.log1p(ratio) - c_ru / (a_ru + c_ru)) / _LN2
-        s1_aruaru = -wr * c_ru * c_ru / (a_ru * (a_ru + c_ru) ** 2 * _LN2)
-        s1_y = -1.0
+        # Nonzero partials of the slacks other than the +-1 entries.
+        s1_aru = wr * (math.log1p(c_ru / a_ru) - c_ru / (a_ru + c_ru)) / _LN2
+        s1_aru2 = -wr * c_ru * c_ru / (a_ru * (a_ru + c_ru) ** 2 * _LN2)
+        s2_abr = q2 * (sq_x - 2.0 * (a_br - S))
+        s2_S = q2 * (sq_x + 2.0 * (a_br - S))
+        s3_g = -fit.a2 * sig_v * fit.c1 * math.exp(-(fit.c1 * gamma + fit.c2))
 
-        s2 = q2 * (-t_sum * t_sum + 2.0 * t_sum * (a_br + S) - (a_br - S) ** 2) - y
-        s2_abr = q2 * (2.0 * t_sum - 2.0 * (a_br - S))
-        s2_S = q2 * (2.0 * t_sum + 2.0 * (a_br - S))
-        s2_y = -1.0
-
-        s3 = fit.a1 + fit.a2 * (e7 - e8 * (exp_tau - exp_tau_t)) - S
-        s3_g = fit.a2 * e8 * fit.c1 * exp_tau
-        s3_S = -1.0
-
-        s4 = cd - e9 - e10 * (a_br - lp.alpha_br) - gamma
-        s5 = a_br - alpha_floor
-        s6 = a_ru - alpha_floor
-        s7 = gamma - gamma_min
-        s8 = y_cap - y
-        s9 = y + y_cap
-
-        f = y - w * ((a_br - a_hat_br) ** 2 + (a_ru - a_hat_ru) ** 2)
-        phi = t * f + (
-            math.log(s1) + math.log(s2) + math.log(s3) + math.log(s4) + math.log(s5)
-            + math.log(s6) + math.log(s7) + math.log(s8) + math.log(s9)
-        )
-
-        g_abr = t * (-2.0 * w * (a_br - a_hat_br)) + s2_abr / s2 - e10 / s4 + 1.0 / s5
-        g_aru = t * (-2.0 * w * (a_ru - a_hat_ru)) + s1_aru / s1 + 1.0 / s6
-        g_g = s3_g / s3 - 1.0 / s4 + 1.0 / s7
-        g_S = s2_S / s2 + s3_S / s3
-        g_y = t + s1_y / s1 + s2_y / s2 - 1.0 / s8 + 1.0 / s9
-        grad = np.array([g_abr, g_aru, g_g, g_S, g_y])
-
+        grad = np.array([
+            t * (-2.0 * w * (a_br - a_hat_br)) + s2_abr / s2 + cap_a / s4 + 1.0 / s5,
+            t * (-2.0 * w * (a_ru - a_hat_ru)) + s1_aru / s1 + 1.0 / s6,
+            s3_g / s3 - 1.0 / s4 + 1.0 / s7,
+            s2_S / s2 - 1.0 / s3,
+            t - 1.0 / s1 - 1.0 / s2 - 1.0 / s8 + 1.0 / s9,
+        ])
         h = np.zeros((5, 5))
-        r2a, r2s, r2y = s2_abr / s2, s2_S / s2, s2_y / s2
-        h[0, 0] = t * (-2.0 * w) + (-2.0 * q2) / s2 - r2a * r2a - (e10 / s4) ** 2 - 1.0 / (s5 * s5)
-        h[1, 1] = (
-            t * (-2.0 * w) + s1_aruaru / s1 - (s1_aru / s1) ** 2 - 1.0 / (s6 * s6)
-        )
-        h[2, 2] = (
-            (-fit.a2 * e8 * fit.c1 * fit.c1 * exp_tau) / s3 - (s3_g / s3) ** 2
-            - 1.0 / (s4 * s4) - 1.0 / (s7 * s7)
-        )
-        h[3, 3] = (-2.0 * q2) / s2 - r2s * r2s - (s3_S / s3) ** 2
-        h[4, 4] = -(s1_y / s1) ** 2 - r2y * r2y - 1.0 / (s8 * s8) - 1.0 / (s9 * s9)
-        h[0, 3] = h[3, 0] = (2.0 * q2) / s2 - r2a * r2s
-        h[0, 4] = h[4, 0] = -r2a * r2y
-        h[0, 2] = h[2, 0] = -e10 / (s4 * s4)
-        h[1, 4] = h[4, 1] = -(s1_aru / s1) * (s1_y / s1)
-        h[2, 3] = h[3, 2] = -(s3_g / s3) * (s3_S / s3)
-        h[3, 4] = h[4, 3] = -r2s * r2y
+        r2a, r2s = s2_abr / s2, s2_S / s2
+        h[0, 0] = t * (-2.0 * w) - 2.0 * q2 / s2 - r2a * r2a - (cap_a / s4) ** 2 - 1.0 / (s5 * s5)
+        h[1, 1] = t * (-2.0 * w) + s1_aru2 / s1 - (s1_aru / s1) ** 2 - 1.0 / (s6 * s6)
+        h[2, 2] = -fit.c1 * s3_g / s3 - (s3_g / s3) ** 2 - 1.0 / (s4 * s4) - 1.0 / (s7 * s7)
+        h[3, 3] = -2.0 * q2 / s2 - r2s * r2s - 1.0 / (s3 * s3)
+        h[4, 4] = -1.0 / (s1 * s1) - 1.0 / (s2 * s2) - 1.0 / (s8 * s8) - 1.0 / (s9 * s9)
+        h[0, 3] = h[3, 0] = 2.0 * q2 / s2 - r2a * r2s
+        h[0, 4] = h[4, 0] = r2a / s2
+        h[0, 2] = h[2, 0] = cap_a / (s4 * s4)
+        h[1, 4] = h[4, 1] = s1_aru / (s1 * s1)
+        h[2, 3] = h[3, 2] = s3_g / (s3 * s3)
+        h[3, 4] = h[4, 3] = r2s / s2
         return phi, grad, h
 
     z0 = np.array([a_br0, a_ru0, gamma0, S0, y0])
-    z, ok = barrier.maximize(eval_full, eval_value, z0, n_cons, TOL_SUB)
+    z, ok = barrier.maximize(eval_full, eval_value, z0, len(slacks(*z0)), TOL_SUB)
     a_br, a_ru, gamma, S, y = (float(v) for v in z)
-    obj = (y - w * ((a_br - a_hat_br) ** 2 + (a_ru - a_hat_ru) ** 2)) * R0
     point = {
         "alpha_br": a_br,
         "alpha_ru": a_ru,
@@ -369,7 +290,7 @@ def solve_bandwidth(
         "S": S,
         "eta": y * R0,
     }
-    return SubproblemSolution(point, obj, "optimal" if ok else "max-iter")
+    return SubproblemSolution(point, objective(a_br, a_ru, y) * R0, "optimal" if ok else "max-iter")
 
 
 def solve_auxiliary(

@@ -76,6 +76,25 @@ class TestRunEdges:
         assert report.status == "infeasible"
         assert report.best is None
 
+    def test_feasibility_test_is_exact_at_the_threshold(self, params, fit, cfg):
+        # Two systems whose best corner (d_br = 0, alpha_br = alpha_floor)
+        # sits just above and just below the SNR threshold. The exact test
+        # rejects only the second, before any phase; the corner-including
+        # grid oracle agrees on both.
+        corner_w = float(max_semantic_bandwidth(params, fit, 0.0)) / cfg.alpha_floor
+        one_phase = dataclasses.replace(cfg, max_outer=1)
+        for factor, feasible in ((1.0 - 1e-6, True), (1.0 + 1e-6, False)):
+            p = dataclasses.replace(params, W=corner_w * factor)
+            report = run(p, fit, one_phase)
+            assert (report.outer_iters > 0) == feasible
+            assert (oracle_search(p, fit, GridSpec(2, 2)) is not None) == feasible
+
+    def test_zero_altitude_is_feasible(self, params, fit, cfg):
+        # path_factor vanishes at d_br = 0 when H = 0: unbounded SNR, no error
+        report = run(dataclasses.replace(params, H=0.0), fit,
+                     dataclasses.replace(cfg, max_outer=1))
+        assert report.status == "iteration-cap"
+
     def test_optimal_feasible_init_is_fixed_point(self, params, fit, cfg):
         # with an immediately strong penalty the blocks pin to the incumbent
         start = oracle_search(params, fit, GridSpec())

@@ -8,6 +8,7 @@ from semrelay.model import (
     SigmoidFit,
     SystemParams,
     bit_rate_ru,
+    max_semantic_bandwidth,
     semantic_bit_rate,
     semantic_similarity,
     snr_br_db,
@@ -20,7 +21,13 @@ from semrelay.subproblems import (
     solve_bandwidth,
     solve_placement,
 )
-from oracles import bandwidth_grid_oracle, placement_grid_oracle, projection_pair_oracle
+from oracles import (
+    bandwidth_grid_oracle,
+    placement_grid_oracle,
+    projection_pair_oracle,
+    random_fit,
+    random_params,
+)
 
 
 def _incumbent_lp(p, fit, d, alpha):
@@ -28,18 +35,30 @@ def _incumbent_lp(p, fit, d, alpha):
     return LocalPoint(d[0], d[1], alpha[0], gamma, float(semantic_similarity(fit, gamma)))
 
 
+def _random_cases(n=3, seed=3):
+    """Seeded systems from the tests' random distribution, each with the
+    relay at mid-span and a split that keeps the SNR there 3 dB above the
+    threshold, so that both blocks are feasible at the incumbent."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        p, fit = random_params(rng), random_fit(rng)
+        a_br = min(0.5, 0.5 * float(max_semantic_bandwidth(p, fit, p.D / 2.0)) / p.W)
+        yield p, fit, (p.D / 2.0, p.D / 2.0), (a_br, 1.0 - a_br)
+
+
 class TestSolvePlacement:
     def test_matches_grid_oracle(self, params, fit):
-        alpha = (0.3, 0.7)
-        lp = _incumbent_lp(params, fit, (50.0, 50.0), alpha)
-        sol = solve_placement(params, fit, lp, alpha, (50.0, 50.0), 1000.0, 1e-4)
-        assert sol.status == "optimal"
-        cap = ETA_CAP_FACTOR * rate_scale(params, fit)
-        ref = placement_grid_oracle(params, fit, lp, alpha, (50.0, 50.0), 1000.0, 1e-4, cap)
-        # the grid maximizes over feasible points only, so it lower-bounds
-        # the solver; closeness within 0.1 percent both ways
-        assert sol.objective >= ref - 1e-6 * abs(ref)
-        assert abs(sol.objective - ref) <= 1e-3 * abs(ref)
+        for i, (p, f, d, alpha) in enumerate(
+                [(params, fit, (50.0, 50.0), (0.3, 0.7)), *_random_cases()]):
+            lp = _incumbent_lp(p, f, d, alpha)
+            sol = solve_placement(p, f, lp, alpha, d, 1000.0, 1e-4)
+            assert sol.status == "optimal", i
+            cap = ETA_CAP_FACTOR * rate_scale(p, f)
+            ref = placement_grid_oracle(p, f, lp, alpha, d, 1000.0, 1e-4, cap, step=p.D / 1000.0)
+            # the grid maximizes over feasible points only, so it lower-bounds
+            # the solver; closeness within 0.1 percent both ways
+            assert sol.objective >= ref - 1e-6 * abs(ref), i
+            assert abs(sol.objective - ref) <= 1e-3 * abs(ref), i
 
     def test_strong_penalty_pins_to_aux(self, params, fit):
         alpha = (0.3, 0.7)
@@ -74,14 +93,24 @@ class TestSolvePlacement:
 
 class TestSolveBandwidth:
     def test_matches_grid_oracle(self, params, fit):
-        d = (50.0, 50.0)
-        lp = _incumbent_lp(params, fit, d, (0.5, 0.5))
-        sol = solve_bandwidth(params, fit, lp, d, (0.5, 0.5), 1000.0)
-        assert sol.status == "optimal"
-        cap = ETA_CAP_FACTOR * rate_scale(params, fit)
-        ref = bandwidth_grid_oracle(params, fit, lp, d, (0.5, 0.5), 1000.0, 1e-6, cap)
-        assert sol.objective >= ref - 1e-6 * abs(ref)
-        assert abs(sol.objective - ref) <= 1e-3 * abs(ref)
+        lam = 1000.0
+        for i, (p, f, d, alpha) in enumerate(
+                [(params, fit, (50.0, 50.0), (0.5, 0.5)), *_random_cases()]):
+            lp = _incumbent_lp(p, f, d, alpha)
+            sol = solve_bandwidth(p, f, lp, d, alpha, lam)
+            assert sol.status == "optimal", i
+            cap = ETA_CAP_FACTOR * rate_scale(p, f)
+            # The surrogate SNR ceiling lies below the exact SNR, so no
+            # feasible alpha_br exceeds the threshold fraction; the grid keeps
+            # the oracle's default box of 3 above it. Raising alpha_ru alone
+            # gains at most the rate cap, so the optimum has
+            # (alpha_ru - aux)^2 / (2 lam) <= cap.
+            a_br_max = min(3.0, float(max_semantic_bandwidth(p, f, d[0])) / p.W)
+            ref = bandwidth_grid_oracle(
+                p, f, lp, d, alpha, lam, 1e-6, cap, step=a_br_max / 3e4,
+                a_br_max=a_br_max, a_ru_max=alpha[1] + math.sqrt(2.0 * lam * cap))
+            assert sol.objective >= ref - 1e-6 * abs(ref), i
+            assert abs(sol.objective - ref) <= 1e-3 * abs(ref), i
 
     def test_strong_penalty_pins_to_aux(self, params, fit):
         d = (50.0, 50.0)
