@@ -24,6 +24,8 @@ _MAX_NEWTON = 60
 _BACKTRACK_SLOPE = 0.25
 _BACKTRACK_SHRINK = 0.5
 _MAX_BACKTRACK = 60
+# Barrier parameter of the first centering.
+_T0 = 10.0
 
 
 def _newton(eval_full, eval_value, x, t):
@@ -52,7 +54,7 @@ def _newton(eval_full, eval_value, x, t):
     return x, False, _MAX_NEWTON
 
 
-def maximize(eval_full, eval_value, x0, n_constraints, gap, t0=10.0):
+def maximize(eval_full, eval_value, x0, n_constraints, gap):
     """Follow the central path until the duality measure meets `gap`.
 
     x0 must be strictly feasible. Returns (x, converged) where converged
@@ -62,7 +64,7 @@ def maximize(eval_full, eval_value, x0, n_constraints, gap, t0=10.0):
     walk through the early stages).
     """
     t_final = n_constraints / gap
-    t = min(t0, t_final)
+    t = min(_T0, t_final)
     x = np.asarray(x0, dtype=float)
     ok_all = True
     while True:

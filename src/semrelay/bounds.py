@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from semrelay.model import SigmoidFit, SystemParams, lin_to_db, path_factor
+from semrelay.model import SigmoidFit, SystemParams, lin_to_db, path_factor, snr_lin
 
 _LOG2E = math.log2(math.e)
 _LOG10E = math.log10(math.e)
@@ -59,7 +59,7 @@ def rate_ru_coeffs(p: SystemParams, lp: LocalPoint, alpha_ru: float) -> Tangent:
     """Spectral efficiency log2(1 + snr) of the relay->user hop in
     u = path_factor(d_ru), where it is convex; tangent at lp.d_ru."""
     u_t = path_factor(p, lp.d_ru)
-    snr_t = p.P_r * p.rho0_lin / (u_t * alpha_ru * p.W * p.n0_w_hz)
+    snr_t = snr_lin(p, p.P_r, lp.d_ru, alpha_ru)
     return Tangent(u_t, math.log1p(snr_t) * _LOG2E, -(snr_t / u_t) * _LOG2E / (1.0 + snr_t))
 
 
@@ -128,8 +128,7 @@ def snr_cap_tangent(p: SystemParams, lp: LocalPoint, d_br, alpha_br):
     linearizing it at lp.alpha_br gives a ceiling that never exceeds the
     exact one, so the constraint gamma <= ceiling stays conservative.
     """
-    base_db = lin_to_db(p.P_b * p.rho0_lin / (path_factor(p, d_br) * p.W * p.n0_w_hz))
-    return base_db + snr_cap_coeffs(lp).at(alpha_br)
+    return lin_to_db(snr_lin(p, p.P_b, d_br, 1.0)) + snr_cap_coeffs(lp).at(alpha_br)
 
 
 def similarity_tangent(fit: SigmoidFit, lp: LocalPoint, gamma_db):

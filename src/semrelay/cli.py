@@ -33,6 +33,9 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_ITERATION_CAP = 3
 
+ORACLE_GRID = 1001  # points per axis of the oracle and DF grids
+LINE_GRID = 10001  # points of the equal-split and fixed-placement line searches
+
 _SYSTEM_KEYS = tuple(f.name for f in dataclasses.fields(SystemParams))
 _FIT_KEYS = tuple(f.name for f in dataclasses.fields(SigmoidFit))
 _PENALTY_KEYS = tuple(f.name for f in dataclasses.fields(PenaltyConfig))
@@ -128,25 +131,28 @@ def sweep_bandwidths(w_min: float, w_max: float, points: int, log_spacing: bool 
     return [float(w) for w in ws]
 
 
+def _schemes(params: SystemParams, fit: SigmoidFit, cfg: PenaltyConfig):
+    """The penalty solver's report, then the oracle, equal-split,
+    fixed-placement and DF points (None where infeasible)."""
+    og = GridSpec(ORACLE_GRID, ORACLE_GRID, cfg.alpha_floor)
+    lg = GridSpec(LINE_GRID, LINE_GRID, cfg.alpha_floor)
+    report = run(params, fit, cfg)
+    return (
+        report,
+        oracle_search(params, fit, og),
+        equal_bandwidth_search(params, fit, lg),
+        fixed_placement_search(params, fit, lg),
+        df_search(params, og),
+    )
+
+
 def compute_sweep(
-    params: SystemParams,
-    fit: SigmoidFit,
-    cfg: PenaltyConfig,
-    w_values,
-    oracle_grid: GridSpec | None = None,
-    line_grid: GridSpec | None = None,
+    params: SystemParams, fit: SigmoidFit, cfg: PenaltyConfig, w_values
 ) -> list[SweepRow]:
     """Evaluate all five schemes at each bandwidth, one row per W."""
-    og = oracle_grid or GridSpec(1001, 1001, cfg.alpha_floor)
-    lg = line_grid or GridSpec(10001, 10001, cfg.alpha_floor)
     rows = []
     for w in w_values:
-        p = dataclasses.replace(params, W=w)
-        report = run(p, fit, cfg)
-        oracle = oracle_search(p, fit, og)
-        equal = equal_bandwidth_search(p, fit, lg)
-        fixed = fixed_placement_search(p, fit, lg)
-        df = df_search(p, og)
+        report, oracle, equal, fixed, df = _schemes(dataclasses.replace(params, W=w), fit, cfg)
         feasible = report.best is not None and report.status != "infeasible"
         rows.append(
             SweepRow(
@@ -208,19 +214,12 @@ def read_sweep_csv(path: str) -> list[SweepRow]:
 
 def format_compare(params: SystemParams, fit: SigmoidFit, cfg: PenaltyConfig) -> str:
     """Single-bandwidth comparison of all schemes, fixed-format table."""
-    og = GridSpec(1001, 1001, cfg.alpha_floor)
-    lg = GridSpec(10001, 10001, cfg.alpha_floor)
-    report = run(params, fit, cfg)
-    entries = [
-        ("oracle", oracle_search(params, fit, og)),
-        ("penalty", report.best if report.status != "infeasible" else None),
-        ("equal_bw", equal_bandwidth_search(params, fit, lg)),
-        ("fixed_place", fixed_placement_search(params, fit, lg)),
-        ("df", df_search(params, og)),
-    ]
+    report, oracle, equal, fixed, df = _schemes(params, fit, cfg)
+    penalty = report.best if report.status != "infeasible" else None
+    names = ("oracle", "penalty", "equal_bw", "fixed_place", "df")
     lines = [f"W={params.W!r} Hz"]
     lines.append(f"{'scheme':<12} {'eta_bps':>14} {'d_br':>10} {'alpha_br':>10}")
-    for name, pt in entries:
+    for name, pt in zip(names, (oracle, penalty, equal, fixed, df)):
         if pt is None:
             lines.append(f"{name:<12} {'infeasible':>14} {'-':>10} {'-':>10}")
         else:
@@ -263,7 +262,7 @@ def main(argv=None) -> int:
 
     p_oracle = sub.add_parser("oracle", help="exhaustive grid search")
     p_oracle.add_argument("--config", help="path to key=value config file")
-    p_oracle.add_argument("--grid", type=int, default=1001, help="points per axis")
+    p_oracle.add_argument("--grid", type=int, default=ORACLE_GRID, help="points per axis")
 
     p_compare = sub.add_parser("compare", help="all schemes at one bandwidth")
     p_compare.add_argument("--config", help="path to key=value config file")

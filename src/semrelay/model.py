@@ -135,6 +135,25 @@ def path_factor(p: SystemParams, d):
     return (d * d + p.H * p.H) ** (p.beta / 2.0)
 
 
+def snr_lin(p: SystemParams, power, d, alpha):
+    """Linear received SNR of a hop that sends at `power` over horizontal
+    distance d in the bandwidth share alpha; the link budget of both hops."""
+    return power * p.rho0_lin / (path_factor(p, d) * alpha * p.W * p.n0_w_hz)
+
+
+def shannon_rate(p: SystemParams, power, d, alpha):
+    """Shannon rate in bits/s of a bit hop sending at `power`.
+
+    Returns 0 at alpha = 0, the continuous limit of x*log2(1 + c/x).
+    log1p keeps full relative precision at the tiny SNRs reached when the
+    allocated band is wide.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    snr = snr_lin(p, power, d, np.where(alpha > 0, alpha, 1.0))
+    out = np.where(alpha > 0, alpha * p.W * np.log1p(snr) / _LN2, 0.0)
+    return float(out) if np.ndim(out) == 0 else out
+
+
 def snr_br_db(p: SystemParams, d_br, alpha_br):
     """Received SNR at the relay in dB for the BS->relay hop.
 
@@ -143,8 +162,7 @@ def snr_br_db(p: SystemParams, d_br, alpha_br):
     """
     if np.any(np.asarray(alpha_br) <= 0):
         raise ValueError("alpha_br must be positive")
-    snr = p.P_b * p.rho0_lin / (path_factor(p, d_br) * alpha_br * p.W * p.n0_w_hz)
-    return lin_to_db(snr)
+    return lin_to_db(snr_lin(p, p.P_b, d_br, alpha_br))
 
 
 def semantic_similarity(fit: SigmoidFit, gamma_db):
@@ -170,18 +188,8 @@ def semantic_bit_rate(p: SystemParams, fit: SigmoidFit, alpha_br, eps):
 
 
 def bit_rate_ru(p: SystemParams, d_ru, alpha_ru):
-    """Shannon rate of the relay->user bit hop, bits/s.
-
-    Returns 0 at alpha_ru = 0, the continuous limit of x*log2(1 + c/x).
-    log1p keeps full relative precision at the tiny SNRs reached when the
-    allocated band is wide.
-    """
-    alpha = np.asarray(alpha_ru, dtype=float)
-    safe = np.where(alpha > 0, alpha, 1.0)
-    snr = p.P_r * p.rho0_lin / (path_factor(p, d_ru) * safe * p.W * p.n0_w_hz)
-    rate = alpha * p.W * np.log1p(snr) / _LN2
-    out = np.where(alpha > 0, rate, 0.0)
-    return float(out) if np.ndim(out) == 0 else out
+    """Shannon rate of the relay->user bit hop, bits/s."""
+    return shannon_rate(p, p.P_r, d_ru, alpha_ru)
 
 
 def min_snr_threshold_db(fit: SigmoidFit):
@@ -197,8 +205,7 @@ def min_snr_threshold_db(fit: SigmoidFit):
 
 def max_semantic_bandwidth(p: SystemParams, fit: SigmoidFit, d_br):
     """Largest alpha_br * W (Hz) keeping similarity at or above eps_bar."""
-    thresh_lin = db_to_lin(min_snr_threshold_db(fit))
-    return p.P_b * p.rho0_lin / (path_factor(p, d_br) * p.n0_w_hz * thresh_lin)
+    return p.W * snr_lin(p, p.P_b, d_br, 1.0) / db_to_lin(min_snr_threshold_db(fit))
 
 
 def effective_rate(p: SystemParams, fit: SigmoidFit, pt: DesignPoint):

@@ -28,6 +28,7 @@ from semrelay.model import (
     snr_br_db,
 )
 from semrelay.subproblems import (
+    DIST_MARGIN_FRAC,
     ETA_CAP_FACTOR,
     rate_scale,
     solve_auxiliary,
@@ -160,7 +161,10 @@ def run(
         d = (p.D / 2.0, p.D / 2.0)
         alpha = (0.5, 0.5)
     else:
-        d = (max(init.d_br, 0.0), max(init.d_ru, 0.0))
+        # The relay stays off both ends, where the tangent expansions of the
+        # path loss are undefined for H = 0.
+        margin = DIST_MARGIN_FRAC * p.D
+        d = (max(init.d_br, margin), max(init.d_ru, margin))
         alpha = (max(init.alpha_br, cfg.alpha_floor), max(init.alpha_ru, cfg.alpha_floor))
     aux = (d, alpha)
     eta_cap = ETA_CAP_FACTOR * rate_scale(p, fit)

@@ -28,18 +28,24 @@ from semrelay.bounds import (
     snr_cap_coeffs,
     square_coeffs,
 )
-from semrelay.model import SigmoidFit, SystemParams, min_snr_threshold_db, path_factor
+from semrelay.model import (
+    _LN2,
+    DEFAULT_ALPHA_FLOOR,
+    SigmoidFit,
+    SystemParams,
+    min_snr_threshold_db,
+    semantic_bit_rate,
+    snr_lin,
+)
 
 # Relative duality gap for each block solve.
 TOL_SUB = 1e-9
-
-_LN2 = math.log(2.0)
 # The rate variable is additionally boxed at this multiple of the semantic
 # ceiling to keep the feasible sets compact for the barrier method; the box
 # never binds at a converged solution because alpha_br + alpha_ru -> 1.
 ETA_CAP_FACTOR = 1.5
 # Strict-interior margins used to push the incumbent off the boundary.
-_DIST_MARGIN_FRAC = 1e-3  # of D, for distances
+DIST_MARGIN_FRAC = 1e-3  # of D, for distances
 _REL_MARGIN = 0.05  # fraction of the available slack for gamma, S, eta
 
 
@@ -54,7 +60,7 @@ class SubproblemSolution:
 
 def rate_scale(p: SystemParams, fit: SigmoidFit) -> float:
     """Ceiling of the semantic hop at full bandwidth, used as rate unit."""
-    return p.W * p.mu * (fit.a1 + fit.a2) / fit.K
+    return semantic_bit_rate(p, fit, 1.0, fit.a1 + fit.a2)
 
 
 def _interior(hi: float, lo: float) -> float:
@@ -97,14 +103,13 @@ def solve_placement(
 
     u_t, r_t, r_u = rate_ru_coeffs(p, lp, alpha_ru)
     v_t, sig_t, sig_v = logistic_coeffs(fit, lp)
-    y_t, l_t, l_y = log_path_coeffs(lp, p.H)
+    y_t, _, l_y = log_path_coeffs(lp, p.H)
     a1c = alpha_ru * p.W / R0
     b2 = alpha_br * p.W * p.mu / (fit.K * R0)
     # With the log-path tangent the SNR ceiling is a downward parabola in
-    # d_br: cap_peak - q3 * d_br^2.
-    cb = 10.0 * math.log10(p.P_b * p.rho0_lin / (alpha_br * p.W * p.n0_w_hz))
+    # d_br, cap_peak - q3 * d_br^2, equal to the exact SNR at lp.d_br.
     q3 = 5.0 * p.beta * l_y
-    cap_peak = cb - 5.0 * p.beta * (l_t - l_y * y_t)
+    cap_peak = 10.0 * math.log10(snr_lin(p, p.P_b, lp.d_br, alpha_br)) + q3 * y_t
     if cap_peak <= gamma_min + 1e-12:
         return SubproblemSolution({}, -math.inf, "infeasible")
 
@@ -125,7 +130,7 @@ def solve_placement(
 
     # Strictly feasible start from the incumbent; a slack taken at zero of
     # the variable it bounds is that variable's upper limit.
-    margin_d = _DIST_MARGIN_FRAC * p.D
+    margin_d = DIST_MARGIN_FRAC * p.D
     d_max_strict = math.sqrt((cap_peak - gamma_min) / q3) if q3 > 0 else math.inf
     d_br0 = min(max(lp.d_br, margin_d), 0.999 * d_max_strict)
     if d_br0 <= 0:
@@ -182,7 +187,7 @@ def solve_bandwidth(
     d: tuple[float, float],
     aux: tuple[float, float],
     lam: float,
-    alpha_floor: float = 1e-6,
+    alpha_floor: float = DEFAULT_ALPHA_FLOOR,
 ) -> SubproblemSolution:
     """Optimize (alpha_br, alpha_ru, gamma, S, eta) at fixed placement.
 
@@ -198,14 +203,14 @@ def solve_bandwidth(
     y_cap = ETA_CAP_FACTOR
     gamma_min = float(min_snr_threshold_db(fit))
 
-    c_ru = p.P_r * p.rho0_lin / (path_factor(p, d_ru) * p.W * p.n0_w_hz)  # SNR times alpha_ru
+    c_ru = snr_lin(p, p.P_r, d_ru, 1.0)  # SNR times alpha_ru
     wr = p.W / R0
     q2 = p.W * p.mu / (4.0 * fit.K * R0)
     x_t, sq_t, sq_x = square_coeffs(lp)
     v_t, sig_t, sig_v = logistic_coeffs(fit, lp)
     a_t, cap_t, cap_a = snr_cap_coeffs(lp)
     # SNR ceiling, affine in alpha_br: cd + cap_t + cap_a * (alpha_br - a_t).
-    cd = 10.0 * math.log10(p.P_b * p.rho0_lin / (path_factor(p, d_br) * p.W * p.n0_w_hz))
+    cd = 10.0 * math.log10(snr_lin(p, p.P_b, d_br, 1.0))
     a_max_strict = a_t + (gamma_min - cd - cap_t) / cap_a  # the ceiling meets gamma_min
     if a_max_strict <= alpha_floor:
         return SubproblemSolution({}, -math.inf, "infeasible")

@@ -100,10 +100,11 @@ def snr_cap_tangent_oracle(p: SystemParams, d_br, alpha_t, alpha):
     return tangent_of(exact, alpha_t, alpha, alpha_t * 1e-7)
 
 
-def placement_grid_oracle(p, fit, lp, alpha, aux_d, lam, nu, eta_cap, step=0.1):
+def placement_grid_oracle(p, fit, lp, alpha, aux_d, lam, nu, eta_cap):
     """Best penalized objective of the placement surrogate program on a
-    dense (d_br, d_ru) grid over [0, D]^2, resolving gamma and eta in
-    closed form per point."""
+    (d_br, d_ru) grid over [0, D]^2 with step D/1000, resolving gamma and
+    eta in closed form per point."""
+    step = p.D / 1000.0
     h2 = p.H * p.H
     hb = p.beta / 2.0
     gamma_min = float(min_snr_threshold_db(fit))
@@ -133,10 +134,16 @@ def placement_grid_oracle(p, fit, lp, alpha, aux_d, lam, nu, eta_cap, step=0.1):
     return float(np.max(obj))
 
 
-def bandwidth_grid_oracle(p, fit, lp, d, aux_a, lam, alpha_floor, eta_cap,
-                          step=1e-4, a_br_max=3.0, a_ru_max=60.0):
+def bandwidth_grid_oracle(p, fit, lp, d, aux_a, lam, alpha_floor, eta_cap):
     """Best penalized objective of the bandwidth surrogate program: grid
-    over alpha_br, closed-form gamma and S, ternary search over alpha_ru."""
+    over alpha_br, closed-form gamma and S, ternary search over alpha_ru.
+
+    The box comes from the problem. The surrogate SNR ceiling lies below
+    the exact SNR, so no feasible alpha_br exceeds the fraction at which the
+    exact SNR meets the threshold; the grid stops there, or at 3, and has
+    3e4 points. Raising alpha_ru alone gains at most the rate cap, so the
+    optimum has (alpha_ru - aux)^2 / (2 lam) <= eta_cap.
+    """
     h2 = p.H * p.H
     hb = p.beta / 2.0
     gamma_min = float(min_snr_threshold_db(fit))
@@ -152,7 +159,8 @@ def bandwidth_grid_oracle(p, fit, lp, d, aux_a, lam, alpha_floor, eta_cap,
     e10 = 10.0 * np.log10(np.e) / lp.alpha_br
     w = 1.0 / (2.0 * lam)
 
-    a_br = np.arange(alpha_floor, a_br_max, step)
+    a_br_max = min(3.0, 10.0 ** ((cd - gamma_min) / 10.0))
+    a_br = np.arange(alpha_floor, a_br_max, a_br_max / 3e4)
     gamma = cd - e9 - e10 * (a_br - lp.alpha_br)
     tau = fit.c1 * gamma + fit.c2
     s_val = fit.a1 + fit.a2 * (sig - sig * sig * (np.exp(-tau) - np.exp(-tau_t)))
@@ -160,7 +168,7 @@ def bandwidth_grid_oracle(p, fit, lp, d, aux_a, lam, alpha_floor, eta_cap,
     cap = np.minimum(rhs2, eta_cap)
 
     lo = np.full_like(a_br, alpha_floor)
-    hi = np.full_like(a_br, a_ru_max)
+    hi = np.full_like(a_br, aux_a[1] + np.sqrt(2.0 * lam * eta_cap))
 
     def value(a_ru):
         r = a_ru * p.W * np.log1p(c_ru / a_ru) / np.log(2.0)

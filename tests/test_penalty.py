@@ -5,6 +5,7 @@ import pytest
 
 from semrelay.baselines import GridSpec, oracle_search
 from semrelay.model import (
+    DesignPoint,
     SigmoidFit,
     SystemParams,
     is_feasible,
@@ -90,10 +91,13 @@ class TestRunEdges:
             assert (oracle_search(p, fit, GridSpec(2, 2)) is not None) == feasible
 
     def test_zero_altitude_is_feasible(self, params, fit, cfg):
-        # path_factor vanishes at d_br = 0 when H = 0: unbounded SNR, no error
-        report = run(dataclasses.replace(params, H=0.0), fit,
-                     dataclasses.replace(cfg, max_outer=1))
-        assert report.status == "iteration-cap"
+        # path_factor vanishes at d_br = 0 when H = 0: unbounded SNR, no
+        # error, also from start points with the relay at either end
+        p = dataclasses.replace(params, H=0.0)
+        one_phase = dataclasses.replace(cfg, max_outer=1)
+        for init in (None, DesignPoint(p.D, 0.0, 0.5, 0.5, 0.0, 0.0),
+                     DesignPoint(0.0, p.D, 0.5, 0.5, 0.0, 0.0)):
+            assert run(p, fit, one_phase, init=init).status == "iteration-cap", init
 
     def test_optimal_feasible_init_is_fixed_point(self, params, fit, cfg):
         # with an immediately strong penalty the blocks pin to the incumbent

@@ -1,8 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
+from semrelay import barrier
 from semrelay.bounds import LocalPoint
 from semrelay.model import (
     SigmoidFit,
@@ -54,7 +53,7 @@ class TestSolvePlacement:
             sol = solve_placement(p, f, lp, alpha, d, 1000.0, 1e-4)
             assert sol.status == "optimal", i
             cap = ETA_CAP_FACTOR * rate_scale(p, f)
-            ref = placement_grid_oracle(p, f, lp, alpha, d, 1000.0, 1e-4, cap, step=p.D / 1000.0)
+            ref = placement_grid_oracle(p, f, lp, alpha, d, 1000.0, 1e-4, cap)
             # the grid maximizes over feasible points only, so it lower-bounds
             # the solver; closeness within 0.1 percent both ways
             assert sol.objective >= ref - 1e-6 * abs(ref), i
@@ -100,15 +99,7 @@ class TestSolveBandwidth:
             sol = solve_bandwidth(p, f, lp, d, alpha, lam)
             assert sol.status == "optimal", i
             cap = ETA_CAP_FACTOR * rate_scale(p, f)
-            # The surrogate SNR ceiling lies below the exact SNR, so no
-            # feasible alpha_br exceeds the threshold fraction; the grid keeps
-            # the oracle's default box of 3 above it. Raising alpha_ru alone
-            # gains at most the rate cap, so the optimum has
-            # (alpha_ru - aux)^2 / (2 lam) <= cap.
-            a_br_max = min(3.0, float(max_semantic_bandwidth(p, f, d[0])) / p.W)
-            ref = bandwidth_grid_oracle(
-                p, f, lp, d, alpha, lam, 1e-6, cap, step=a_br_max / 3e4,
-                a_br_max=a_br_max, a_ru_max=alpha[1] + math.sqrt(2.0 * lam * cap))
+            ref = bandwidth_grid_oracle(p, f, lp, d, alpha, lam, 1e-6, cap)
             assert sol.objective >= ref - 1e-6 * abs(ref), i
             assert abs(sol.objective - ref) <= 1e-3 * abs(ref), i
 
@@ -139,6 +130,47 @@ class TestSolveBandwidth:
         lp = LocalPoint(d[0], d[1], 0.5, gamma, float(semantic_similarity(fit, gamma)))
         sol = solve_bandwidth(p, fit, lp, d, (0.5, 0.5), 1000.0)
         assert sol.status == "infeasible"
+
+
+class TestBlockDerivatives:
+    """The gradient and Hessian that each block's eval_full writes by hand,
+    against central differences of its eval_value and of that gradient, at
+    the barrier's start point and halfway to its solution."""
+
+    @staticmethod
+    def _check(eval_full, eval_value, z, t):
+        _, grad, hess = eval_full(z, t)
+        h = 1e-6 * (np.abs(z) + 1e-3)
+        for i in range(len(z)):
+            e = np.zeros(len(z))
+            e[i] = h[i]
+            g_fd = (eval_value(z + e, t) - eval_value(z - e, t)) / (2.0 * h[i])
+            assert abs(g_fd - grad[i]) <= 1e-5 * (abs(grad[i]) + 1e-6 * np.linalg.norm(grad)), i
+            col_fd = (eval_full(z + e, t)[1] - eval_full(z - e, t)[1]) / (2.0 * h[i])
+            # Entries are compared on the scale sqrt(|H_jj H_ii|), which bounds
+            # |H_ji| for a definite Hessian.
+            scale = np.sqrt(np.abs(np.diag(hess)) * abs(hess[i, i]))
+            assert np.all(np.abs(col_fd - hess[:, i]) <= 1e-5 * scale), i
+
+    def test_eval_full_matches_finite_differences(self, params, fit, monkeypatch):
+        calls = []
+        maximize = barrier.maximize
+
+        def recording(eval_full, eval_value, x0, n_constraints, gap):
+            x, ok = maximize(eval_full, eval_value, x0, n_constraints, gap)
+            calls.append((eval_full, eval_value, np.asarray(x0, dtype=float), x))
+            return x, ok
+
+        monkeypatch.setattr(barrier, "maximize", recording)
+        for p, f, d, alpha in [(params, fit, (50.0, 50.0), (0.3, 0.7)), *_random_cases()]:
+            lp = _incumbent_lp(p, f, d, alpha)
+            solve_placement(p, f, lp, alpha, d, 1000.0, 1e-4)
+            solve_bandwidth(p, f, lp, d, alpha, 1000.0)
+        assert [len(x0) for _, _, x0, _ in calls] == [4, 5] * 4
+        for eval_full, eval_value, x0, x in calls:
+            for z in (x0, 0.5 * (x0 + x)):
+                for t in (10.0, 1e4):
+                    self._check(eval_full, eval_value, z, t)
 
 
 class TestSolveAuxiliary:
