@@ -15,6 +15,8 @@ a few microseconds:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Newton decrement target; lambda <= 0.05 leaves a centering error far below
@@ -32,6 +34,9 @@ def _newton(eval_full, eval_value, x, t):
     """Center at fixed t. Returns (x, converged, steps)."""
     for step in range(_MAX_NEWTON):
         phi, grad, hess = eval_full(x, t)
+        # Outside the domain the line search cannot tell better from worse.
+        if not math.isfinite(phi):
+            return x, False, step
         try:
             dx = np.linalg.solve(-hess, grad)
         except np.linalg.LinAlgError:
@@ -57,8 +62,9 @@ def _newton(eval_full, eval_value, x, t):
 def maximize(eval_full, eval_value, x0, n_constraints, gap):
     """Follow the central path until the duality measure meets `gap`.
 
-    x0 must be strictly feasible. Returns (x, converged) where converged
-    means every centering succeeded and m/t_final <= gap. The barrier
+    x0 must be strictly feasible; one outside the domain comes back
+    unchanged, unconverged. Returns (x, converged) where converged means
+    every centering succeeded and m/t_final <= gap. The barrier
     parameter grows by 10 per stage, or by 100 after stages that converge
     in a couple of Newton steps (a warm start near the path needs no slow
     walk through the early stages).

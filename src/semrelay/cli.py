@@ -153,18 +153,18 @@ def compute_sweep(
     rows = []
     for w in w_values:
         report, oracle, equal, fixed, df = _schemes(dataclasses.replace(params, W=w), fit, cfg)
-        feasible = report.best is not None and report.status != "infeasible"
+        best = report.best
         rows.append(
             SweepRow(
                 W=w,
-                eta_penalty=report.best.eta if feasible else None,
+                eta_penalty=best.eta if best else None,
                 eta_oracle=oracle.eta if oracle else None,
                 eta_equal_bw=equal.eta if equal else None,
                 eta_fixed_place=fixed.eta if fixed else None,
                 eta_df=df.eta,
-                alpha_br_opt=report.best.alpha_br if feasible else None,
-                d_br_opt=report.best.d_br if feasible else None,
-                zeta=report.zeta if feasible else None,
+                alpha_br_opt=best.alpha_br if best else None,
+                d_br_opt=best.d_br if best else None,
+                zeta=report.zeta if best else None,
                 status_penalty=report.status,
                 status_oracle="ok" if oracle else "infeasible",
                 status_equal_bw="ok" if equal else "infeasible",
@@ -215,11 +215,10 @@ def read_sweep_csv(path: str) -> list[SweepRow]:
 def format_compare(params: SystemParams, fit: SigmoidFit, cfg: PenaltyConfig) -> str:
     """Single-bandwidth comparison of all schemes, fixed-format table."""
     report, oracle, equal, fixed, df = _schemes(params, fit, cfg)
-    penalty = report.best if report.status != "infeasible" else None
     names = ("oracle", "penalty", "equal_bw", "fixed_place", "df")
     lines = [f"W={params.W!r} Hz"]
     lines.append(f"{'scheme':<12} {'eta_bps':>14} {'d_br':>10} {'alpha_br':>10}")
-    for name, pt in zip(names, (oracle, penalty, equal, fixed, df)):
+    for name, pt in zip(names, (oracle, report.best, equal, fixed, df)):
         if pt is None:
             lines.append(f"{name:<12} {'infeasible':>14} {'-':>10} {'-':>10}")
         else:

@@ -195,10 +195,9 @@ def bit_rate_ru(p: SystemParams, d_ru, alpha_ru):
 def min_snr_threshold_db(fit: SigmoidFit):
     """SNR in dB at which similarity equals eps_bar exactly.
 
-    The minimum-similarity constraint is equivalent to SNR >= this value.
+    The minimum-similarity constraint is equivalent to SNR >= this value;
+    SigmoidFit guarantees a1 < eps_bar < a1 + a2, so the log is finite.
     """
-    if not fit.a1 < fit.eps_bar < fit.a1 + fit.a2:
-        raise ValueError("eps_bar must lie strictly between a1 and a1 + a2")
     ratio = (fit.eps_bar - fit.a1) / (fit.a1 + fit.a2 - fit.eps_bar)
     return np.log(ratio) / fit.c1 - fit.c2 / fit.c1
 

@@ -110,7 +110,8 @@ def _has_feasible_point(p: SystemParams, fit: SigmoidFit, alpha_floor: float) ->
 
 
 def _tighten(p, fit, d, alpha, eta_cap=float("inf")):
-    """Recompute SNR, similarity and rate from the primal variables.
+    """The incumbent at the primal variables: its expansion point, with SNR
+    and similarity recomputed from them, and its rate.
 
     eta_cap mirrors the compactness box of the block subproblems: while the
     bandwidth fractions can exceed 1 under a weak penalty, the incumbent
@@ -125,7 +126,7 @@ def _tighten(p, fit, d, alpha, eta_cap=float("inf")):
         float(bit_rate_ru(p, d[1], alpha[1])),
         eta_cap,
     )
-    return gamma, s, eta
+    return LocalPoint(d[0], d[1], alpha[0], gamma, s), eta
 
 
 def _p3_objective(eta, d, alpha, aux, lam, nu):
@@ -149,10 +150,10 @@ def run(
 
     Returns a report whose best point satisfies both sum equalities exactly
     (final Euclidean projection) with the SNR recomputed from it. Status is
-    "infeasible" when no point meets the similarity threshold (an exact
-    test, before any block solve) or when both blocks are infeasible at the
-    incumbent, "converged" when the violation metric reached eps1, else
-    "iteration-cap".
+    "infeasible", with no best point, when no point meets the similarity
+    threshold (an exact test, before any block solve) or when both blocks
+    are infeasible at the incumbent; "converged" when the violation metric
+    reached eps1; else "iteration-cap".
     """
     if not _has_feasible_point(p, fit, cfg.alpha_floor):
         return SolveReport(None, float("inf"), 0, 0, (), (), "infeasible")
@@ -168,7 +169,9 @@ def run(
         alpha = (max(init.alpha_br, cfg.alpha_floor), max(init.alpha_ru, cfg.alpha_floor))
     aux = (d, alpha)
     eta_cap = ETA_CAP_FACTOR * rate_scale(p, fit)
-    gamma, s, eta = _tighten(p, fit, d, alpha, eta_cap)
+    # lp carries the incumbent to the blocks: d, alpha_br, and the SNR and
+    # similarity recomputed from them.
+    lp, eta = _tighten(p, fit, d, alpha, eta_cap)
 
     lam = cfg.lambda0
     traces = []
@@ -176,36 +179,28 @@ def run(
     total_cycles = 0
     status = "iteration-cap"
     zeta = float("inf")
-    outer_done = 0
 
     for _outer in range(cfg.max_outer):
-        outer_done += 1
         phase = [_p3_objective(eta, d, alpha, aux, lam, cfg.nu)]
         prev_obj = phase[0]
         for _cycle in range(cfg.max_inner):
-            lp = LocalPoint(d[0], d[1], alpha[0], gamma, s)
-            pl = solve_placement(p, fit, lp, alpha, aux[0], lam, cfg.nu)
+            pl = solve_placement(p, fit, lp, alpha[1], aux[0], lam, cfg.nu)
             if pl.status != "infeasible":
                 d = (pl.point["d_br"], pl.point["d_ru"])
-                gamma, s, eta = _tighten(p, fit, d, alpha, eta_cap)
+                lp, eta = _tighten(p, fit, d, alpha, eta_cap)
                 phase.append(_p3_objective(eta, d, alpha, aux, lam, cfg.nu))
 
-            lp = LocalPoint(d[0], d[1], alpha[0], gamma, s)
-            bw = solve_bandwidth(p, fit, lp, d, aux[1], lam, cfg.alpha_floor)
+            bw = solve_bandwidth(p, fit, lp, aux[1], lam, cfg.alpha_floor)
             if bw.status != "infeasible":
                 alpha = (bw.point["alpha_br"], bw.point["alpha_ru"])
-                gamma, s, eta = _tighten(p, fit, d, alpha, eta_cap)
+                lp, eta = _tighten(p, fit, d, alpha, eta_cap)
                 phase.append(_p3_objective(eta, d, alpha, aux, lam, cfg.nu))
 
-            if pl.status == "infeasible" and bw.status == "infeasible":
-                traces.append(tuple(phase))
-                best = _finalize(p, fit, d, alpha, cfg)
-                return SolveReport(
-                    best, zeta, total_cycles, outer_done, tuple(traces),
-                    tuple(zetas), "infeasible"
-                )
+            if pl.status == bw.status == "infeasible":
+                status = "infeasible"
+                break
 
-            aux = solve_auxiliary(d, alpha, p.D, cfg.nu)
+            aux = solve_auxiliary(d, alpha, p.D)
             obj = _p3_objective(eta, d, alpha, aux, lam, cfg.nu)
             phase.append(obj)
             total_cycles += 1
@@ -214,6 +209,8 @@ def run(
             prev_obj = obj
 
         traces.append(tuple(phase))
+        if status == "infeasible":
+            break
         zeta = violation(d, alpha, aux, p.D)
         zetas.append(zeta)
         if zeta <= cfg.eps1:
@@ -223,14 +220,15 @@ def run(
 
     best = _finalize(p, fit, d, alpha, cfg)
     return SolveReport(
-        best, zeta, total_cycles, outer_done, tuple(traces), tuple(zetas), status
+        None if status == "infeasible" else best,
+        zeta, total_cycles, len(traces), tuple(traces), tuple(zetas), status,
     )
 
 
 def _finalize(p, fit, d, alpha, cfg):
     """Project onto the sum equalities and rebuild the operating point."""
-    (d_hat, a_hat) = solve_auxiliary(d, alpha, p.D, cfg.nu)
+    (d_hat, a_hat) = solve_auxiliary(d, alpha, p.D)
     d_f = (max(d_hat[0], 0.0), max(d_hat[1], 0.0))
     a_f = (max(a_hat[0], cfg.alpha_floor), max(a_hat[1], 0.0))
-    gamma, s, eta = _tighten(p, fit, d_f, a_f)
-    return DesignPoint(d_f[0], d_f[1], a_f[0], a_f[1], gamma, eta)
+    lp, eta = _tighten(p, fit, d_f, a_f)
+    return DesignPoint(d_f[0], d_f[1], a_f[0], a_f[1], lp.gamma_br_db, eta)

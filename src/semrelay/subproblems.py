@@ -80,19 +80,20 @@ def solve_placement(
     p: SystemParams,
     fit: SigmoidFit,
     lp: LocalPoint,
-    alpha: tuple[float, float],
+    alpha_ru: float,
     aux: tuple[float, float],
     lam: float,
     nu: float,
 ) -> SubproblemSolution:
-    """Optimize (d_br, d_ru, gamma, eta) at fixed bandwidth split.
+    """Optimize (d_br, d_ru, gamma, eta) at the fixed split (lp.alpha_br,
+    alpha_ru).
 
     Maximizes eta - (nu/2 lam) * ||d - d_hat||^2 subject to the tangent
     surrogates of the two rate constraints and of the SNR ceiling, the SNR
     threshold, and d >= 0. Infeasible when no d_br admits the threshold at
     the fixed split, which signals that the bandwidth block must move first.
     """
-    alpha_br, alpha_ru = alpha
+    alpha_br = lp.alpha_br
     d_hat_br, d_hat_ru = aux
     R0 = rate_scale(p, fit)
     w = nu / (2.0 * lam * R0)
@@ -131,10 +132,7 @@ def solve_placement(
     # Strictly feasible start from the incumbent; a slack taken at zero of
     # the variable it bounds is that variable's upper limit.
     margin_d = DIST_MARGIN_FRAC * p.D
-    d_max_strict = math.sqrt((cap_peak - gamma_min) / q3) if q3 > 0 else math.inf
-    d_br0 = min(max(lp.d_br, margin_d), 0.999 * d_max_strict)
-    if d_br0 <= 0:
-        d_br0 = 0.5 * d_max_strict
+    d_br0 = min(max(lp.d_br, margin_d), 0.999 * math.sqrt((cap_peak - gamma_min) / q3))
     d_ru0 = max(lp.d_ru, margin_d)
     gamma0 = _interior(slacks(d_br0, d_ru0, 0.0, 0.0)[2], gamma_min)
     y0 = _interior(min(*slacks(d_br0, d_ru0, gamma0, 0.0)[:2], y_cap), -y_cap)
@@ -184,33 +182,32 @@ def solve_bandwidth(
     p: SystemParams,
     fit: SigmoidFit,
     lp: LocalPoint,
-    d: tuple[float, float],
     aux: tuple[float, float],
     lam: float,
     alpha_floor: float = DEFAULT_ALPHA_FLOOR,
 ) -> SubproblemSolution:
-    """Optimize (alpha_br, alpha_ru, gamma, S, eta) at fixed placement.
+    """Optimize (alpha_br, alpha_ru, gamma, S, eta) at the fixed placement
+    (lp.d_br, lp.d_ru).
 
     Maximizes eta - (1/2 lam) * ||alpha - alpha_hat||^2. The relay->user
     rate is exact (concave in alpha_ru); the semantic-hop constraints use
     the square, similarity and SNR-ceiling tangents. Infeasible when the
     SNR threshold fails for every alpha_br down to the floor.
     """
-    d_br, d_ru = d
     a_hat_br, a_hat_ru = aux
     R0 = rate_scale(p, fit)
     w = 1.0 / (2.0 * lam * R0)
     y_cap = ETA_CAP_FACTOR
     gamma_min = float(min_snr_threshold_db(fit))
 
-    c_ru = snr_lin(p, p.P_r, d_ru, 1.0)  # SNR times alpha_ru
+    c_ru = snr_lin(p, p.P_r, lp.d_ru, 1.0)  # SNR times alpha_ru
     wr = p.W / R0
     q2 = p.W * p.mu / (4.0 * fit.K * R0)
     x_t, sq_t, sq_x = square_coeffs(lp)
     v_t, sig_t, sig_v = logistic_coeffs(fit, lp)
     a_t, cap_t, cap_a = snr_cap_coeffs(lp)
     # SNR ceiling, affine in alpha_br: cd + cap_t + cap_a * (alpha_br - a_t).
-    cd = 10.0 * math.log10(snr_lin(p, p.P_b, d_br, 1.0))
+    cd = 10.0 * math.log10(snr_lin(p, p.P_b, lp.d_br, 1.0))
     a_max_strict = a_t + (gamma_min - cd - cap_t) / cap_a  # the ceiling meets gamma_min
     if a_max_strict <= alpha_floor:
         return SubproblemSolution({}, -math.inf, "infeasible")
@@ -237,8 +234,6 @@ def solve_bandwidth(
     # coordinate.
     a_br_hi = alpha_floor + 0.999 * (a_max_strict - alpha_floor)
     a_br0 = min(max(lp.alpha_br, 2.0 * alpha_floor), a_br_hi)
-    if not alpha_floor < a_br0 < a_max_strict:
-        a_br0 = 0.5 * (alpha_floor + a_max_strict)
     a_ru0 = max(2.0 * alpha_floor, a_hat_ru)
     gamma0 = _interior(slacks(a_br0, a_ru0, 0.0, 0.0, 0.0)[3], gamma_min)
     S0 = slacks(a_br0, a_ru0, gamma0, 0.0, 0.0)[2] - max(1e-9, _REL_MARGIN * fit.a2)
@@ -302,16 +297,14 @@ def solve_auxiliary(
     d: tuple[float, float],
     alpha: tuple[float, float],
     D: float,
-    nu: float,
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Closed-form update of the auxiliary copies.
 
     Euclidean projection of (d, alpha) onto the two sum constraints
     d_hat_br + d_hat_ru = D and alpha_hat_br + alpha_hat_ru = 1: each pair
     splits its shortfall evenly. Independent of the penalty coefficient and
-    of nu, since nu weights both distance terms uniformly.
+    of the distance weight nu, which weights both distance terms uniformly.
     """
-    del nu
     d_shift = (D - d[0] - d[1]) / 2.0
     a_shift = (1.0 - alpha[0] - alpha[1]) / 2.0
     return (

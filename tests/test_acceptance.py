@@ -165,7 +165,7 @@ def test_criterion_09_projection_correctness():
         d = tuple(rng.uniform(-100.0, 300.0, size=2))
         a = tuple(rng.uniform(-2.0, 4.0, size=2))
         big_d = rng.uniform(1.0, 400.0)
-        (d_hat, a_hat) = solve_auxiliary(d, a, big_d, 1e-4)
+        (d_hat, a_hat) = solve_auxiliary(d, a, big_d)
         want_d = projection_pair_oracle(d[0], d[1], big_d)
         want_a = projection_pair_oracle(a[0], a[1], 1.0)
         scale_d = max(1.0, abs(d[0]), abs(d[1]), big_d)

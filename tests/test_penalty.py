@@ -15,6 +15,7 @@ from semrelay.model import (
 )
 from semrelay.penalty import PenaltyConfig, run, violation
 from semrelay.subproblems import TOL_SUB, rate_scale
+from oracles import random_fit, random_params
 
 
 class TestViolation:
@@ -98,6 +99,27 @@ class TestRunEdges:
         for init in (None, DesignPoint(p.D, 0.0, 0.5, 0.5, 0.0, 0.0),
                      DesignPoint(0.0, p.D, 0.5, 0.5, 0.0, 0.0)):
             assert run(p, fit, one_phase, init=init).status == "iteration-cap", init
+        # the full default schedule: some placement blocks start outside
+        # their domain there and must come back unmoved, not diverge
+        report = run(p, fit, cfg)
+        assert report.status == "converged"
+        assert is_feasible(p, fit, report.best)
+        assert report.best.eta >= 0.98 * oracle_search(p, fit, GridSpec()).eta
+
+    def test_both_blocks_infeasible_at_start(self, cfg):
+        # System 9 of the seeded draw: its similarity floor admits a point,
+        # but neither block finds one at the default start, so the run
+        # stops in its first cycle and reports no point.
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            p, f = random_params(rng), random_fit(rng)
+        report = run(p, f, cfg)
+        assert report.status == "infeasible"
+        assert report.best is None
+        assert report.outer_iters == 1
+        assert report.inner_iters == 0
+        assert report.zeta == float("inf")
+        assert report.zeta_trace == ()
 
     def test_optimal_feasible_init_is_fixed_point(self, params, fit, cfg):
         # with an immediately strong penalty the blocks pin to the incumbent
@@ -111,26 +133,24 @@ class TestRunEdges:
             diffs = np.diff(phase)
             assert diffs.size == 0 or diffs.min() >= -1.0
 
-    def test_semantic_cap_binds_at_large_bandwidth(self, fit, cfg):
+    def test_semantic_cap_binds_at_large_bandwidth(self, wide_report, fit):
         wide = SystemParams(W=1e7)
-        report = run(wide, fit, cfg)
-        assert report.status == "converged"
-        b = report.best
+        assert wide_report.status == "converged"
+        b = wide_report.best
         cap_hz = float(max_semantic_bandwidth(wide, fit, b.d_br))
         assert b.alpha_br * wide.W <= cap_hz * (1.0 + 1e-6)
         # the similarity constraint is active there
         eps = float(semantic_similarity(fit, b.gamma_br_db))
         assert eps == pytest.approx(fit.eps_bar, abs=1e-4)
 
-    def test_infeasible_init_recovers(self, fit, cfg):
+    def test_infeasible_init_recovers(self, wide_report, fit):
         # default init violates the similarity floor at W = 1e7; the blocks
         # must walk back into the feasible region
         wide = SystemParams(W=1e7)
         gamma0 = float(snr_br_db(wide, 50.0, 0.5))
         assert float(semantic_similarity(fit, gamma0)) < fit.eps_bar
-        report = run(wide, fit, cfg)
-        assert report.status == "converged"
-        assert is_feasible(wide, fit, report.best)
+        assert wide_report.status == "converged"
+        assert is_feasible(wide, fit, wide_report.best)
 
 
 class TestConfigValidation:

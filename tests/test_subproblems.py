@@ -50,7 +50,7 @@ class TestSolvePlacement:
         for i, (p, f, d, alpha) in enumerate(
                 [(params, fit, (50.0, 50.0), (0.3, 0.7)), *_random_cases()]):
             lp = _incumbent_lp(p, f, d, alpha)
-            sol = solve_placement(p, f, lp, alpha, d, 1000.0, 1e-4)
+            sol = solve_placement(p, f, lp, alpha[1], d, 1000.0, 1e-4)
             assert sol.status == "optimal", i
             cap = ETA_CAP_FACTOR * rate_scale(p, f)
             ref = placement_grid_oracle(p, f, lp, alpha, d, 1000.0, 1e-4, cap)
@@ -63,14 +63,14 @@ class TestSolvePlacement:
         alpha = (0.3, 0.7)
         aux = (42.0, 58.0)
         lp = _incumbent_lp(params, fit, aux, alpha)
-        sol = solve_placement(params, fit, lp, alpha, aux, 1e-12, 1e-4)
+        sol = solve_placement(params, fit, lp, alpha[1], aux, 1e-12, 1e-4)
         assert sol.point["d_br"] == pytest.approx(aux[0], abs=1e-3)
         assert sol.point["d_ru"] == pytest.approx(aux[1], abs=1e-3)
 
     def test_surrogate_point_feasible_for_exact_constraints(self, params, fit):
         alpha = (0.4, 0.6)
         lp = _incumbent_lp(params, fit, (60.0, 40.0), alpha)
-        sol = solve_placement(params, fit, lp, alpha, (60.0, 40.0), 10.0, 1e-4)
+        sol = solve_placement(params, fit, lp, alpha[1], (60.0, 40.0), 10.0, 1e-4)
         d_br, d_ru = sol.point["d_br"], sol.point["d_ru"]
         gamma_var, eta = sol.point["gamma_br_db"], sol.point["eta"]
         # lower-bound surrogates guarantee the exact rates dominate eta
@@ -86,7 +86,7 @@ class TestSolvePlacement:
         alpha = (0.9, 0.1)
         gamma = float(snr_br_db(p, 50.0, alpha[0]))
         lp = LocalPoint(50.0, 50.0, alpha[0], gamma, float(semantic_similarity(fit, gamma)))
-        sol = solve_placement(p, fit, lp, alpha, (50.0, 50.0), 1000.0, 1e-4)
+        sol = solve_placement(p, fit, lp, alpha[1], (50.0, 50.0), 1000.0, 1e-4)
         assert sol.status == "infeasible"
 
 
@@ -96,7 +96,7 @@ class TestSolveBandwidth:
         for i, (p, f, d, alpha) in enumerate(
                 [(params, fit, (50.0, 50.0), (0.5, 0.5)), *_random_cases()]):
             lp = _incumbent_lp(p, f, d, alpha)
-            sol = solve_bandwidth(p, f, lp, d, alpha, lam)
+            sol = solve_bandwidth(p, f, lp, alpha, lam)
             assert sol.status == "optimal", i
             cap = ETA_CAP_FACTOR * rate_scale(p, f)
             ref = bandwidth_grid_oracle(p, f, lp, d, alpha, lam, 1e-6, cap)
@@ -107,14 +107,14 @@ class TestSolveBandwidth:
         d = (50.0, 50.0)
         aux = (0.35, 0.65)
         lp = _incumbent_lp(params, fit, d, aux)
-        sol = solve_bandwidth(params, fit, lp, d, aux, 1e-12)
+        sol = solve_bandwidth(params, fit, lp, aux, 1e-12)
         assert sol.point["alpha_br"] == pytest.approx(aux[0], abs=1e-5)
         assert sol.point["alpha_ru"] == pytest.approx(aux[1], abs=1e-5)
 
     def test_relaxed_similarity_chain_holds(self, params, fit):
         d = (50.0, 50.0)
         lp = _incumbent_lp(params, fit, d, (0.5, 0.5))
-        sol = solve_bandwidth(params, fit, lp, d, (0.5, 0.5), 1000.0)
+        sol = solve_bandwidth(params, fit, lp, (0.5, 0.5), 1000.0)
         s_var = sol.point["S"]
         gamma_var = sol.point["gamma_br_db"]
         # surrogate keeps S below the exact similarity at the SNR variable
@@ -128,7 +128,7 @@ class TestSolveBandwidth:
         d = (95.0, 5.0)
         gamma = float(snr_br_db(p, d[0], 0.5))
         lp = LocalPoint(d[0], d[1], 0.5, gamma, float(semantic_similarity(fit, gamma)))
-        sol = solve_bandwidth(p, fit, lp, d, (0.5, 0.5), 1000.0)
+        sol = solve_bandwidth(p, fit, lp, (0.5, 0.5), 1000.0)
         assert sol.status == "infeasible"
 
 
@@ -164,8 +164,8 @@ class TestBlockDerivatives:
         monkeypatch.setattr(barrier, "maximize", recording)
         for p, f, d, alpha in [(params, fit, (50.0, 50.0), (0.3, 0.7)), *_random_cases()]:
             lp = _incumbent_lp(p, f, d, alpha)
-            solve_placement(p, f, lp, alpha, d, 1000.0, 1e-4)
-            solve_bandwidth(p, f, lp, d, alpha, 1000.0)
+            solve_placement(p, f, lp, alpha[1], d, 1000.0, 1e-4)
+            solve_bandwidth(p, f, lp, alpha, 1000.0)
         assert [len(x0) for _, _, x0, _ in calls] == [4, 5] * 4
         for eval_full, eval_value, x0, x in calls:
             for z in (x0, 0.5 * (x0 + x)):
@@ -175,30 +175,27 @@ class TestBlockDerivatives:
 
 class TestSolveAuxiliary:
     def test_symmetric_shortfall_split(self):
-        (d_hat, a_hat) = solve_auxiliary((50.0, 50.0), (0.4, 0.4), 100.0, 1e-4)
+        (d_hat, a_hat) = solve_auxiliary((50.0, 50.0), (0.4, 0.4), 100.0)
         assert a_hat == (0.5, 0.5)
         assert d_hat == (50.0, 50.0)
 
     def test_uneven_pair(self):
-        (_, a_hat) = solve_auxiliary((0.0, 0.0), (0.6, 0.5), 0.0, 1e-4)
+        (_, a_hat) = solve_auxiliary((0.0, 0.0), (0.6, 0.5), 0.0)
         assert a_hat[0] == pytest.approx(0.55, abs=1e-15)
         assert a_hat[1] == pytest.approx(0.45, abs=1e-15)
 
     def test_feasible_input_is_fixed_point(self):
-        (d_hat, a_hat) = solve_auxiliary((30.0, 70.0), (0.2, 0.8), 100.0, 1e-4)
+        (d_hat, a_hat) = solve_auxiliary((30.0, 70.0), (0.2, 0.8), 100.0)
         assert d_hat == (30.0, 70.0)
         assert a_hat == (0.2, 0.8)
 
-    def test_sums_exact_and_nu_independent(self):
+    def test_sums_exact(self):
         rng = np.random.default_rng(29)
         for _ in range(500):
             d = tuple(rng.uniform(-50.0, 200.0, size=2))
             a = tuple(rng.uniform(-1.0, 3.0, size=2))
             big_d = rng.uniform(10.0, 500.0)
-            out1 = solve_auxiliary(d, a, big_d, 1e-4)
-            out2 = solve_auxiliary(d, a, big_d, 123.0)
-            assert out1 == out2
-            (d_hat, a_hat) = out1
+            (d_hat, a_hat) = solve_auxiliary(d, a, big_d)
             assert d_hat[0] + d_hat[1] == pytest.approx(big_d, abs=1e-9 * max(1.0, big_d))
             assert a_hat[0] + a_hat[1] == pytest.approx(1.0, abs=1e-12)
 
@@ -208,7 +205,7 @@ class TestSolveAuxiliary:
             d = tuple(rng.uniform(-100.0, 300.0, size=2))
             a = tuple(rng.uniform(-2.0, 4.0, size=2))
             big_d = rng.uniform(1.0, 400.0)
-            (d_hat, a_hat) = solve_auxiliary(d, a, big_d, 1e-4)
+            (d_hat, a_hat) = solve_auxiliary(d, a, big_d)
             want_d = projection_pair_oracle(d[0], d[1], big_d)
             want_a = projection_pair_oracle(a[0], a[1], 1.0)
             scale_d = max(1.0, abs(d[0]), abs(d[1]), big_d)
@@ -244,20 +241,20 @@ class TestAscentProperty:
         prev = full_objective(d, alpha, aux_d, aux_a)
         for _ in range(5):
             lp = _incumbent_lp(params, fit, d, alpha)
-            sol = solve_placement(params, fit, lp, alpha, aux_d, lam, nu)
+            sol = solve_placement(params, fit, lp, alpha[1], aux_d, lam, nu)
             d = (sol.point["d_br"], sol.point["d_ru"])
             now = full_objective(d, alpha, aux_d, aux_a)
             assert now >= prev - slack
             prev = now
 
             lp = _incumbent_lp(params, fit, d, alpha)
-            sol = solve_bandwidth(params, fit, lp, d, aux_a, lam)
+            sol = solve_bandwidth(params, fit, lp, aux_a, lam)
             alpha = (sol.point["alpha_br"], sol.point["alpha_ru"])
             now = full_objective(d, alpha, aux_d, aux_a)
             assert now >= prev - slack
             prev = now
 
-            aux_d, aux_a = solve_auxiliary(d, alpha, params.D, nu)
+            aux_d, aux_a = solve_auxiliary(d, alpha, params.D)
             now = full_objective(d, alpha, aux_d, aux_a)
             assert now >= prev - slack
             prev = now
