@@ -61,12 +61,14 @@ def _best_point(p: SystemParams, d, a, eta):
 def _grid_search(p: SystemParams, fit: SigmoidFit, d, a):
     """Best point of the effective rate over d x a, with d_ru = D - d_br and
     alpha_ru = 1 - alpha_br; points below the similarity threshold are
-    skipped."""
+    skipped. With H = 0 the SNR at either end of the link is infinite,
+    which is the right limit there, so that division is not warned about."""
     d_col, a_row = d[:, None], a[None, :]
-    gamma = snr_br_db(p, d_col, a_row)
-    eps = semantic_similarity(fit, gamma)
-    eta = np.minimum(semantic_bit_rate(p, fit, a_row, eps), bit_rate_ru(p, p.D - d_col, 1.0 - a_row))
-    return _best_point(p, d, a, np.where(gamma >= min_snr_threshold_db(fit), eta, -np.inf))
+    with np.errstate(divide="ignore"):
+        gamma = snr_br_db(p, d_col, a_row)
+        eps = semantic_similarity(fit, gamma)
+        eta = np.minimum(semantic_bit_rate(p, fit, a_row, eps), bit_rate_ru(p, p.D - d_col, 1.0 - a_row))
+        return _best_point(p, d, a, np.where(gamma >= min_snr_threshold_db(fit), eta, -np.inf))
 
 
 def oracle_search(p: SystemParams, fit: SigmoidFit, g: GridSpec = GridSpec()):
@@ -91,9 +93,11 @@ def df_relay_rate(p: SystemParams, d_br, alpha_br):
 
 def df_search(p: SystemParams, g: GridSpec = GridSpec()):
     """Grid argmax of the decode-and-forward rate; same tie-breaking as the
-    oracle. Always feasible."""
+    oracle. Always feasible. Its SNR is infinite at either end of the link
+    when H = 0, as in the oracle."""
     d, a = _axes(p, g)
-    return _best_point(p, d, a, df_relay_rate(p, d[:, None], a[None, :]))
+    with np.errstate(divide="ignore"):
+        return _best_point(p, d, a, df_relay_rate(p, d[:, None], a[None, :]))
 
 
 def equal_bandwidth_search(p: SystemParams, fit: SigmoidFit, g: GridSpec = GridSpec()):

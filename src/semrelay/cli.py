@@ -277,7 +277,11 @@ def main(argv=None) -> int:
     if args.command == "solve":
         report = run(params, fit, cfg)
         if report.status == "infeasible":
-            print("status: infeasible (no placement and split meets the similarity floor)")
+            if report.outer_iters == 0:  # the exact feasibility test fired
+                print("status: infeasible (no placement and split meets the similarity floor)")
+            else:
+                print("status: infeasible (both blocks are infeasible at the start point; "
+                      "a feasible point may exist)")
             return EXIT_INFEASIBLE
         pt = report.best
         print(f"status: {report.status}")

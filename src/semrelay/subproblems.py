@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from semrelay import barrier
 from semrelay.bounds import (
     LocalPoint,
@@ -127,7 +125,8 @@ def solve_placement(
         )
 
     def objective(d_br, d_ru, y):
-        return y - w * ((d_br - d_hat_br) ** 2 + (d_ru - d_hat_ru) ** 2)
+        e_br, e_ru = d_br - d_hat_br, d_ru - d_hat_ru
+        return y - w * (e_br * e_br + e_ru * e_ru)
 
     # Strictly feasible start from the incumbent; a slack taken at zero of
     # the variable it bounds is that variable's upper limit.
@@ -144,8 +143,10 @@ def solve_placement(
     def eval_full(z, t):
         d_br, d_ru, gamma, y = z
         s = slacks(d_br, d_ru, gamma, y)
-        s1, s2, s3, s4, s5, s6, s7, s8 = s
         phi = _barrier_value(t, objective(d_br, d_ru, y), s)
+        if not math.isfinite(phi):
+            return phi, None, None
+        s1, s2, s3, s4, s5, s6, s7, s8 = s
 
         # Nonzero partials of the slacks other than the +-1 entries.
         base = d_ru * d_ru + H2
@@ -153,27 +154,40 @@ def solve_placement(
         s1_dru2 = a1c * r_u * p.beta * base ** (half_beta - 2.0) * ((p.beta - 1.0) * d_ru * d_ru + H2)
         s2_g = -b2 * fit.a2 * sig_v * fit.c1 * math.exp(-(fit.c1 * gamma + fit.c2))
         s3_db = -2.0 * q3 * d_br
+        r1, r2, r3 = s1_dru / s1, s2_g / s2, s3_db / s3
 
-        grad = np.array([
-            t * (-2.0 * w * (d_br - d_hat_br)) + s3_db / s3 + 1.0 / s4,
-            t * (-2.0 * w * (d_ru - d_hat_ru)) + s1_dru / s1 + 1.0 / s5,
-            s2_g / s2 - 1.0 / s3 + 1.0 / s6,
+        grad = (
+            t * (-2.0 * w * (d_br - d_hat_br)) + r3 + 1.0 / s4,
+            t * (-2.0 * w * (d_ru - d_hat_ru)) + r1 + 1.0 / s5,
+            r2 - 1.0 / s3 + 1.0 / s6,
             t - 1.0 / s1 - 1.0 / s2 - 1.0 / s7 + 1.0 / s8,
-        ])
-        # Hessian of phi: t*hess(f) + sum(s''/s - (s'/s) outer (s'/s)).
-        h = np.zeros((4, 4))
-        h[0, 0] = t * (-2.0 * w) - 2.0 * q3 / s3 - (s3_db / s3) ** 2 - 1.0 / (s4 * s4)
-        h[1, 1] = t * (-2.0 * w) + s1_dru2 / s1 - (s1_dru / s1) ** 2 - 1.0 / (s5 * s5)
-        h[2, 2] = -fit.c1 * s2_g / s2 - (s2_g / s2) ** 2 - 1.0 / (s3 * s3) - 1.0 / (s6 * s6)
-        h[3, 3] = -1.0 / (s1 * s1) - 1.0 / (s2 * s2) - 1.0 / (s7 * s7) - 1.0 / (s8 * s8)
-        h[0, 2] = h[2, 0] = s3_db / (s3 * s3)
-        h[1, 3] = h[3, 1] = s1_dru / (s1 * s1)
-        h[2, 3] = h[3, 2] = s2_g / (s2 * s2)
-        return phi, grad, h
+        )
+        # a_ij = -H_ij, with H = t*hess(f) + sum(s''/s - (s'/s) outer (s'/s)).
+        a00 = t * 2.0 * w + 2.0 * q3 / s3 + r3 * r3 + 1.0 / (s4 * s4)
+        a11 = t * 2.0 * w - s1_dru2 / s1 + r1 * r1 + 1.0 / (s5 * s5)
+        a22 = fit.c1 * r2 + r2 * r2 + 1.0 / (s3 * s3) + 1.0 / (s6 * s6)
+        a33 = 1.0 / (s1 * s1) + 1.0 / (s2 * s2) + 1.0 / (s7 * s7) + 1.0 / (s8 * s8)
+        a02, a13, a23 = -r3 / s3, -r1 / s1, -r2 / s2
+        # The only cross terms are (d_br, gamma), (d_ru, y) and (gamma, y):
+        # eliminate d_br and d_ru, then solve the 2x2 system in (gamma, y).
+        if not (a00 > 0.0 and a11 > 0.0):
+            return phi, grad, None
+        k0, k1 = a02 / a00, a13 / a11
+        b22, b33 = a22 - k0 * a02, a33 - k1 * a13
+        if not b22 > 0.0:
+            return phi, grad, None
+        l23 = a23 / b22
+        b33 -= l23 * a23
+        if not b33 > 0.0:
+            return phi, grad, None
+        g0, g1, g2, g3 = grad
+        rhs2 = g2 - k0 * g0
+        dy = (g3 - k1 * g1 - l23 * rhs2) / b33
+        dg = (rhs2 - a23 * dy) / b22
+        return phi, grad, ((g0 - a02 * dg) / a00, (g1 - a13 * dy) / a11, dg, dy)
 
-    z0 = np.array([d_br0, d_ru0, gamma0, y0])
-    z, ok = barrier.maximize(eval_full, eval_value, z0, len(slacks(*z0)), TOL_SUB)
-    d_br, d_ru, gamma, y = (float(v) for v in z)
+    z0 = (d_br0, d_ru0, gamma0, y0)
+    (d_br, d_ru, gamma, y), ok = barrier.maximize(eval_full, eval_value, z0, len(slacks(*z0)), TOL_SUB)
     point = {"d_br": d_br, "d_ru": d_ru, "gamma_br_db": gamma, "eta": y * R0}
     return SubproblemSolution(point, objective(d_br, d_ru, y) * R0, "optimal" if ok else "max-iter")
 
@@ -215,7 +229,7 @@ def solve_bandwidth(
     def slacks(a_br, a_ru, gamma, S, y):
         return (
             wr * a_ru * math.log1p(c_ru / a_ru) / _LN2 - y,
-            q2 * (sq_t + sq_x * (a_br + S - x_t) - (a_br - S) ** 2) - y,
+            q2 * (sq_t + sq_x * (a_br + S - x_t) - (a_br - S) * (a_br - S)) - y,
             fit.a1 + fit.a2 * (sig_t + sig_v * (math.exp(-(fit.c1 * gamma + fit.c2)) - v_t)) - S,
             cd + cap_t + cap_a * (a_br - a_t) - gamma,
             a_br - alpha_floor,
@@ -226,7 +240,8 @@ def solve_bandwidth(
         )
 
     def objective(a_br, a_ru, y):
-        return y - w * ((a_br - a_hat_br) ** 2 + (a_ru - a_hat_ru) ** 2)
+        e_br, e_ru = a_br - a_hat_br, a_ru - a_hat_ru
+        return y - w * (e_br * e_br + e_ru * e_ru)
 
     # Strictly feasible start; a slack taken at zero of the variable it
     # bounds is that variable's upper limit. The incumbent alpha_ru is not
@@ -248,41 +263,65 @@ def solve_bandwidth(
     def eval_full(z, t):
         a_br, a_ru, gamma, S, y = z
         s = slacks(a_br, a_ru, gamma, S, y)
-        s1, s2, s3, s4, s5, s6, s7, s8, s9 = s
         phi = _barrier_value(t, objective(a_br, a_ru, y), s)
+        if not math.isfinite(phi):
+            return phi, None, None
+        s1, s2, s3, s4, s5, s6, s7, s8, s9 = s
 
         # Nonzero partials of the slacks other than the +-1 entries.
         s1_aru = wr * (math.log1p(c_ru / a_ru) - c_ru / (a_ru + c_ru)) / _LN2
-        s1_aru2 = -wr * c_ru * c_ru / (a_ru * (a_ru + c_ru) ** 2 * _LN2)
+        s1_aru2 = -wr * c_ru * c_ru / (a_ru * (a_ru + c_ru) * (a_ru + c_ru) * _LN2)
         s2_abr = q2 * (sq_x - 2.0 * (a_br - S))
         s2_S = q2 * (sq_x + 2.0 * (a_br - S))
         s3_g = -fit.a2 * sig_v * fit.c1 * math.exp(-(fit.c1 * gamma + fit.c2))
+        r1, r2a, r2s, r3, r4 = s1_aru / s1, s2_abr / s2, s2_S / s2, s3_g / s3, cap_a / s4
 
-        grad = np.array([
-            t * (-2.0 * w * (a_br - a_hat_br)) + s2_abr / s2 + cap_a / s4 + 1.0 / s5,
-            t * (-2.0 * w * (a_ru - a_hat_ru)) + s1_aru / s1 + 1.0 / s6,
-            s3_g / s3 - 1.0 / s4 + 1.0 / s7,
-            s2_S / s2 - 1.0 / s3,
+        grad = (
+            t * (-2.0 * w * (a_br - a_hat_br)) + r2a + r4 + 1.0 / s5,
+            t * (-2.0 * w * (a_ru - a_hat_ru)) + r1 + 1.0 / s6,
+            r3 - 1.0 / s4 + 1.0 / s7,
+            r2s - 1.0 / s3,
             t - 1.0 / s1 - 1.0 / s2 - 1.0 / s8 + 1.0 / s9,
-        ])
-        h = np.zeros((5, 5))
-        r2a, r2s = s2_abr / s2, s2_S / s2
-        h[0, 0] = t * (-2.0 * w) - 2.0 * q2 / s2 - r2a * r2a - (cap_a / s4) ** 2 - 1.0 / (s5 * s5)
-        h[1, 1] = t * (-2.0 * w) + s1_aru2 / s1 - (s1_aru / s1) ** 2 - 1.0 / (s6 * s6)
-        h[2, 2] = -fit.c1 * s3_g / s3 - (s3_g / s3) ** 2 - 1.0 / (s4 * s4) - 1.0 / (s7 * s7)
-        h[3, 3] = -2.0 * q2 / s2 - r2s * r2s - 1.0 / (s3 * s3)
-        h[4, 4] = -1.0 / (s1 * s1) - 1.0 / (s2 * s2) - 1.0 / (s8 * s8) - 1.0 / (s9 * s9)
-        h[0, 3] = h[3, 0] = 2.0 * q2 / s2 - r2a * r2s
-        h[0, 4] = h[4, 0] = r2a / s2
-        h[0, 2] = h[2, 0] = cap_a / (s4 * s4)
-        h[1, 4] = h[4, 1] = s1_aru / (s1 * s1)
-        h[2, 3] = h[3, 2] = s3_g / (s3 * s3)
-        h[3, 4] = h[4, 3] = r2s / s2
-        return phi, grad, h
+        )
+        # a_ij = -H_ij, as in the placement block.
+        a00 = t * 2.0 * w + 2.0 * q2 / s2 + r2a * r2a + r4 * r4 + 1.0 / (s5 * s5)
+        a11 = t * 2.0 * w - s1_aru2 / s1 + r1 * r1 + 1.0 / (s6 * s6)
+        a22 = fit.c1 * r3 + r3 * r3 + 1.0 / (s4 * s4) + 1.0 / (s7 * s7)
+        a33 = 2.0 * q2 / s2 + r2s * r2s + 1.0 / (s3 * s3)
+        a44 = 1.0 / (s1 * s1) + 1.0 / (s2 * s2) + 1.0 / (s8 * s8) + 1.0 / (s9 * s9)
+        a03 = r2a * r2s - 2.0 * q2 / s2
+        a04, a14, a02, a23, a34 = -r2a / s2, -r1 / s1, -r4 / s4, -r3 / s3, -r2s / s2
+        # The cross terms are (alpha_br, gamma), (alpha_br, S), (alpha_br, y),
+        # (alpha_ru, y), (gamma, S) and (S, y): eliminate alpha_ru into y and
+        # gamma into (alpha_br, S), then solve the 3x3 system in
+        # (alpha_br, S, y) by LDL^T.
+        if not (a11 > 0.0 and a22 > 0.0):
+            return phi, grad, None
+        g0, g1, g2, g3, g4 = grad
+        k1, k20, k23 = a14 / a11, a02 / a22, a23 / a22
+        b00, b03, b33 = a00 - k20 * a02, a03 - k20 * a23, a33 - k23 * a23
+        b44 = a44 - k1 * a14
+        rhs0, rhs3, rhs4 = g0 - k20 * g2, g3 - k23 * g2, g4 - k1 * g1
+        if not b00 > 0.0:
+            return phi, grad, None
+        l30, l40 = b03 / b00, a04 / b00
+        d3 = b33 - l30 * b03
+        if not d3 > 0.0:
+            return phi, grad, None
+        l43 = (a34 - l40 * b03) / d3
+        d4 = b44 - l40 * a04 - l43 * l43 * d3
+        if not d4 > 0.0:
+            return phi, grad, None
+        rhs3 -= l30 * rhs0
+        rhs4 -= l40 * rhs0 + l43 * rhs3
+        dy = rhs4 / d4
+        dS = rhs3 / d3 - l43 * dy
+        da_br = rhs0 / b00 - l30 * dS - l40 * dy
+        dg = (g2 - a02 * da_br - a23 * dS) / a22
+        return phi, grad, (da_br, (g1 - a14 * dy) / a11, dg, dS, dy)
 
-    z0 = np.array([a_br0, a_ru0, gamma0, S0, y0])
-    z, ok = barrier.maximize(eval_full, eval_value, z0, len(slacks(*z0)), TOL_SUB)
-    a_br, a_ru, gamma, S, y = (float(v) for v in z)
+    z0 = (a_br0, a_ru0, gamma0, S0, y0)
+    (a_br, a_ru, gamma, S, y), ok = barrier.maximize(eval_full, eval_value, z0, len(slacks(*z0)), TOL_SUB)
     point = {
         "alpha_br": a_br,
         "alpha_ru": a_ru,

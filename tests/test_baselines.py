@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -165,3 +166,20 @@ class TestSchemeCrossover:
         assert df[-1] > sem[-1]  # conventional relay wins at large W
         switched = np.nonzero(df >= sem)[0]
         assert switched.size > 0 and np.all(df[switched[0]:] >= sem[switched[0]:] * 0.999)
+
+
+class TestZeroAltitude:
+    def test_searches_do_not_warn(self, fit):
+        # With H = 0 the grids reach d = 0 on both hops, where the SNR is
+        # infinite; that limit is the right value and must not warn.
+        p = SystemParams(H=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            points = [
+                oracle_search(p, fit),
+                df_search(p),
+                equal_bandwidth_search(p, fit),
+                fixed_placement_search(p, fit),
+            ]
+        for pt in points:
+            assert pt is not None and pt.eta > 0.0

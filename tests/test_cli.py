@@ -22,6 +22,7 @@ from semrelay.cli import (
 )
 from semrelay.model import SigmoidFit, SystemParams, min_snr_threshold_db
 from semrelay.penalty import PenaltyConfig
+from oracles import random_fit, random_params
 
 # A penalty schedule that converges in well under a second; used where the
 # test exercises plumbing rather than solution quality.
@@ -158,9 +159,22 @@ class TestMain:
 
         infeasible = _write(tmp_path, "P_b=1e-9\nW=1e8\n", name="inf.txt")
         assert main(["solve", "--config", infeasible]) == EXIT_INFEASIBLE
+        assert "no placement and split meets the similarity floor" in capsys.readouterr().out
 
         capped = _write(tmp_path, "max_outer=1\n", name="cap.txt")
         assert main(["solve", "--config", capped]) == EXIT_ITERATION_CAP
+
+    def test_solve_infeasible_start_does_not_claim_infeasible_system(self, tmp_path, capsys):
+        # System 9 of the seeded draw: a feasible point exists, but both
+        # blocks are infeasible at the default start.
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            p, f = random_params(rng), random_fit(rng)
+        cfg_path = _write(tmp_path, dump_config(p, f, PenaltyConfig()))
+        assert main(["solve", "--config", cfg_path]) == EXIT_INFEASIBLE
+        out = capsys.readouterr().out
+        assert "both blocks are infeasible at the start point" in out
+        assert "no placement and split meets the similarity floor" not in out
 
     def test_solve_bandwidth_override(self, tmp_path, capsys):
         cfg_path = _write(tmp_path, FAST_CFG_TEXT)

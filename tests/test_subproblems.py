@@ -133,24 +133,28 @@ class TestSolveBandwidth:
 
 
 class TestBlockDerivatives:
-    """The gradient and Hessian that each block's eval_full writes by hand,
-    against central differences of its eval_value and of that gradient, at
-    the barrier's start point and halfway to its solution."""
+    """The gradient and the Newton direction that each block's eval_full
+    computes by hand, against central differences of its eval_value and of
+    that gradient, at the barrier's start point and halfway to its solution."""
 
     @staticmethod
     def _check(eval_full, eval_value, z, t):
-        _, grad, hess = eval_full(z, t)
+        _, grad, dx = eval_full(z, t)
+        assert dx is not None
+        grad, dx = np.asarray(grad), np.asarray(dx)
+        n = len(z)
         h = 1e-6 * (np.abs(z) + 1e-3)
-        for i in range(len(z)):
-            e = np.zeros(len(z))
+        hess_fd = np.empty((n, n))
+        for i in range(n):
+            e = np.zeros(n)
             e[i] = h[i]
             g_fd = (eval_value(z + e, t) - eval_value(z - e, t)) / (2.0 * h[i])
             assert abs(g_fd - grad[i]) <= 1e-5 * (abs(grad[i]) + 1e-6 * np.linalg.norm(grad)), i
-            col_fd = (eval_full(z + e, t)[1] - eval_full(z - e, t)[1]) / (2.0 * h[i])
-            # Entries are compared on the scale sqrt(|H_jj H_ii|), which bounds
-            # |H_ji| for a definite Hessian.
-            scale = np.sqrt(np.abs(np.diag(hess)) * abs(hess[i, i]))
-            assert np.all(np.abs(col_fd - hess[:, i]) <= 1e-5 * scale), i
+            hess_fd[:, i] = (np.asarray(eval_full(z + e, t)[1]) - np.asarray(eval_full(z - e, t)[1])) / (2.0 * h[i])
+        # dx solves (-H) dx = grad: each row of H_fd dx + grad vanishes on the
+        # scale of the products it sums.
+        residual = hess_fd @ dx + grad
+        assert np.all(np.abs(residual) <= 1e-5 * (np.abs(hess_fd) @ np.abs(dx))), residual
 
     def test_eval_full_matches_finite_differences(self, params, fit, monkeypatch):
         calls = []
@@ -158,7 +162,7 @@ class TestBlockDerivatives:
 
         def recording(eval_full, eval_value, x0, n_constraints, gap):
             x, ok = maximize(eval_full, eval_value, x0, n_constraints, gap)
-            calls.append((eval_full, eval_value, np.asarray(x0, dtype=float), x))
+            calls.append((eval_full, eval_value, np.asarray(x0, dtype=float), np.asarray(x)))
             return x, ok
 
         monkeypatch.setattr(barrier, "maximize", recording)
