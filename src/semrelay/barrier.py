@@ -1,9 +1,10 @@
 """Log-barrier Newton solver for the small convex block subproblems.
 
 The block programs have at most five variables and about ten smooth
-constraints, so a dense primal path-following method is enough: maximize
+constraints, so a primal path-following method is enough: maximize
 t*f(x) + sum(log(-g_i(x))) by damped Newton, then grow t by a fixed factor
-until the duality measure m/t drops below the requested gap. Everything is
+until the duality measure m/t drops below the requested gap. The Newton
+system is sparse, and each block solves it in closed form. Everything is
 deterministic; no randomness, no iteration-order ambiguity.
 
 Problems plug in through a single fused callback so the per-step cost stays

@@ -158,15 +158,14 @@ def run(
     if not _has_feasible_point(p, fit, cfg.alpha_floor):
         return SolveReport(None, float("inf"), 0, 0, (), (), "infeasible")
 
-    if init is None:
-        d = (p.D / 2.0, p.D / 2.0)
-        alpha = (0.5, 0.5)
-    else:
-        # The relay stays off both ends, where the tangent expansions of the
-        # path loss are undefined for H = 0.
-        margin = DIST_MARGIN_FRAC * p.D
-        d = (max(init.d_br, margin), max(init.d_ru, margin))
-        alpha = (max(init.alpha_br, cfg.alpha_floor), max(init.alpha_ru, cfg.alpha_floor))
+    # The default start is the midpoint and the even split. Either start is
+    # clamped: the relay stays off both ends, where the tangent expansions
+    # of the path loss are undefined for H = 0.
+    d, alpha = ((p.D / 2.0, p.D / 2.0), (0.5, 0.5)) if init is None else (
+        (init.d_br, init.d_ru), (init.alpha_br, init.alpha_ru))
+    margin = DIST_MARGIN_FRAC * p.D
+    d = (max(d[0], margin), max(d[1], margin))
+    alpha = (max(alpha[0], cfg.alpha_floor), max(alpha[1], cfg.alpha_floor))
     aux = (d, alpha)
     eta_cap = ETA_CAP_FACTOR * rate_scale(p, fit)
     # lp carries the incumbent to the blocks: d, alpha_br, and the SNR and

@@ -41,6 +41,13 @@ TOL_SUB = 1e-9
 # The rate variable is additionally boxed at this multiple of the semantic
 # ceiling to keep the feasible sets compact for the barrier method; the box
 # never binds at a converged solution because alpha_br + alpha_ru -> 1.
+# It binds on the way, and the penalty schedule relies on it: in each of the
+# first 214 phases of the default W = 1e6 run (zeta falls from 1.73 to the
+# 0.82 plateau, alpha_br + alpha_ru lies in 2.6..4.5) both hop rates sit at
+# the cap, 1.500 R0. Without the box, and without the matching cap in
+# penalty._tighten, W = 1e5 took 5,549 inner cycles and 1e6 took 13,955,
+# against 514 and 1,154 with it, and 4,958 of the 11,098 block solves at
+# W = 1e5 did not converge.
 ETA_CAP_FACTOR = 1.5
 # Strict-interior margins used to push the incumbent off the boundary.
 DIST_MARGIN_FRAC = 1e-3  # of D, for distances
@@ -67,11 +74,35 @@ def _interior(hi: float, lo: float) -> float:
     return x if x > lo else 0.5 * (hi + lo)
 
 
-def _barrier_value(t: float, f: float, slacks: tuple) -> float:
-    """Log-barrier objective t*f + sum(log s), -inf outside the interior."""
-    if min(slacks) <= 0.0:
-        return -math.inf
-    return t * f + sum(map(math.log, slacks))
+def _solve(slacks, objective, newton, z0, names, R0) -> SubproblemSolution:
+    """Maximize objective(*z) subject to slacks(*z) > 0 by the log-barrier
+    method, from the strictly feasible start z0.
+
+    z ends with the rate variable in units of R0; names label the other
+    coordinates of the returned point. newton(z, t, s) returns (grad, dx)
+    of the barrier objective at an interior z with slacks s, where dx
+    solves (-H) dx = grad, or is None when a pivot of -H is not positive.
+    """
+
+    def value(z, t, s):
+        if min(s) <= 0.0:
+            return -math.inf
+        return t * objective(*z) + sum(map(math.log, s))
+
+    def eval_value(z, t):
+        return value(z, t, slacks(*z))
+
+    def eval_full(z, t):
+        s = slacks(*z)
+        phi = value(z, t, s)
+        if not math.isfinite(phi):
+            return phi, None, None
+        return (phi, *newton(z, t, s))
+
+    z, ok = barrier.maximize(eval_full, eval_value, z0, len(slacks(*z0)), TOL_SUB)
+    point = dict(zip(names, z))
+    point["eta"] = z[-1] * R0
+    return SubproblemSolution(point, objective(*z) * R0, "optimal" if ok else "max-iter")
 
 
 def solve_placement(
@@ -124,7 +155,7 @@ def solve_placement(
             y + y_cap,
         )
 
-    def objective(d_br, d_ru, y):
+    def objective(d_br, d_ru, gamma, y):
         e_br, e_ru = d_br - d_hat_br, d_ru - d_hat_ru
         return y - w * (e_br * e_br + e_ru * e_ru)
 
@@ -136,16 +167,8 @@ def solve_placement(
     gamma0 = _interior(slacks(d_br0, d_ru0, 0.0, 0.0)[2], gamma_min)
     y0 = _interior(min(*slacks(d_br0, d_ru0, gamma0, 0.0)[:2], y_cap), -y_cap)
 
-    def eval_value(z, t):
+    def newton(z, t, s):
         d_br, d_ru, gamma, y = z
-        return _barrier_value(t, objective(d_br, d_ru, y), slacks(d_br, d_ru, gamma, y))
-
-    def eval_full(z, t):
-        d_br, d_ru, gamma, y = z
-        s = slacks(d_br, d_ru, gamma, y)
-        phi = _barrier_value(t, objective(d_br, d_ru, y), s)
-        if not math.isfinite(phi):
-            return phi, None, None
         s1, s2, s3, s4, s5, s6, s7, s8 = s
 
         # Nonzero partials of the slacks other than the +-1 entries.
@@ -171,25 +194,23 @@ def solve_placement(
         # The only cross terms are (d_br, gamma), (d_ru, y) and (gamma, y):
         # eliminate d_br and d_ru, then solve the 2x2 system in (gamma, y).
         if not (a00 > 0.0 and a11 > 0.0):
-            return phi, grad, None
+            return grad, None
         k0, k1 = a02 / a00, a13 / a11
         b22, b33 = a22 - k0 * a02, a33 - k1 * a13
         if not b22 > 0.0:
-            return phi, grad, None
+            return grad, None
         l23 = a23 / b22
         b33 -= l23 * a23
         if not b33 > 0.0:
-            return phi, grad, None
+            return grad, None
         g0, g1, g2, g3 = grad
         rhs2 = g2 - k0 * g0
         dy = (g3 - k1 * g1 - l23 * rhs2) / b33
         dg = (rhs2 - a23 * dy) / b22
-        return phi, grad, ((g0 - a02 * dg) / a00, (g1 - a13 * dy) / a11, dg, dy)
+        return grad, ((g0 - a02 * dg) / a00, (g1 - a13 * dy) / a11, dg, dy)
 
     z0 = (d_br0, d_ru0, gamma0, y0)
-    (d_br, d_ru, gamma, y), ok = barrier.maximize(eval_full, eval_value, z0, len(slacks(*z0)), TOL_SUB)
-    point = {"d_br": d_br, "d_ru": d_ru, "gamma_br_db": gamma, "eta": y * R0}
-    return SubproblemSolution(point, objective(d_br, d_ru, y) * R0, "optimal" if ok else "max-iter")
+    return _solve(slacks, objective, newton, z0, ("d_br", "d_ru", "gamma_br_db"), R0)
 
 
 def solve_bandwidth(
@@ -228,7 +249,7 @@ def solve_bandwidth(
 
     def slacks(a_br, a_ru, gamma, S, y):
         return (
-            wr * a_ru * math.log1p(c_ru / a_ru) / _LN2 - y,
+            wr * a_ru * math.log1p(c_ru / a_ru) / _LN2 - y if a_ru > 0.0 else -math.inf,
             q2 * (sq_t + sq_x * (a_br + S - x_t) - (a_br - S) * (a_br - S)) - y,
             fit.a1 + fit.a2 * (sig_t + sig_v * (math.exp(-(fit.c1 * gamma + fit.c2)) - v_t)) - S,
             cd + cap_t + cap_a * (a_br - a_t) - gamma,
@@ -239,7 +260,7 @@ def solve_bandwidth(
             y + y_cap,
         )
 
-    def objective(a_br, a_ru, y):
+    def objective(a_br, a_ru, gamma, S, y):
         e_br, e_ru = a_br - a_hat_br, a_ru - a_hat_ru
         return y - w * (e_br * e_br + e_ru * e_ru)
 
@@ -254,18 +275,8 @@ def solve_bandwidth(
     S0 = slacks(a_br0, a_ru0, gamma0, 0.0, 0.0)[2] - max(1e-9, _REL_MARGIN * fit.a2)
     y0 = _interior(min(*slacks(a_br0, a_ru0, gamma0, S0, 0.0)[:2], y_cap), -y_cap)
 
-    def eval_value(z, t):
+    def newton(z, t, s):
         a_br, a_ru, gamma, S, y = z
-        if a_ru <= alpha_floor:  # outside the domain of the exact rate
-            return -math.inf
-        return _barrier_value(t, objective(a_br, a_ru, y), slacks(a_br, a_ru, gamma, S, y))
-
-    def eval_full(z, t):
-        a_br, a_ru, gamma, S, y = z
-        s = slacks(a_br, a_ru, gamma, S, y)
-        phi = _barrier_value(t, objective(a_br, a_ru, y), s)
-        if not math.isfinite(phi):
-            return phi, None, None
         s1, s2, s3, s4, s5, s6, s7, s8, s9 = s
 
         # Nonzero partials of the slacks other than the +-1 entries.
@@ -296,40 +307,32 @@ def solve_bandwidth(
         # gamma into (alpha_br, S), then solve the 3x3 system in
         # (alpha_br, S, y) by LDL^T.
         if not (a11 > 0.0 and a22 > 0.0):
-            return phi, grad, None
+            return grad, None
         g0, g1, g2, g3, g4 = grad
         k1, k20, k23 = a14 / a11, a02 / a22, a23 / a22
         b00, b03, b33 = a00 - k20 * a02, a03 - k20 * a23, a33 - k23 * a23
         b44 = a44 - k1 * a14
         rhs0, rhs3, rhs4 = g0 - k20 * g2, g3 - k23 * g2, g4 - k1 * g1
         if not b00 > 0.0:
-            return phi, grad, None
+            return grad, None
         l30, l40 = b03 / b00, a04 / b00
         d3 = b33 - l30 * b03
         if not d3 > 0.0:
-            return phi, grad, None
+            return grad, None
         l43 = (a34 - l40 * b03) / d3
         d4 = b44 - l40 * a04 - l43 * l43 * d3
         if not d4 > 0.0:
-            return phi, grad, None
+            return grad, None
         rhs3 -= l30 * rhs0
         rhs4 -= l40 * rhs0 + l43 * rhs3
         dy = rhs4 / d4
         dS = rhs3 / d3 - l43 * dy
         da_br = rhs0 / b00 - l30 * dS - l40 * dy
         dg = (g2 - a02 * da_br - a23 * dS) / a22
-        return phi, grad, (da_br, (g1 - a14 * dy) / a11, dg, dS, dy)
+        return grad, (da_br, (g1 - a14 * dy) / a11, dg, dS, dy)
 
     z0 = (a_br0, a_ru0, gamma0, S0, y0)
-    (a_br, a_ru, gamma, S, y), ok = barrier.maximize(eval_full, eval_value, z0, len(slacks(*z0)), TOL_SUB)
-    point = {
-        "alpha_br": a_br,
-        "alpha_ru": a_ru,
-        "gamma_br_db": gamma,
-        "S": S,
-        "eta": y * R0,
-    }
-    return SubproblemSolution(point, objective(a_br, a_ru, y) * R0, "optimal" if ok else "max-iter")
+    return _solve(slacks, objective, newton, z0, ("alpha_br", "alpha_ru", "gamma_br_db", "S"), R0)
 
 
 def solve_auxiliary(

@@ -6,6 +6,7 @@ the reference solver run are computed once per session.
 """
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,5 +190,5 @@ def test_criterion_10_sweep_determinism(tmp_path, capsys):
     assert main(args + [out1]) == 0
     assert main(args + [out2]) == 0
     capsys.readouterr()
-    ok = open(out1, "rb").read() == open(out2, "rb").read()
+    ok = Path(out1).read_bytes() == Path(out2).read_bytes()
     assert _verdict(10, "repeated sweeps emit byte-identical CSV", ok)

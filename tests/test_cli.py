@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,7 +121,8 @@ class TestSweepCsv:
     def test_header_fixed(self, tmp_path):
         path = str(tmp_path / "out.csv")
         write_sweep_csv([], path)
-        header = open(path, encoding="utf-8").readline().strip()
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().strip()
         assert header.split(",")[:6] == [
             "W", "eta_penalty", "eta_oracle", "eta_equal_bw", "eta_fixed_place", "eta_df"]
 
@@ -202,7 +204,7 @@ class TestMain:
         assert main(args + [out1]) == EXIT_OK
         assert main(args + [out2]) == EXIT_OK
         capsys.readouterr()
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_compare_snapshot_stable(self, tmp_path, capsys):
         params, fit, cfg = build_config({"lambda0": 1e-6, "c": 0.5})

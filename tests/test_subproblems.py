@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from semrelay import barrier
 from semrelay.bounds import LocalPoint
 from semrelay.model import (
+    DEFAULT_ALPHA_FLOOR,
     SigmoidFit,
     SystemParams,
     bit_rate_ru,
@@ -135,7 +138,8 @@ class TestSolveBandwidth:
 class TestBlockDerivatives:
     """The gradient and the Newton direction that each block's eval_full
     computes by hand, against central differences of its eval_value and of
-    that gradient, at the barrier's start point and halfway to its solution."""
+    that gradient, at the barrier's start point and halfway to its solution;
+    and both callbacks outside the barrier domain."""
 
     @staticmethod
     def _check(eval_full, eval_value, z, t):
@@ -156,7 +160,10 @@ class TestBlockDerivatives:
         residual = hess_fd @ dx + grad
         assert np.all(np.abs(residual) <= 1e-5 * (np.abs(hess_fd) @ np.abs(dx))), residual
 
-    def test_eval_full_matches_finite_differences(self, params, fit, monkeypatch):
+    @staticmethod
+    def _record(monkeypatch):
+        """Patch barrier.maximize to log (eval_full, eval_value, x0, x) of
+        every block solve into the returned list."""
         calls = []
         maximize = barrier.maximize
 
@@ -166,6 +173,10 @@ class TestBlockDerivatives:
             return x, ok
 
         monkeypatch.setattr(barrier, "maximize", recording)
+        return calls
+
+    def test_eval_full_matches_finite_differences(self, params, fit, monkeypatch):
+        calls = self._record(monkeypatch)
         for p, f, d, alpha in [(params, fit, (50.0, 50.0), (0.3, 0.7)), *_random_cases()]:
             lp = _incumbent_lp(p, f, d, alpha)
             solve_placement(p, f, lp, alpha[1], d, 1000.0, 1e-4)
@@ -175,6 +186,25 @@ class TestBlockDerivatives:
             for z in (x0, 0.5 * (x0 + x)):
                 for t in (10.0, 1e4):
                     self._check(eval_full, eval_value, z, t)
+
+    def test_outside_domain_is_not_finite(self, params, fit, monkeypatch):
+        # The barrier's contract: outside the domain eval_value is -inf and
+        # eval_full gives a phi that is not finite, with no grad or dx. The
+        # exact relay->user rate is undefined at alpha_ru <= 0, so that
+        # point must not reach log1p.
+        calls = self._record(monkeypatch)
+        lp = _incumbent_lp(params, fit, (50.0, 50.0), (0.3, 0.7))
+        solve_placement(params, fit, lp, 0.7, (50.0, 50.0), 1000.0, 1e-4)
+        solve_bandwidth(params, fit, lp, (0.3, 0.7), 1000.0)
+        (pl_full, pl_value, pl_x0, _), (bw_full, bw_value, bw_x0, _) = calls
+        (_, *pl_rest), (a_br, _, *bw_rest) = pl_x0.tolist(), bw_x0.tolist()
+        outside = [(pl_full, pl_value, [-1.0, *pl_rest])]
+        for a_ru in (0.0, -0.1, DEFAULT_ALPHA_FLOOR):
+            outside.append((bw_full, bw_value, [a_br, a_ru, *bw_rest]))
+        for eval_full, eval_value, z in outside:
+            for t in (10.0, 1e4):
+                assert eval_value(z, t) == -math.inf, z
+                assert eval_full(z, t) == (-math.inf, None, None), z
 
 
 class TestSolveAuxiliary:
