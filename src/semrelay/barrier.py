@@ -7,6 +7,11 @@ until the duality measure m/t drops below the requested gap. The Newton
 system is sparse, and each block solves it in closed form. Everything is
 deterministic; no randomness, no iteration-order ambiguity.
 
+A solve returns the centers it passed on the way, and the next solve of a
+nearby problem may take them as its warm path: it starts at the highest
+stage whose old center is still nearly centered for the new problem, and
+skips the stages below. With an empty path it starts cold at t = _T0.
+
 Problems plug in through a single fused callback so the per-step cost stays
 a few microseconds. Points are sequences of plain floats, and each problem
 solves its own Newton system, whose sparsity it knows:
@@ -30,8 +35,12 @@ _MAX_NEWTON = 60
 _BACKTRACK_SLOPE = 0.25
 _BACKTRACK_SHRINK = 0.5
 _MAX_BACKTRACK = 60
-# Barrier parameter of the first centering.
+# Barrier parameter of the first centering of a cold start.
 _T0 = 10.0
+# A center of the warm path starts a solve when its Newton decrement for
+# the new problem is at most this (lambda^2 <= 1, inside the region where
+# damped Newton takes few steps to converge).
+_WARM_DECREMENT = 1.0
 
 
 def _newton(eval_full, eval_value, x, t):
@@ -60,25 +69,46 @@ def _newton(eval_full, eval_value, x, t):
     return x, False, _MAX_NEWTON
 
 
-def maximize(eval_full, eval_value, x0, n_constraints, gap):
+def _warm_start(eval_full, path, t_final):
+    """The (t, x) of the highest center of path below t_final that is nearly
+    centered for the problem of eval_full, or None."""
+    for t, x in reversed(path):
+        if t >= t_final:
+            continue
+        phi, grad, dx = eval_full(x, t)
+        if math.isfinite(phi) and dx is not None and sum(map(mul, grad, dx)) <= _WARM_DECREMENT:
+            return t, list(x)
+    return None
+
+
+def maximize(eval_full, eval_value, x0, n_constraints, gap, path=()):
     """Follow the central path until the duality measure meets `gap`.
 
-    x0 must be strictly feasible; one outside the domain comes back
-    unchanged, unconverged. Returns (x, converged), x a list of floats,
-    where converged means every centering succeeded and m/t_final <= gap.
-    The barrier parameter grows by 10 per stage, or by 100 after stages
-    that converge in a couple of Newton steps (a warm start near the path
+    path holds (t, x) centers of an earlier, nearby solve in increasing t,
+    as this function returns them. The solve starts at the highest of them
+    below t_final that is nearly centered for this problem (Newton
+    decrement lambda^2 <= _WARM_DECREMENT), and otherwise cold at
+    (x0, _T0). x0 must then be strictly feasible; one outside the domain
+    comes back unchanged, unconverged. path is not modified.
+
+    Returns (x, converged, centers): x a list of floats; converged means
+    every centering succeeded and m/t_final <= gap; centers holds the
+    (t, x) of each converged centering below t_final, in increasing t, x a
+    tuple. The barrier parameter grows by 10 per stage, or by 100 after
+    stages that converge in a couple of Newton steps (a start near the path
     needs no slow walk through the early stages).
     """
     t_final = n_constraints / gap
-    t = min(_T0, t_final)
-    x = [float(v) for v in x0]
+    t, x = _warm_start(eval_full, path, t_final) or (min(_T0, t_final), [float(v) for v in x0])
     ok_all = True
+    centers = []
     while True:
         x, ok, steps = _newton(eval_full, eval_value, x, t)
         ok_all = ok_all and ok
         if t >= t_final:
             break
+        if ok:
+            centers.append((t, tuple(x)))
         factor = 100.0 if (ok and steps <= 2) else 10.0
         t = min(t * factor, t_final)
-    return x, ok_all
+    return x, ok_all, tuple(centers)

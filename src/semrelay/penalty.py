@@ -171,6 +171,9 @@ def run(
     # lp carries the incumbent to the blocks: d, alpha_br, and the SNR and
     # similarity recomputed from them.
     lp, eta = _tighten(p, fit, d, alpha, eta_cap)
+    # Each block's barrier starts from the central path of its previous
+    # solve; an infeasible solve leaves an empty path, so the next starts cold.
+    pl_path = bw_path = ()
 
     lam = cfg.lambda0
     traces = []
@@ -183,13 +186,15 @@ def run(
         phase = [_p3_objective(eta, d, alpha, aux, lam, cfg.nu)]
         prev_obj = phase[0]
         for _cycle in range(cfg.max_inner):
-            pl = solve_placement(p, fit, lp, alpha[1], aux[0], lam, cfg.nu)
+            pl = solve_placement(p, fit, lp, alpha[1], aux[0], lam, cfg.nu, pl_path)
+            pl_path = pl.path
             if pl.status != "infeasible":
                 d = (pl.point["d_br"], pl.point["d_ru"])
                 lp, eta = _tighten(p, fit, d, alpha, eta_cap)
                 phase.append(_p3_objective(eta, d, alpha, aux, lam, cfg.nu))
 
-            bw = solve_bandwidth(p, fit, lp, aux[1], lam, cfg.alpha_floor)
+            bw = solve_bandwidth(p, fit, lp, aux[1], lam, cfg.alpha_floor, bw_path)
+            bw_path = bw.path
             if bw.status != "infeasible":
                 alpha = (bw.point["alpha_br"], bw.point["alpha_ru"])
                 lp, eta = _tighten(p, fit, d, alpha, eta_cap)

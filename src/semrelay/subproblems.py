@@ -61,6 +61,7 @@ class SubproblemSolution:
     point: dict[str, float]
     objective: float  # penalized block objective, bits/s
     status: str  # "optimal" | "max-iter" | "infeasible"
+    path: tuple = ()  # the barrier's centers, the warm path of the next solve
 
 
 def rate_scale(p: SystemParams, fit: SigmoidFit) -> float:
@@ -74,9 +75,20 @@ def _interior(hi: float, lo: float) -> float:
     return x if x > lo else 0.5 * (hi + lo)
 
 
-def _solve(slacks, objective, newton, z0, names, R0) -> SubproblemSolution:
+def _logistic_v(fit: SigmoidFit, gamma: float) -> float:
+    """v = exp(-(c1*gamma + c2)) of the logistic tangent. The exponent is
+    clamped at 700, which only a gamma far outside the barrier domain
+    reaches, so that the slack there is negative instead of raising
+    OverflowError. (A conditional, not max(): this runs on every barrier
+    evaluation.)"""
+    x = fit.c1 * gamma + fit.c2
+    return math.exp(-x if x > -700.0 else 700.0)
+
+
+def _solve(slacks, objective, newton, z0, names, R0, path) -> SubproblemSolution:
     """Maximize objective(*z) subject to slacks(*z) > 0 by the log-barrier
-    method, from the strictly feasible start z0.
+    method, from the warm path of an earlier solve of the block or else
+    from the strictly feasible start z0.
 
     z ends with the rate variable in units of R0; names label the other
     coordinates of the returned point. newton(z, t, s) returns (grad, dx)
@@ -99,10 +111,10 @@ def _solve(slacks, objective, newton, z0, names, R0) -> SubproblemSolution:
             return phi, None, None
         return (phi, *newton(z, t, s))
 
-    z, ok = barrier.maximize(eval_full, eval_value, z0, len(slacks(*z0)), TOL_SUB)
+    z, ok, centers = barrier.maximize(eval_full, eval_value, z0, len(slacks(*z0)), TOL_SUB, path)
     point = dict(zip(names, z))
     point["eta"] = z[-1] * R0
-    return SubproblemSolution(point, objective(*z) * R0, "optimal" if ok else "max-iter")
+    return SubproblemSolution(point, objective(*z) * R0, "optimal" if ok else "max-iter", centers)
 
 
 def solve_placement(
@@ -113,6 +125,7 @@ def solve_placement(
     aux: tuple[float, float],
     lam: float,
     nu: float,
+    path: tuple = (),
 ) -> SubproblemSolution:
     """Optimize (d_br, d_ru, gamma, eta) at the fixed split (lp.alpha_br,
     alpha_ru).
@@ -121,6 +134,9 @@ def solve_placement(
     surrogates of the two rate constraints and of the SNR ceiling, the SNR
     threshold, and d >= 0. Infeasible when no d_br admits the threshold at
     the fixed split, which signals that the bandwidth block must move first.
+    path is the `SubproblemSolution.path` of the block's previous solve;
+    the barrier starts from its centers when one fits, and the default
+    solves cold.
     """
     alpha_br = lp.alpha_br
     d_hat_br, d_hat_ru = aux
@@ -146,7 +162,7 @@ def solve_placement(
     def slacks(d_br, d_ru, gamma, y):
         return (
             a1c * (r_t + r_u * ((d_ru * d_ru + H2) ** half_beta - u_t)) - y,
-            b2 * (fit.a1 + fit.a2 * (sig_t + sig_v * (math.exp(-(fit.c1 * gamma + fit.c2)) - v_t))) - y,
+            b2 * (fit.a1 + fit.a2 * (sig_t + sig_v * (_logistic_v(fit, gamma) - v_t))) - y,
             cap_peak - q3 * d_br * d_br - gamma,
             d_br,
             d_ru,
@@ -175,7 +191,7 @@ def solve_placement(
         base = d_ru * d_ru + H2
         s1_dru = a1c * r_u * p.beta * d_ru * base ** (half_beta - 1.0)
         s1_dru2 = a1c * r_u * p.beta * base ** (half_beta - 2.0) * ((p.beta - 1.0) * d_ru * d_ru + H2)
-        s2_g = -b2 * fit.a2 * sig_v * fit.c1 * math.exp(-(fit.c1 * gamma + fit.c2))
+        s2_g = -b2 * fit.a2 * sig_v * fit.c1 * _logistic_v(fit, gamma)
         s3_db = -2.0 * q3 * d_br
         r1, r2, r3 = s1_dru / s1, s2_g / s2, s3_db / s3
 
@@ -210,7 +226,7 @@ def solve_placement(
         return grad, ((g0 - a02 * dg) / a00, (g1 - a13 * dy) / a11, dg, dy)
 
     z0 = (d_br0, d_ru0, gamma0, y0)
-    return _solve(slacks, objective, newton, z0, ("d_br", "d_ru", "gamma_br_db"), R0)
+    return _solve(slacks, objective, newton, z0, ("d_br", "d_ru", "gamma_br_db"), R0, path)
 
 
 def solve_bandwidth(
@@ -220,6 +236,7 @@ def solve_bandwidth(
     aux: tuple[float, float],
     lam: float,
     alpha_floor: float = DEFAULT_ALPHA_FLOOR,
+    path: tuple = (),
 ) -> SubproblemSolution:
     """Optimize (alpha_br, alpha_ru, gamma, S, eta) at the fixed placement
     (lp.d_br, lp.d_ru).
@@ -228,6 +245,7 @@ def solve_bandwidth(
     rate is exact (concave in alpha_ru); the semantic-hop constraints use
     the square, similarity and SNR-ceiling tangents. Infeasible when the
     SNR threshold fails for every alpha_br down to the floor.
+    path is as in `solve_placement`.
     """
     a_hat_br, a_hat_ru = aux
     R0 = rate_scale(p, fit)
@@ -251,7 +269,7 @@ def solve_bandwidth(
         return (
             wr * a_ru * math.log1p(c_ru / a_ru) / _LN2 - y if a_ru > 0.0 else -math.inf,
             q2 * (sq_t + sq_x * (a_br + S - x_t) - (a_br - S) * (a_br - S)) - y,
-            fit.a1 + fit.a2 * (sig_t + sig_v * (math.exp(-(fit.c1 * gamma + fit.c2)) - v_t)) - S,
+            fit.a1 + fit.a2 * (sig_t + sig_v * (_logistic_v(fit, gamma) - v_t)) - S,
             cd + cap_t + cap_a * (a_br - a_t) - gamma,
             a_br - alpha_floor,
             a_ru - alpha_floor,
@@ -284,7 +302,7 @@ def solve_bandwidth(
         s1_aru2 = -wr * c_ru * c_ru / (a_ru * (a_ru + c_ru) * (a_ru + c_ru) * _LN2)
         s2_abr = q2 * (sq_x - 2.0 * (a_br - S))
         s2_S = q2 * (sq_x + 2.0 * (a_br - S))
-        s3_g = -fit.a2 * sig_v * fit.c1 * math.exp(-(fit.c1 * gamma + fit.c2))
+        s3_g = -fit.a2 * sig_v * fit.c1 * _logistic_v(fit, gamma)
         r1, r2a, r2s, r3, r4 = s1_aru / s1, s2_abr / s2, s2_S / s2, s3_g / s3, cap_a / s4
 
         grad = (
@@ -332,7 +350,7 @@ def solve_bandwidth(
         return grad, (da_br, (g1 - a14 * dy) / a11, dg, dS, dy)
 
     z0 = (a_br0, a_ru0, gamma0, S0, y0)
-    return _solve(slacks, objective, newton, z0, ("alpha_br", "alpha_ru", "gamma_br_db", "S"), R0)
+    return _solve(slacks, objective, newton, z0, ("alpha_br", "alpha_ru", "gamma_br_db", "S"), R0, path)
 
 
 def solve_auxiliary(

@@ -70,6 +70,14 @@ class TestRunDefaults:
         again = run(params, fit, cfg)
         assert again == default_report
 
+    def test_no_state_carries_between_runs(self, fit, cfg):
+        # The blocks' warm paths live inside one run: a run in between, on
+        # another system, must not change the result.
+        p = SystemParams(W=1e5)
+        first = run(p, fit, cfg)
+        run(SystemParams(W=1e7, D=50.0), fit, PenaltyConfig(max_outer=20))
+        assert run(p, fit, cfg) == first
+
 
 class TestRunEdges:
     def test_infeasible_system_detected(self, fit, cfg):

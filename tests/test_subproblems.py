@@ -167,10 +167,10 @@ class TestBlockDerivatives:
         calls = []
         maximize = barrier.maximize
 
-        def recording(eval_full, eval_value, x0, n_constraints, gap):
-            x, ok = maximize(eval_full, eval_value, x0, n_constraints, gap)
-            calls.append((eval_full, eval_value, np.asarray(x0, dtype=float), np.asarray(x)))
-            return x, ok
+        def recording(eval_full, eval_value, x0, *args):
+            out = maximize(eval_full, eval_value, x0, *args)
+            calls.append((eval_full, eval_value, np.asarray(x0, dtype=float), np.asarray(out[0])))
+            return out
 
         monkeypatch.setattr(barrier, "maximize", recording)
         return calls
@@ -191,7 +191,8 @@ class TestBlockDerivatives:
         # The barrier's contract: outside the domain eval_value is -inf and
         # eval_full gives a phi that is not finite, with no grad or dx. The
         # exact relay->user rate is undefined at alpha_ru <= 0, so that
-        # point must not reach log1p.
+        # point must not reach log1p, and far below the SNR threshold the
+        # logistic term must not overflow.
         calls = self._record(monkeypatch)
         lp = _incumbent_lp(params, fit, (50.0, 50.0), (0.3, 0.7))
         solve_placement(params, fit, lp, 0.7, (50.0, 50.0), 1000.0, 1e-4)
@@ -201,10 +202,80 @@ class TestBlockDerivatives:
         outside = [(pl_full, pl_value, [-1.0, *pl_rest])]
         for a_ru in (0.0, -0.1, DEFAULT_ALPHA_FLOOR):
             outside.append((bw_full, bw_value, [a_br, a_ru, *bw_rest]))
+        for eval_full, eval_value, z in ((pl_full, pl_value, pl_x0.tolist()),
+                                         (bw_full, bw_value, bw_x0.tolist())):
+            z[2] = -1e4  # gamma
+            outside.append((eval_full, eval_value, z))
         for eval_full, eval_value, z in outside:
             for t in (10.0, 1e4):
                 assert eval_value(z, t) == -math.inf, z
                 assert eval_full(z, t) == (-math.inf, None, None), z
+
+
+class TestWarmStart:
+    """A block solve that starts from the centers of an earlier solve (its
+    warm path) lands on the cold solution."""
+
+    @staticmethod
+    def _blocks(p, f, d, alpha):
+        """The placement and bandwidth solves at one incumbent, each as a
+        function of the warm path."""
+        lp = _incumbent_lp(p, f, d, alpha)
+        return (
+            lambda path=(): solve_placement(p, f, lp, alpha[1], d, 1000.0, 1e-4, path),
+            lambda path=(): solve_bandwidth(p, f, lp, alpha, 1000.0, DEFAULT_ALPHA_FLOOR, path),
+        )
+
+    @staticmethod
+    def _count_eval_full(monkeypatch):
+        """Patch barrier.maximize to count eval_full calls into the returned
+        one-element list."""
+        calls = [0]
+        maximize = barrier.maximize
+
+        def counting(eval_full, *args):
+            def counted(x, t):
+                calls[0] += 1
+                return eval_full(x, t)
+
+            return maximize(counted, *args)
+
+        monkeypatch.setattr(barrier, "maximize", counting)
+        return calls
+
+    def test_resolve_from_own_path_matches_cold_with_fewer_steps(self, params, fit, monkeypatch):
+        calls = self._count_eval_full(monkeypatch)
+        for i, (p, f, d, alpha) in enumerate(
+                [(params, fit, (50.0, 50.0), (0.3, 0.7)), *_random_cases()]):
+            for solve in self._blocks(p, f, d, alpha):
+                calls[0] = 0
+                cold = solve()
+                cold_calls = calls[0]
+                calls[0] = 0
+                warm = solve(cold.path)
+                assert cold.status == warm.status == "optimal", i
+                assert cold.path, i
+                assert calls[0] < cold_calls, i
+                assert warm.objective == pytest.approx(cold.objective, rel=1e-9), i
+                for name, v in cold.point.items():
+                    assert warm.point[name] == pytest.approx(v, rel=1e-9), (i, name)
+
+    def test_empty_or_outside_path_gives_cold_solution(self, params, fit):
+        place, band = self._blocks(params, fit, (50.0, 50.0), (0.3, 0.7))
+        for solve, coord, outside in ((place, 0, -1.0), (band, 1, -0.1)):
+            cold = solve()
+            assert solve(()) == cold
+            # d_br < 0 and alpha_ru < 0 lie outside each block's domain.
+            path = tuple((t, (*x[:coord], outside, *x[coord + 1:])) for t, x in cold.path)
+            assert solve(path) == cold
+
+    def test_path_is_not_mutated(self, params, fit):
+        for solve in self._blocks(params, fit, (50.0, 50.0), (0.3, 0.7)):
+            path = [[t, list(x)] for t, x in solve().path]
+            before = [[t, list(x)] for t, x in path]
+            warm = solve(path)
+            assert path == before
+            assert all(x is not y for _, x in warm.path for _, y in path)
 
 
 class TestSolveAuxiliary:
