@@ -16,11 +16,25 @@ Problems plug in through a single fused callback so the per-step cost stays
 a few microseconds. Points are sequences of plain floats, and each problem
 solves its own Newton system, whose sparsity it knows:
 
-    eval_full(x, t)  -> (phi, grad, dx), where dx solves (-H) dx = grad for
-                        the Hessian H of phi at x; dx is None when a pivot
-                        of -H is not positive (grad and dx are not read
-                        when phi is not finite)
+    eval_full(x, t)  -> (phi, grad, dx, bound), where dx solves
+                        (-H) dx = grad for the Hessian H of phi at x (None
+                        when a pivot of -H is not positive) and no step
+                        x + s*dx with s >= bound lies in the domain (grad,
+                        dx and bound are not read when phi is not finite)
     eval_value(x, t) -> phi, or -inf when x is outside the domain
+
+The blocks' constraint slacks are concave, so each lies below its tangent
+along dx, and a step at or past the first zero of a falling tangent leaves
+the domain. The line search skips those steps without evaluating them;
+each is a step that evaluating would have rejected at -inf, so the
+backtracking sequence and the accepted step are the same as with
+bound = inf.
+
+The line search calls eval_value once per trial it evaluates, and the next
+Newton step calls eval_full at the accepted trial, so a problem may keep
+the work of its last evaluation for the next call, provided its results
+depend on (x, t) alone. A centering that starts at a warm center starts
+from the eval_full call that accepted it.
 """
 
 from __future__ import annotations
@@ -43,10 +57,12 @@ _T0 = 10.0
 _WARM_DECREMENT = 1.0
 
 
-def _newton(eval_full, eval_value, x, t):
-    """Center at fixed t. Returns (x, converged, steps)."""
+def _newton(eval_full, eval_value, x, t, full=None):
+    """Center at fixed t, from full = eval_full(x, t) when the caller has
+    it. Returns (x, converged, steps)."""
     for step in range(_MAX_NEWTON):
-        phi, grad, dx = eval_full(x, t)
+        phi, grad, dx, bound = full or eval_full(x, t)
+        full = None
         # Outside the domain the line search cannot tell better from worse,
         # and without positive pivots there is no ascent direction.
         if not math.isfinite(phi) or dx is None:
@@ -58,10 +74,10 @@ def _newton(eval_full, eval_value, x, t):
             return x, True, step
         s = 1.0
         for _ in range(_MAX_BACKTRACK):
-            cand = [xi + s * di for xi, di in zip(x, dx)]
-            val = eval_value(cand, t)
-            if val >= phi + _BACKTRACK_SLOPE * s * decrement:
-                break
+            if s < bound:
+                cand = [xi + s * di for xi, di in zip(x, dx)]
+                if eval_value(cand, t) >= phi + _BACKTRACK_SLOPE * s * decrement:
+                    break
             s *= _BACKTRACK_SHRINK
         else:
             return x, False, step
@@ -70,14 +86,15 @@ def _newton(eval_full, eval_value, x, t):
 
 
 def _warm_start(eval_full, path, t_final):
-    """The (t, x) of the highest center of path below t_final that is nearly
-    centered for the problem of eval_full, or None."""
+    """The (t, x, eval_full(x, t)) of the highest center of path below
+    t_final that is nearly centered for the problem of eval_full, or None."""
     for t, x in reversed(path):
         if t >= t_final:
             continue
-        phi, grad, dx = eval_full(x, t)
+        full = eval_full(x, t)
+        phi, grad, dx, _ = full
         if math.isfinite(phi) and dx is not None and sum(map(mul, grad, dx)) <= _WARM_DECREMENT:
-            return t, list(x)
+            return t, list(x), full
     return None
 
 
@@ -99,11 +116,13 @@ def maximize(eval_full, eval_value, x0, n_constraints, gap, path=()):
     needs no slow walk through the early stages).
     """
     t_final = n_constraints / gap
-    t, x = _warm_start(eval_full, path, t_final) or (min(_T0, t_final), [float(v) for v in x0])
+    cold = (min(_T0, t_final), [float(v) for v in x0], None)
+    t, x, full = _warm_start(eval_full, path, t_final) or cold
     ok_all = True
     centers = []
     while True:
-        x, ok, steps = _newton(eval_full, eval_value, x, t)
+        x, ok, steps = _newton(eval_full, eval_value, x, t, full)
+        full = None
         ok_all = ok_all and ok
         if t >= t_final:
             break

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import sys
 from dataclasses import dataclass
 
@@ -68,7 +69,7 @@ def load_config(path: str) -> tuple[SystemParams, SigmoidFit, PenaltyConfig]:
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: invalid number {text!r} for {key!r}") from None
             if key in _INT_KEYS:
-                if num != int(num):
+                if not math.isfinite(num) or num != int(num):
                     raise ConfigError(f"{path}:{lineno}: {key!r} must be an integer")
                 num = int(num)
             values[key] = num
@@ -234,7 +235,10 @@ def _load(args) -> tuple[SystemParams, SigmoidFit, PenaltyConfig]:
     else:
         params, fit, cfg = SystemParams(), SigmoidFit(), PenaltyConfig()
     if getattr(args, "W", None) is not None:
-        params = dataclasses.replace(params, W=args.W)
+        try:
+            params = dataclasses.replace(params, W=args.W)
+        except ValueError as exc:
+            raise ConfigError(f"--W: {exc}") from None
     return params, fit, cfg
 
 

@@ -8,6 +8,8 @@ over numpy arrays, which the grid oracle relies on.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +26,16 @@ DEFAULT_ALPHA_FLOOR = 1e-6
 SIMILARITY_SLACK = 1e-7
 
 _LN2 = float(np.log(2.0))
+
+
+def _require_finite(obj) -> None:
+    """Raise ValueError naming the first field of the dataclass obj that is
+    infinite or NaN; the range checks alone let +inf through. (An int is
+    finite, and math.isfinite cannot convert one beyond the float range.)"""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if not (isinstance(value, int) or math.isfinite(value)):
+            raise ValueError(f"{f.name} must be finite")
 
 
 def db_to_lin(value_db):
@@ -56,6 +68,7 @@ class SystemParams:
     mu: float = 40.0  # bits per word in plain text transmission
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.D > 0:
             raise ValueError("D must be positive")
         if not self.H >= 0:
@@ -98,6 +111,7 @@ class SigmoidFit:
     eps_bar: float = 0.9  # minimum acceptable semantic similarity
 
     def __post_init__(self):
+        _require_finite(self)
         if not 0 < self.a1:
             raise ValueError("a1 must be positive")
         if not self.a2 > 0:

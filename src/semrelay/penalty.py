@@ -26,6 +26,7 @@ from semrelay.model import (
     semantic_bit_rate,
     semantic_similarity,
     snr_br_db,
+    _require_finite,
 )
 from semrelay.subproblems import (
     DIST_MARGIN_FRAC,
@@ -57,6 +58,7 @@ class PenaltyConfig:
     alpha_floor: float = DEFAULT_ALPHA_FLOOR
 
     def __post_init__(self):
+        _require_finite(self)
         if not 0 < self.c < 1:
             raise ValueError("c must lie in (0, 1)")
         if not self.lambda0 > 0:

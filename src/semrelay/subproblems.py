@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import truediv
 
 from semrelay import barrier
 from semrelay.bounds import (
@@ -85,31 +86,57 @@ def _logistic_v(fit: SigmoidFit, gamma: float) -> float:
     return math.exp(-x if x > -700.0 else 700.0)
 
 
+def _log_sum(s) -> float:
+    """sum(log s) of the slacks s, or -inf when one is not positive or is
+    NaN. (min passes over a NaN that is not first, and log keeps it.)"""
+    if not min(s) > 0.0:
+        return -math.inf
+    total = sum(map(math.log, s))
+    return total if total == total else -math.inf
+
+
 def _solve(slacks, objective, newton, z0, names, R0, path) -> SubproblemSolution:
     """Maximize objective(*z) subject to slacks(*z) > 0 by the log-barrier
     method, from the warm path of an earlier solve of the block or else
     from the strictly feasible start z0.
 
     z ends with the rate variable in units of R0; names label the other
-    coordinates of the returned point. newton(z, t, s) returns (grad, dx)
-    of the barrier objective at an interior z with slacks s, where dx
-    solves (-H) dx = grad, or is None when a pivot of -H is not positive.
+    coordinates of the returned point. newton(z, t, s) returns
+    (grad, dx, ds) of the barrier objective at an interior z with slacks s,
+    where dx solves (-H) dx = grad, or is None when a pivot of -H is not
+    positive, and ds holds the derivative of each slack along dx. The
+    slacks are concave, so no step x + s*dx at or beyond the first zero of
+    a falling slack's tangent, -s_i/ds_i, lies in the domain.
     """
+    # The point, slacks and log-sum of the last evaluation: the accepted
+    # trial of a line search comes back as the next Newton step's point,
+    # and a centered point as the next centering's start. The key is a
+    # copy, so a point changed in place is evaluated afresh.
+    last_z = last_s = last_log = None
 
-    def value(z, t, s):
-        if min(s) <= 0.0:
-            return -math.inf
-        return t * objective(*z) + sum(map(math.log, s))
+    def at(z):
+        nonlocal last_z, last_s, last_log
+        key = tuple(z)
+        if key != last_z:
+            last_z, last_s = key, slacks(*z)
+            last_log = _log_sum(last_s)
+        return last_log
 
     def eval_value(z, t):
-        return value(z, t, slacks(*z))
+        log_sum = at(z)
+        return log_sum if log_sum == -math.inf else t * objective(*z) + log_sum
 
     def eval_full(z, t):
-        s = slacks(*z)
-        phi = value(z, t, s)
+        phi = eval_value(z, t)  # leaves the slacks at z in last_s
         if not math.isfinite(phi):
-            return phi, None, None
-        return (phi, *newton(z, t, s))
+            return phi, None, None, None
+        grad, dx, ds = newton(z, t, last_s)
+        if dx is None:
+            return phi, grad, None, None
+        # min(-s_i/ds_i) over the falling slacks is -1 over the fastest
+        # relative fall, min(ds_i/s_i), when that is negative.
+        rate = min(map(truediv, ds, last_s))
+        return phi, grad, dx, -1.0 / rate if rate < 0.0 else math.inf
 
     z, ok, centers = barrier.maximize(eval_full, eval_value, z0, len(slacks(*z0)), TOL_SUB, path)
     point = dict(zip(names, z))
@@ -210,20 +237,22 @@ def solve_placement(
         # The only cross terms are (d_br, gamma), (d_ru, y) and (gamma, y):
         # eliminate d_br and d_ru, then solve the 2x2 system in (gamma, y).
         if not (a00 > 0.0 and a11 > 0.0):
-            return grad, None
+            return grad, None, None
         k0, k1 = a02 / a00, a13 / a11
         b22, b33 = a22 - k0 * a02, a33 - k1 * a13
         if not b22 > 0.0:
-            return grad, None
+            return grad, None, None
         l23 = a23 / b22
         b33 -= l23 * a23
         if not b33 > 0.0:
-            return grad, None
+            return grad, None, None
         g0, g1, g2, g3 = grad
         rhs2 = g2 - k0 * g0
         dy = (g3 - k1 * g1 - l23 * rhs2) / b33
         dg = (rhs2 - a23 * dy) / b22
-        return grad, ((g0 - a02 * dg) / a00, (g1 - a13 * dy) / a11, dg, dy)
+        dd_br, dd_ru = (g0 - a02 * dg) / a00, (g1 - a13 * dy) / a11
+        ds = (s1_dru * dd_ru - dy, s2_g * dg - dy, s3_db * dd_br - dg, dd_br, dd_ru, dg, -dy, dy)
+        return grad, (dd_br, dd_ru, dg, dy), ds
 
     z0 = (d_br0, d_ru0, gamma0, y0)
     return _solve(slacks, objective, newton, z0, ("d_br", "d_ru", "gamma_br_db"), R0, path)
@@ -325,29 +354,32 @@ def solve_bandwidth(
         # gamma into (alpha_br, S), then solve the 3x3 system in
         # (alpha_br, S, y) by LDL^T.
         if not (a11 > 0.0 and a22 > 0.0):
-            return grad, None
+            return grad, None, None
         g0, g1, g2, g3, g4 = grad
         k1, k20, k23 = a14 / a11, a02 / a22, a23 / a22
         b00, b03, b33 = a00 - k20 * a02, a03 - k20 * a23, a33 - k23 * a23
         b44 = a44 - k1 * a14
         rhs0, rhs3, rhs4 = g0 - k20 * g2, g3 - k23 * g2, g4 - k1 * g1
         if not b00 > 0.0:
-            return grad, None
+            return grad, None, None
         l30, l40 = b03 / b00, a04 / b00
         d3 = b33 - l30 * b03
         if not d3 > 0.0:
-            return grad, None
+            return grad, None, None
         l43 = (a34 - l40 * b03) / d3
         d4 = b44 - l40 * a04 - l43 * l43 * d3
         if not d4 > 0.0:
-            return grad, None
+            return grad, None, None
         rhs3 -= l30 * rhs0
         rhs4 -= l40 * rhs0 + l43 * rhs3
         dy = rhs4 / d4
         dS = rhs3 / d3 - l43 * dy
         da_br = rhs0 / b00 - l30 * dS - l40 * dy
+        da_ru = (g1 - a14 * dy) / a11
         dg = (g2 - a02 * da_br - a23 * dS) / a22
-        return grad, (da_br, (g1 - a14 * dy) / a11, dg, dS, dy)
+        ds = (s1_aru * da_ru - dy, s2_abr * da_br + s2_S * dS - dy, s3_g * dg - dS,
+              cap_a * da_br - dg, da_br, da_ru, dg, -dy, dy)
+        return grad, (da_br, da_ru, dg, dS, dy), ds
 
     z0 = (a_br0, a_ru0, gamma0, S0, y0)
     return _solve(slacks, objective, newton, z0, ("alpha_br", "alpha_ru", "gamma_br_db", "S"), R0, path)

@@ -96,6 +96,19 @@ class TestLoadConfig:
         _, _, cfg = load_config(_write(tmp_path, "max_inner=10\n", name="ok.txt"))
         assert cfg.max_inner == 10
 
+    @pytest.mark.parametrize("line", [
+        "max_inner=nan", "max_inner=inf", "max_outer=1e400",  # int() raised
+        "W=inf", "beta=inf", "lambda0=inf", "inner_tol=nan",  # passed the range checks
+        "rho0_db=nan", "N0_dbm_hz=-inf", "c2=inf",  # not checked at all
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, capsys, line):
+        key = line.partition("=")[0]
+        path = _write(tmp_path, line + "\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+        assert main(["solve", "--config", path]) == EXIT_USAGE
+        assert key in capsys.readouterr().err
+
     def test_round_trip(self, tmp_path):
         src = _write(tmp_path, "W=3.25e6\nbeta=2.75\neps_bar=0.91\nlambda0=7.5\nmax_outer=123\n")
         loaded = load_config(src)
@@ -189,6 +202,11 @@ class TestMain:
         bad = _write(tmp_path, "bogus=1\n")
         assert main(["solve", "--config", bad]) == EXIT_USAGE
         assert "unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+    def test_invalid_bandwidth_override_exit(self, capsys, value):
+        assert main(["solve", "--W", value]) == EXIT_USAGE
+        assert "--W: W must be" in capsys.readouterr().err
 
     def test_oracle_command(self, capsys):
         assert main(["oracle", "--grid", "201"]) == EXIT_OK

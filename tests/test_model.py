@@ -188,6 +188,22 @@ class TestUnitsAndValidation:
         with pytest.raises(ValueError):
             DesignPoint(-1.0, 50.0, 0.5, 0.5, 0.0, 0.0)
 
+    @pytest.mark.parametrize("cls, name, value", [
+        # Each value passes the field's range check, or the field has none.
+        *((SystemParams, name, math.inf) for name in ("D", "H", "beta", "P_b", "P_r", "W", "mu")),
+        (SystemParams, "rho0_db", math.nan),
+        (SystemParams, "rho0_db", -math.inf),
+        (SystemParams, "N0_dbm_hz", math.nan),
+        (SystemParams, "N0_dbm_hz", math.inf),
+        (SigmoidFit, "c1", math.inf),
+        (SigmoidFit, "K", math.inf),
+        (SigmoidFit, "c2", math.nan),
+        (SigmoidFit, "c2", -math.inf),
+    ])
+    def test_rejects_non_finite_field(self, cls, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            cls(**{name: value})
+
     def test_threshold_equivalence_random(self):
         # similarity >= eps_bar exactly when gamma >= threshold
         rng = np.random.default_rng(23)

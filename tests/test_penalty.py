@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from semrelay import barrier
 from semrelay.baselines import GridSpec, oracle_search
 from semrelay.model import (
     DesignPoint,
@@ -77,6 +78,29 @@ class TestRunDefaults:
         first = run(p, fit, cfg)
         run(SystemParams(W=1e7, D=50.0), fit, PenaltyConfig(max_outer=20))
         assert run(p, fit, cfg) == first
+
+    def test_at_most_one_trial_point_per_barrier_evaluation(self, fit, cfg, monkeypatch):
+        # The line search skips the trial steps that the slack tangents put
+        # outside the domain, so a run evaluates fewer trial points
+        # (eval_value) than Newton points (eval_full); without the skip it
+        # evaluated 1.67 per Newton point at this W.
+        calls = {"full": 0, "value": 0}
+        maximize = barrier.maximize
+
+        def counting(eval_full, eval_value, *args):
+            def full(x, t):
+                calls["full"] += 1
+                return eval_full(x, t)
+
+            def value(x, t):
+                calls["value"] += 1
+                return eval_value(x, t)
+
+            return maximize(full, value, *args)
+
+        monkeypatch.setattr(barrier, "maximize", counting)
+        run(SystemParams(W=1e5), fit, cfg)
+        assert 0 < calls["value"] <= calls["full"], calls
 
 
 class TestRunEdges:

@@ -143,7 +143,7 @@ class TestBlockDerivatives:
 
     @staticmethod
     def _check(eval_full, eval_value, z, t):
-        _, grad, dx = eval_full(z, t)
+        _, grad, dx, _ = eval_full(z, t)
         assert dx is not None
         grad, dx = np.asarray(grad), np.asarray(dx)
         n = len(z)
@@ -209,7 +209,139 @@ class TestBlockDerivatives:
         for eval_full, eval_value, z in outside:
             for t in (10.0, 1e4):
                 assert eval_value(z, t) == -math.inf, z
-                assert eval_full(z, t) == (-math.inf, None, None), z
+                assert eval_full(z, t) == (-math.inf, None, None, None), z
+
+    def test_nan_slack_is_outside_domain(self, params, fit, monkeypatch):
+        # A NaN slack, first or after others, puts the point outside the
+        # domain; a later slack <= 0 must then not reach math.log.
+        calls = self._record(monkeypatch)
+        lp = _incumbent_lp(params, fit, (50.0, 50.0), (0.3, 0.7))
+        solve_placement(params, fit, lp, 0.7, (50.0, 50.0), 1000.0, 1e-4)
+        solve_bandwidth(params, fit, lp, (0.3, 0.7), 1000.0)
+        (pl_full, pl_value, pl_x0, _), (bw_full, bw_value, bw_x0, _) = calls
+        nan, inf = math.nan, math.inf
+        cases = (
+            # placement (d_br, d_ru, gamma, y)
+            (pl_full, pl_value, pl_x0, {3: nan}),  # every slack of y is NaN, the first too
+            (pl_full, pl_value, pl_x0, {1: nan, 2: -inf}),  # NaN first, then gamma's slack -inf
+            (pl_full, pl_value, pl_x0, {0: nan}),  # NaN in the third and fourth slacks only
+            # bandwidth (alpha_br, alpha_ru, gamma, S, y)
+            (bw_full, bw_value, bw_x0, {4: nan}),  # every slack of y is NaN, the first too
+            (bw_full, bw_value, bw_x0, {0: inf, 4: nan}),  # NaN first, then -inf
+            (bw_full, bw_value, bw_x0, {3: nan}),  # NaN in the second and third slacks only
+        )
+        for eval_full, eval_value, x0, change in cases:
+            z = x0.tolist()
+            for i, v in change.items():
+                z[i] = v
+            for t in (10.0, 1e4):
+                assert eval_value(z, t) == -math.inf, z
+                assert eval_full(z, t) == (-math.inf, None, None, None), z
+
+
+class TestStepBound:
+    """The step bound that eval_full returns, and the slacks that a block
+    keeps from one evaluation of a point to the next."""
+
+    @staticmethod
+    def _solve_blocks(params, fit):
+        """Both blocks on the default system and `_random_cases()`, as in
+        TestBlockDerivatives, each solved cold and then warm from its own
+        path at half the penalty coefficient."""
+        sols = []
+        for p, f, d, alpha in [(params, fit, (50.0, 50.0), (0.3, 0.7)), *_random_cases()]:
+            lp = _incumbent_lp(p, f, d, alpha)
+            place = solve_placement(p, f, lp, alpha[1], d, 1000.0, 1e-4)
+            band = solve_bandwidth(p, f, lp, alpha, 1000.0)
+            sols += [
+                place,
+                band,
+                solve_placement(p, f, lp, alpha[1], d, 500.0, 1e-4, place.path),
+                solve_bandwidth(p, f, lp, alpha, 500.0, DEFAULT_ALPHA_FLOOR, band.path),
+            ]
+        return sols
+
+    @staticmethod
+    def _record_steps(monkeypatch):
+        """Patch barrier.maximize to log (eval_full, eval_value, z, t,
+        eval_full(z, t)) of every eval_full call into the returned list."""
+        steps = []
+        maximize = barrier.maximize
+
+        def recording(eval_full, eval_value, *args):
+            def logged(z, t):
+                out = eval_full(z, t)
+                steps.append((eval_full, eval_value, list(z), t, out))
+                return out
+
+            return maximize(logged, eval_value, *args)
+
+        monkeypatch.setattr(barrier, "maximize", recording)
+        return steps
+
+    def test_steps_at_or_past_bound_leave_domain(self, params, fit, monkeypatch):
+        steps = self._record_steps(monkeypatch)
+        self._solve_blocks(params, fit)
+        points = [(eval_value, z, t, out) for _, eval_value, z, t, out in steps]
+        # The solves never bring the rate variable near its lower box, so
+        # add each solve's first point with the rate there, where the
+        # Newton step pulls it up.
+        starts = {eval_full: (eval_value, z) for eval_full, eval_value, z, _, _ in reversed(steps)}
+        for eval_full, (eval_value, z) in starts.items():
+            z = [*z[:-1], -ETA_CAP_FACTOR + 1e-3]
+            points += [(eval_value, z, t, eval_full(z, t)) for t in (10.0, 1e4)]
+        below_one = 0
+        for eval_value, z, t, (phi, _, dx, bound) in points:
+            if not math.isfinite(phi) or dx is None or bound == math.inf:
+                continue
+            below_one += bound <= 1.0
+            edge = bound * (1.0 + 1e-9)
+            for s in (edge, 2.0 * edge, *(0.5 ** k for k in range(60) if 0.5 ** k >= edge)):
+                trial = [zi + s * di for zi, di in zip(z, dx)]
+                assert eval_value(trial, t) == -math.inf, (z, t, s, bound)
+        # The bound cuts the full Newton step at a fair share of the points.
+        assert below_one >= 0.1 * len(points), (below_one, len(points))
+
+    def test_unbounded_line_search_gives_same_solves(self, params, fit, monkeypatch):
+        bounded = self._solve_blocks(params, fit)
+        maximize = barrier.maximize
+
+        def unbounded(eval_full, *args):
+            def full(z, t):
+                phi, grad, dx, _ = eval_full(z, t)
+                return phi, grad, dx, math.inf
+
+            return maximize(full, *args)
+
+        monkeypatch.setattr(barrier, "maximize", unbounded)
+        assert self._solve_blocks(params, fit) == bounded
+
+    def test_kept_slacks_match_a_fresh_evaluation(self, params, fit, monkeypatch):
+        calls = TestBlockDerivatives._record(monkeypatch)
+        self._solve_blocks(params, fit)
+        for eval_full, eval_value, x0, x in calls:
+            points = (x0, 0.5 * (x0 + x), x)
+            far = (x0 + x).tolist()  # a point no other evaluation here shares
+
+            def fresh(z, t):
+                eval_value(far, t)
+                return eval_full(z.tolist(), t)
+
+            for i, z in enumerate(points):
+                other = points[i - 1]
+                for t in (10.0, 1e4):
+                    want = fresh(z, t)
+                    eval_value(z.tolist(), t)
+                    assert eval_full(z.tolist(), t) == want
+                    eval_value(z.tolist(), 3.0 * t)
+                    assert eval_full(z.tolist(), t) == want
+                    assert eval_full(z.tolist(), 3.0 * t)[0] != want[0]
+                    eval_value(z.tolist(), t)
+                    assert eval_full(z.copy(), t) == want
+                    kept = z.tolist()
+                    eval_value(kept, t)
+                    kept[:] = other.tolist()
+                    assert eval_full(kept, t) == fresh(other, t)
 
 
 class TestWarmStart:
