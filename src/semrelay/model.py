@@ -19,11 +19,6 @@ TOL_EQ = 1e-8
 # Solvers keep bandwidth fractions at or above this floor so the logarithms
 # in the rate formulas stay finite.
 DEFAULT_ALPHA_FLOOR = 1e-6
-# Slack used when checking the minimum-similarity constraint on points that
-# went through the final equality projection; the projection moves a
-# converged point by at most TOL_EQ * D meters, which perturbs similarity
-# by well under this amount.
-SIMILARITY_SLACK = 1e-7
 
 _LN2 = float(np.log(2.0))
 
@@ -151,8 +146,15 @@ def path_factor(p: SystemParams, d):
 
 def snr_lin(p: SystemParams, power, d, alpha):
     """Linear received SNR of a hop that sends at `power` over horizontal
-    distance d in the bandwidth share alpha; the link budget of both hops."""
-    return power * p.rho0_lin / (path_factor(p, d) * alpha * p.W * p.n0_w_hz)
+    distance d in the bandwidth share alpha; the link budget of both hops.
+
+    With H = 0 the path factor vanishes at d = 0 and the SNR is +inf, on
+    floats as on arrays (where numpy's division gives the same limit).
+    """
+    u = path_factor(p, d)
+    if isinstance(u, float) and u == 0.0:
+        return math.inf
+    return power * p.rho0_lin / (u * alpha * p.W * p.n0_w_hz)
 
 
 def shannon_rate(p: SystemParams, power, d, alpha):
@@ -209,8 +211,12 @@ def bit_rate_ru(p: SystemParams, d_ru, alpha_ru):
 def min_snr_threshold_db(fit: SigmoidFit):
     """SNR in dB at which similarity equals eps_bar exactly.
 
-    The minimum-similarity constraint is equivalent to SNR >= this value;
-    SigmoidFit guarantees a1 < eps_bar < a1 + a2, so the log is finite.
+    The similarity floor eps >= eps_bar is equivalent to SNR >= this value,
+    because similarity increases with the SNR, and the package states it in
+    that form only: `gamma >= min_snr_threshold_db(fit)`. `effective_rate`
+    applies it to a point, the grid searches and `penalty` to their
+    candidates, and the block programs bound gamma by it. SigmoidFit
+    guarantees a1 < eps_bar < a1 + a2, so the log is finite.
     """
     ratio = (fit.eps_bar - fit.a1) / (fit.a1 + fit.a2 - fit.eps_bar)
     return np.log(ratio) / fit.c1 - fit.c2 / fit.c1
@@ -222,35 +228,31 @@ def max_semantic_bandwidth(p: SystemParams, fit: SigmoidFit, d_br):
 
 
 def effective_rate(p: SystemParams, fit: SigmoidFit, pt: DesignPoint):
-    """min of the two hop rates in bits/s, or None when the similarity
-    constraint cannot be met at the point (infeasible, distinct from a
-    zero rate)."""
+    """min of the two hop rates in bits/s, or None when the point misses the
+    similarity floor (infeasible, distinct from a zero rate).
+
+    The floor is the SNR rule of `min_snr_threshold_db`, tested on the SNR
+    before any similarity is computed; `is_feasible` defers to this test.
+    """
     if pt.alpha_br <= 0:
         return None  # no semantic bandwidth: similarity degenerates to a1 < eps_bar
     gamma = snr_br_db(p, pt.d_br, pt.alpha_br)
-    eps = semantic_similarity(fit, gamma)
-    if eps < fit.eps_bar:
+    if not gamma >= min_snr_threshold_db(fit):
         return None
+    eps = semantic_similarity(fit, gamma)
     r_sem = semantic_bit_rate(p, fit, pt.alpha_br, eps)
     r_bit = bit_rate_ru(p, pt.d_ru, pt.alpha_ru)
     return float(min(r_sem, r_bit))
 
 
-def is_feasible(p: SystemParams, fit: SigmoidFit, pt: DesignPoint, tol_eq: float = TOL_EQ) -> bool:
+def is_feasible(p: SystemParams, fit: SigmoidFit, pt: DesignPoint) -> bool:
     """Check every constraint of the design problem at a point.
 
-    Equalities are checked within tol_eq (distances relative to D); the
-    similarity threshold gets SIMILARITY_SLACK of headroom so that points
-    tightened by the final equality projection are not rejected for a
-    sub-1e-8 drift.
+    The two sum equalities hold within TOL_EQ (distances relative to D);
+    the similarity floor is `effective_rate`'s, with no tolerance, so a
+    point is feasible exactly when it also has a rate. DesignPoint already
+    rejects negative fields.
     """
-    if min(pt.d_br, pt.d_ru, pt.alpha_br, pt.alpha_ru) < -tol_eq:
-        return False
-    if abs(pt.d_br + pt.d_ru - p.D) > tol_eq * p.D:
-        return False
-    if abs(pt.alpha_br + pt.alpha_ru - 1.0) > tol_eq:
-        return False
-    if pt.alpha_br <= 0:
-        return False
-    eps = semantic_similarity(fit, snr_br_db(p, pt.d_br, pt.alpha_br))
-    return bool(eps >= fit.eps_bar - SIMILARITY_SLACK)
+    return bool(abs(pt.d_br + pt.d_ru - p.D) <= TOL_EQ * p.D
+                and abs(pt.alpha_br + pt.alpha_ru - 1.0) <= TOL_EQ
+                and effective_rate(p, fit, pt) is not None)

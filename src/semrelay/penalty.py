@@ -13,6 +13,7 @@ objective traces are comparable across blocks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from semrelay.bounds import LocalPoint
@@ -22,6 +23,7 @@ from semrelay.model import (
     SigmoidFit,
     SystemParams,
     bit_rate_ru,
+    max_semantic_bandwidth,
     min_snr_threshold_db,
     semantic_bit_rate,
     semantic_similarity,
@@ -108,7 +110,7 @@ def _has_feasible_point(p: SystemParams, fit: SigmoidFit, alpha_floor: float) ->
     the corner d_br = 0, alpha_br = alpha_floor. With H = 0 its SNR is
     unbounded.
     """
-    return p.H == 0 or bool(snr_br_db(p, 0.0, alpha_floor) >= min_snr_threshold_db(fit))
+    return bool(snr_br_db(p, 0.0, alpha_floor) >= min_snr_threshold_db(fit))
 
 
 def _tighten(p, fit, d, alpha, eta_cap=float("inf")):
@@ -151,7 +153,8 @@ def run(
     """Maximize the effective bit rate over placement and bandwidth split.
 
     Returns a report whose best point satisfies both sum equalities exactly
-    (final Euclidean projection) with the SNR recomputed from it. Status is
+    (final Euclidean projection) and meets the similarity floor exactly
+    (`_finalize`), with the SNR recomputed from it. Status is
     "infeasible", with no best point, when no point meets the similarity
     threshold (an exact test, before any block solve) or when both blocks
     are infeasible at the incumbent; "converged" when the violation metric
@@ -232,9 +235,23 @@ def run(
 
 
 def _finalize(p, fit, d, alpha, cfg):
-    """Project onto the sum equalities and rebuild the operating point."""
+    """Project onto the sum equalities and rebuild the operating point.
+
+    The projection can leave alpha_br a hair above the similarity cap at
+    the projected d_br; alpha_br then drops to the cap, confirmed by the
+    floor's own comparison, and alpha_ru takes the difference, so the
+    point meets the floor exactly.
+    """
     (d_hat, a_hat) = solve_auxiliary(d, alpha, p.D)
     d_f = (max(d_hat[0], 0.0), max(d_hat[1], 0.0))
     a_f = (max(a_hat[0], cfg.alpha_floor), max(a_hat[1], 0.0))
+    gamma_min = min_snr_threshold_db(fit)
+    if not snr_br_db(p, d_f[0], a_f[0]) >= gamma_min:
+        a_br = min(a_f[0], float(max_semantic_bandwidth(p, fit, d_f[0])) / p.W)
+        for _ in range(64):  # the cap lands at most ~16 ulps above the edge
+            if snr_br_db(p, d_f[0], a_br) >= gamma_min:
+                break
+            a_br = math.nextafter(a_br, 0.0)
+        a_f = (a_br, a_f[1] + (a_f[0] - a_br))
     lp, eta = _tighten(p, fit, d_f, a_f)
     return DesignPoint(d_f[0], d_f[1], a_f[0], a_f[1], lp.gamma_br_db, eta)

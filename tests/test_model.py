@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from semrelay.model import (
     bit_rate_ru,
     db_to_lin,
     effective_rate,
+    is_feasible,
     lin_to_db,
     max_semantic_bandwidth,
     min_snr_threshold_db,
@@ -38,6 +40,19 @@ class TestSnrBrDb:
         p = SystemParams(D=1.0, H=1.0, rho0_db=-160.0, beta=2.0, P_b=1.0,
                          N0_dbm_hz=-160.0, W=1e3, mu=1.0)
         assert snr_br_db(p, 0.0, 1.0) == pytest.approx(0.0, abs=1e-9)
+
+    def test_zero_distance_at_zero_altitude_is_unbounded(self, fit):
+        # The path factor vanishes at d = 0 when H = 0: the SNR is +inf on
+        # floats as on the grid searches' arrays, and the point is feasible
+        # with the bit hop's rate.
+        p = SystemParams(H=0.0)
+        assert snr_br_db(p, 0.0, 0.5) == math.inf
+        with np.errstate(divide="ignore"):
+            assert snr_br_db(p, np.array([0.0]), 0.5)[0] == math.inf
+        pt = DesignPoint(0.0, p.D, 0.5, 0.5, 0.0, 0.0)
+        assert effective_rate(p, fit, pt) == bit_rate_ru(p, p.D, 0.5)
+        assert effective_rate(p, fit, pt) == pytest.approx(2038901.98, abs=0.01)
+        assert is_feasible(p, fit, pt)
 
     def test_rejects_nonpositive_alpha(self, params):
         with pytest.raises(ValueError):
@@ -167,6 +182,38 @@ class TestEffectiveRate:
     def test_zero_alpha_br_is_infeasible_not_zero(self, params, fit):
         pt = DesignPoint(50.0, 50.0, 0.0, 1.0, 0.0, 0.0)
         assert effective_rate(params, fit, pt) is None
+
+
+class TestFloorRule:
+    @pytest.mark.parametrize("system", range(6))
+    def test_is_feasible_agrees_with_effective_rate_at_the_floor(self, params, fit, system):
+        # alpha_br at the floor's edge, from max_semantic_bandwidth, and its
+        # neighbours: both functions apply the one SNR rule, with no slack.
+        rng = np.random.default_rng(3)
+        p, f = params, fit
+        for _ in range(system):
+            p, f = random_params(rng), random_fit(rng)
+        for d in (0.3 * p.D, p.D):
+            # The cap in Hz does not depend on W, so this W puts the edge
+            # at alpha_br = 1/4.
+            q = dataclasses.replace(p, W=4.0 * float(max_semantic_bandwidth(p, f, d)))
+            edge = float(max_semantic_bandwidth(q, f, d)) / q.W
+            # (alpha_br, expected feasibility); the edge itself and one ulp
+            # above it may fall either way, by the rounding of the cap
+            cases = ((edge, None), (math.nextafter(edge, 1.0), None),
+                     (edge * (1.0 - 1e-8), True), (edge * (1.0 + 1e-8), False))
+            for a, expected in cases:
+                pt = DesignPoint(d, q.D - d, a, 1.0 - a, 0.0, 0.0)
+                feasible = is_feasible(q, f, pt)
+                assert feasible == (effective_rate(q, f, pt) is not None), (d, a)
+                assert feasible == (snr_br_db(q, d, a) >= min_snr_threshold_db(f)), (d, a)
+                assert expected in (None, feasible), (d, a)
+
+    def test_is_feasible_checks_the_sum_equalities(self, params, fit):
+        pt = DesignPoint(50.0, 50.0, 0.3, 0.7, 0.0, 0.0)
+        assert is_feasible(params, fit, pt)
+        assert not is_feasible(params, fit, dataclasses.replace(pt, d_ru=50.0 + 1e-5))
+        assert not is_feasible(params, fit, dataclasses.replace(pt, alpha_ru=0.7 + 1e-7))
 
 
 class TestUnitsAndValidation:

@@ -9,12 +9,13 @@ from semrelay.model import (
     DesignPoint,
     SigmoidFit,
     SystemParams,
+    effective_rate,
     is_feasible,
     max_semantic_bandwidth,
     semantic_similarity,
     snr_br_db,
 )
-from semrelay.penalty import PenaltyConfig, run, violation
+from semrelay.penalty import PenaltyConfig, _finalize, run, violation
 from semrelay.subproblems import TOL_SUB, rate_scale
 from oracles import random_fit, random_params
 
@@ -41,6 +42,8 @@ class TestRunDefaults:
     def test_best_point_feasible(self, default_report, params, fit):
         assert is_feasible(params, fit, default_report.best)
         assert default_report.best.eta > 0
+        # the point meets the similarity floor exactly: it has a rate, its own
+        assert effective_rate(params, fit, default_report.best) == default_report.best.eta
 
     def test_equalities_exact_after_projection(self, default_report, params):
         b = default_report.best
@@ -136,6 +139,7 @@ class TestRunEdges:
         report = run(p, fit, cfg)
         assert report.status == "converged"
         assert is_feasible(p, fit, report.best)
+        assert effective_rate(p, fit, report.best) == report.best.eta
         assert report.best.eta >= 0.98 * oracle_search(p, fit, GridSpec()).eta
 
     def test_both_blocks_infeasible_at_start(self, cfg):
@@ -183,6 +187,46 @@ class TestRunEdges:
         assert float(semantic_similarity(fit, gamma0)) < fit.eps_bar
         assert wide_report.status == "converged"
         assert is_feasible(wide, fit, wide_report.best)
+        assert effective_rate(wide, fit, wide_report.best) == wide_report.best.eta
+
+
+class TestFinalize:
+    def test_alpha_above_the_cap_drops_onto_the_floor(self, cfg):
+        # From an alpha_br above the similarity cap, the final point lowers
+        # alpha_br to the cap and gives the difference to alpha_ru; where
+        # the cap rounds a few ulps above the floor's edge (about a quarter
+        # of these draws), it steps down until the SNR rule holds.
+        rng = np.random.default_rng(5)
+        stepped = 0
+        for _ in range(200):
+            p, f = random_params(rng), random_fit(rng)
+            d = rng.uniform(0.0, p.D)
+            # The cap in Hz does not depend on W, so this W puts the cap at
+            # alpha_br = 1/4.
+            p = dataclasses.replace(p, W=4.0 * float(max_semantic_bandwidth(p, f, d)))
+            cap = float(max_semantic_bandwidth(p, f, d)) / p.W
+            best = _finalize(p, f, (d, p.D - d), (0.3, 0.7), cfg)
+            assert effective_rate(p, f, best) == best.eta
+            assert (best.d_br, best.d_ru) == (d, p.D - d)
+            assert cap * (1.0 - 1e-14) <= best.alpha_br <= cap
+            assert best.alpha_br + best.alpha_ru == pytest.approx(1.0, abs=1e-15)
+            stepped += best.alpha_br < cap
+        assert stepped > 0
+
+
+class TestRandomSystems:
+    def test_status_and_point_are_honest(self, cfg):
+        # A seeded draw of valid systems beyond the benchmark's: no
+        # exception, a point exactly when the status is not infeasible, and
+        # every converged point meets the similarity floor with its own rate.
+        rng = np.random.default_rng(11)
+        for i in range(16):
+            p, f = random_params(rng), random_fit(rng)
+            report = run(p, f, cfg)
+            assert (report.best is None) == (report.status == "infeasible"), i
+            if report.status == "converged":
+                assert is_feasible(p, f, report.best), i
+                assert effective_rate(p, f, report.best) == report.best.eta, i
 
 
 class TestConfigValidation:
