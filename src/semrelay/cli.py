@@ -298,6 +298,7 @@ def main(argv=None) -> int:
         print(f"zeta: {report.zeta!r}")
         print(f"outer_iters: {report.outer_iters}")
         print(f"inner_iters: {report.inner_iters}")
+        print(f"max_iter_blocks: {report.max_iter_blocks}")
         return EXIT_OK if report.status == "converged" else EXIT_ITERATION_CAP
 
     if args.command == "sweep":

@@ -223,8 +223,23 @@ def min_snr_threshold_db(fit: SigmoidFit):
 
 
 def max_semantic_bandwidth(p: SystemParams, fit: SigmoidFit, d_br):
-    """Largest alpha_br * W (Hz) keeping similarity at or above eps_bar."""
-    return p.W * snr_lin(p, p.P_b, d_br, 1.0) / db_to_lin(min_snr_threshold_db(fit))
+    """Largest alpha_br * W (Hz) keeping similarity at or above eps_bar.
+
+    The closed form can round a few ulps past the floor's edge, so each
+    value steps down by ulps until the floor's own rule
+    `snr_br_db(p, d_br, cap / p.W) >= min_snr_threshold_db(fit)` holds
+    (at most 16 steps on 20,000 random draws). A cap of 0 or +inf, where
+    the path loss under- or overflows, is left as it is.
+    """
+    gamma_min = min_snr_threshold_db(fit)
+    cap = p.W * snr_lin(p, p.P_b, d_br, 1.0) / db_to_lin(gamma_min)
+    for _ in range(64):
+        edge = np.isfinite(cap) & (cap > 0.0)
+        miss = edge & ~(snr_br_db(p, d_br, np.where(edge, cap, p.W) / p.W) >= gamma_min)
+        if not np.any(miss):
+            break
+        cap = np.where(miss, np.nextafter(cap, 0.0), cap)[()]
+    return cap
 
 
 def effective_rate(p: SystemParams, fit: SigmoidFit, pt: DesignPoint):

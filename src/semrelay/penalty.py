@@ -13,7 +13,6 @@ objective traces are comparable across blocks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from semrelay.bounds import LocalPoint
@@ -86,6 +85,7 @@ class SolveReport:
     objective_trace: tuple  # one tuple of objective values per outer phase
     zeta_trace: tuple  # violation at the end of each outer phase
     status: str  # "converged" | "iteration-cap" | "infeasible"
+    max_iter_blocks: int  # block solves whose barrier stopped unconverged ("max-iter")
 
 
 def violation(d, alpha, aux, D: float) -> float:
@@ -161,7 +161,7 @@ def run(
     reached eps1; else "iteration-cap".
     """
     if not _has_feasible_point(p, fit, cfg.alpha_floor):
-        return SolveReport(None, float("inf"), 0, 0, (), (), "infeasible")
+        return SolveReport(None, float("inf"), 0, 0, (), (), "infeasible", 0)
 
     # The default start is the midpoint and the even split. Either start is
     # clamped: the relay stays off both ends, where the tangent expansions
@@ -183,7 +183,7 @@ def run(
     lam = cfg.lambda0
     traces = []
     zetas = []
-    total_cycles = 0
+    total_cycles = max_iter_blocks = 0
     status = "iteration-cap"
     zeta = float("inf")
 
@@ -208,6 +208,7 @@ def run(
             if pl.status == bw.status == "infeasible":
                 status = "infeasible"
                 break
+            max_iter_blocks += (pl.status == "max-iter") + (bw.status == "max-iter")
 
             aux = solve_auxiliary(d, alpha, p.D)
             obj = _p3_objective(eta, d, alpha, aux, lam, cfg.nu)
@@ -230,7 +231,7 @@ def run(
     best = _finalize(p, fit, d, alpha, cfg)
     return SolveReport(
         None if status == "infeasible" else best,
-        zeta, total_cycles, len(traces), tuple(traces), tuple(zetas), status,
+        zeta, total_cycles, len(traces), tuple(traces), tuple(zetas), status, max_iter_blocks,
     )
 
 
@@ -238,20 +239,15 @@ def _finalize(p, fit, d, alpha, cfg):
     """Project onto the sum equalities and rebuild the operating point.
 
     The projection can leave alpha_br a hair above the similarity cap at
-    the projected d_br; alpha_br then drops to the cap, confirmed by the
-    floor's own comparison, and alpha_ru takes the difference, so the
-    point meets the floor exactly.
+    the projected d_br; alpha_br then drops to the cap, which meets the
+    floor's own rule, and alpha_ru takes the difference, so the point meets
+    the floor exactly.
     """
     (d_hat, a_hat) = solve_auxiliary(d, alpha, p.D)
     d_f = (max(d_hat[0], 0.0), max(d_hat[1], 0.0))
     a_f = (max(a_hat[0], cfg.alpha_floor), max(a_hat[1], 0.0))
-    gamma_min = min_snr_threshold_db(fit)
-    if not snr_br_db(p, d_f[0], a_f[0]) >= gamma_min:
-        a_br = min(a_f[0], float(max_semantic_bandwidth(p, fit, d_f[0])) / p.W)
-        for _ in range(64):  # the cap lands at most ~16 ulps above the edge
-            if snr_br_db(p, d_f[0], a_br) >= gamma_min:
-                break
-            a_br = math.nextafter(a_br, 0.0)
+    if not snr_br_db(p, d_f[0], a_f[0]) >= min_snr_threshold_db(fit):
+        a_br = float(max_semantic_bandwidth(p, fit, d_f[0])) / p.W
         a_f = (a_br, a_f[1] + (a_f[0] - a_br))
     lp, eta = _tighten(p, fit, d_f, a_f)
     return DesignPoint(d_f[0], d_f[1], a_f[0], a_f[1], lp.gamma_br_db, eta)

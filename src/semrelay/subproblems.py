@@ -267,13 +267,16 @@ def solve_bandwidth(
     alpha_floor: float = DEFAULT_ALPHA_FLOOR,
     path: tuple = (),
 ) -> SubproblemSolution:
-    """Optimize (alpha_br, alpha_ru, gamma, S, eta) at the fixed placement
+    """Optimize (alpha_br, alpha_ru, S, eta) at the fixed placement
     (lp.d_br, lp.d_ru).
 
     Maximizes eta - (1/2 lam) * ||alpha - alpha_hat||^2. The relay->user
     rate is exact (concave in alpha_ru); the semantic-hop constraints use
-    the square, similarity and SNR-ceiling tangents. Infeasible when the
-    SNR threshold fails for every alpha_br down to the floor.
+    the square and similarity tangents, the latter evaluated at the
+    SNR-ceiling tangent, which is affine in alpha_br. Similarity rises with
+    the SNR, so the SNR sits on that ceiling at every optimum and needs no
+    variable of its own; the threshold becomes alpha_br < a_max, where the
+    ceiling meets it. Infeasible when a_max is at or below the floor.
     path is as in `solve_placement`.
     """
     a_hat_br, a_hat_ru = aux
@@ -290,24 +293,24 @@ def solve_bandwidth(
     a_t, cap_t, cap_a = snr_cap_coeffs(lp)
     # SNR ceiling, affine in alpha_br: cd + cap_t + cap_a * (alpha_br - a_t).
     cd = 10.0 * math.log10(snr_lin(p, p.P_b, lp.d_br, 1.0))
-    a_max_strict = a_t + (gamma_min - cd - cap_t) / cap_a  # the ceiling meets gamma_min
-    if a_max_strict <= alpha_floor:
+    a_max = a_t + (gamma_min - cd - cap_t) / cap_a  # the ceiling meets gamma_min
+    if a_max <= alpha_floor:
         return SubproblemSolution({}, -math.inf, "infeasible")
 
-    def slacks(a_br, a_ru, gamma, S, y):
+    def slacks(a_br, a_ru, S, y):
+        v = _logistic_v(fit, cd + cap_t + cap_a * (a_br - a_t))  # at the SNR ceiling
         return (
             wr * a_ru * math.log1p(c_ru / a_ru) / _LN2 - y if a_ru > 0.0 else -math.inf,
             q2 * (sq_t + sq_x * (a_br + S - x_t) - (a_br - S) * (a_br - S)) - y,
-            fit.a1 + fit.a2 * (sig_t + sig_v * (_logistic_v(fit, gamma) - v_t)) - S,
-            cd + cap_t + cap_a * (a_br - a_t) - gamma,
+            fit.a1 + fit.a2 * (sig_t + sig_v * (v - v_t)) - S,
+            a_max - a_br,
             a_br - alpha_floor,
             a_ru - alpha_floor,
-            gamma - gamma_min,
             y_cap - y,
             y + y_cap,
         )
 
-    def objective(a_br, a_ru, gamma, S, y):
+    def objective(a_br, a_ru, S, y):
         e_br, e_ru = a_br - a_hat_br, a_ru - a_hat_ru
         return y - w * (e_br * e_br + e_ru * e_ru)
 
@@ -315,74 +318,63 @@ def solve_bandwidth(
     # bounds is that variable's upper limit. The incumbent alpha_ru is not
     # part of the expansion point, so the auxiliary copy seeds that
     # coordinate.
-    a_br_hi = alpha_floor + 0.999 * (a_max_strict - alpha_floor)
-    a_br0 = min(max(lp.alpha_br, 2.0 * alpha_floor), a_br_hi)
+    a_br0 = min(max(lp.alpha_br, 2.0 * alpha_floor), alpha_floor + 0.999 * (a_max - alpha_floor))
     a_ru0 = max(2.0 * alpha_floor, a_hat_ru)
-    gamma0 = _interior(slacks(a_br0, a_ru0, 0.0, 0.0, 0.0)[3], gamma_min)
-    S0 = slacks(a_br0, a_ru0, gamma0, 0.0, 0.0)[2] - max(1e-9, _REL_MARGIN * fit.a2)
-    y0 = _interior(min(*slacks(a_br0, a_ru0, gamma0, S0, 0.0)[:2], y_cap), -y_cap)
+    S0 = slacks(a_br0, a_ru0, 0.0, 0.0)[2] - max(1e-9, _REL_MARGIN * fit.a2)
+    y0 = _interior(min(*slacks(a_br0, a_ru0, S0, 0.0)[:2], y_cap), -y_cap)
 
     def newton(z, t, s):
-        a_br, a_ru, gamma, S, y = z
-        s1, s2, s3, s4, s5, s6, s7, s8, s9 = s
+        a_br, a_ru, S, y = z
+        s1, s2, s3, s4, s5, s6, s7, s8 = s
 
         # Nonzero partials of the slacks other than the +-1 entries.
         s1_aru = wr * (math.log1p(c_ru / a_ru) - c_ru / (a_ru + c_ru)) / _LN2
         s1_aru2 = -wr * c_ru * c_ru / (a_ru * (a_ru + c_ru) * (a_ru + c_ru) * _LN2)
         s2_abr = q2 * (sq_x - 2.0 * (a_br - S))
         s2_S = q2 * (sq_x + 2.0 * (a_br - S))
-        s3_g = -fit.a2 * sig_v * fit.c1 * _logistic_v(fit, gamma)
-        r1, r2a, r2s, r3, r4 = s1_aru / s1, s2_abr / s2, s2_S / s2, s3_g / s3, cap_a / s4
+        s3_abr = -fit.a2 * sig_v * fit.c1 * cap_a * _logistic_v(fit, cd + cap_t + cap_a * (a_br - a_t))
+        r1, r2a, r2s, r3 = s1_aru / s1, s2_abr / s2, s2_S / s2, s3_abr / s3
 
         grad = (
-            t * (-2.0 * w * (a_br - a_hat_br)) + r2a + r4 + 1.0 / s5,
+            t * (-2.0 * w * (a_br - a_hat_br)) + r2a + r3 - 1.0 / s4 + 1.0 / s5,
             t * (-2.0 * w * (a_ru - a_hat_ru)) + r1 + 1.0 / s6,
-            r3 - 1.0 / s4 + 1.0 / s7,
             r2s - 1.0 / s3,
-            t - 1.0 / s1 - 1.0 / s2 - 1.0 / s8 + 1.0 / s9,
+            t - 1.0 / s1 - 1.0 / s2 - 1.0 / s7 + 1.0 / s8,
         )
-        # a_ij = -H_ij, as in the placement block.
-        a00 = t * 2.0 * w + 2.0 * q2 / s2 + r2a * r2a + r4 * r4 + 1.0 / (s5 * s5)
+        # a_ij = -H_ij, as in the placement block; s3'' = -c1 * cap_a * s3'.
+        a00 = (t * 2.0 * w + 2.0 * q2 / s2 + r2a * r2a + fit.c1 * cap_a * r3 + r3 * r3
+               + 1.0 / (s4 * s4) + 1.0 / (s5 * s5))
         a11 = t * 2.0 * w - s1_aru2 / s1 + r1 * r1 + 1.0 / (s6 * s6)
-        a22 = fit.c1 * r3 + r3 * r3 + 1.0 / (s4 * s4) + 1.0 / (s7 * s7)
-        a33 = 2.0 * q2 / s2 + r2s * r2s + 1.0 / (s3 * s3)
-        a44 = 1.0 / (s1 * s1) + 1.0 / (s2 * s2) + 1.0 / (s8 * s8) + 1.0 / (s9 * s9)
-        a03 = r2a * r2s - 2.0 * q2 / s2
-        a04, a14, a02, a23, a34 = -r2a / s2, -r1 / s1, -r4 / s4, -r3 / s3, -r2s / s2
-        # The cross terms are (alpha_br, gamma), (alpha_br, S), (alpha_br, y),
-        # (alpha_ru, y), (gamma, S) and (S, y): eliminate alpha_ru into y and
-        # gamma into (alpha_br, S), then solve the 3x3 system in
+        a22 = 2.0 * q2 / s2 + r2s * r2s + 1.0 / (s3 * s3)
+        a33 = 1.0 / (s1 * s1) + 1.0 / (s2 * s2) + 1.0 / (s7 * s7) + 1.0 / (s8 * s8)
+        a02 = r2a * r2s - 2.0 * q2 / s2 - r3 / s3
+        a03, a13, a23 = -r2a / s2, -r1 / s1, -r2s / s2
+        # The cross terms are (alpha_br, S), (alpha_br, y), (alpha_ru, y) and
+        # (S, y): eliminate alpha_ru into y, then solve the 3x3 system in
         # (alpha_br, S, y) by LDL^T.
-        if not (a11 > 0.0 and a22 > 0.0):
+        if not (a00 > 0.0 and a11 > 0.0):
             return grad, None, None
-        g0, g1, g2, g3, g4 = grad
-        k1, k20, k23 = a14 / a11, a02 / a22, a23 / a22
-        b00, b03, b33 = a00 - k20 * a02, a03 - k20 * a23, a33 - k23 * a23
-        b44 = a44 - k1 * a14
-        rhs0, rhs3, rhs4 = g0 - k20 * g2, g3 - k23 * g2, g4 - k1 * g1
-        if not b00 > 0.0:
+        g0, g1, g2, g3 = grad
+        k1 = a13 / a11
+        l20, l30 = a02 / a00, a03 / a00
+        d2 = a22 - l20 * a02
+        if not d2 > 0.0:
             return grad, None, None
-        l30, l40 = b03 / b00, a04 / b00
-        d3 = b33 - l30 * b03
+        l32 = (a23 - l30 * a02) / d2
+        d3 = a33 - k1 * a13 - l30 * a03 - l32 * l32 * d2
         if not d3 > 0.0:
             return grad, None, None
-        l43 = (a34 - l40 * b03) / d3
-        d4 = b44 - l40 * a04 - l43 * l43 * d3
-        if not d4 > 0.0:
-            return grad, None, None
-        rhs3 -= l30 * rhs0
-        rhs4 -= l40 * rhs0 + l43 * rhs3
-        dy = rhs4 / d4
-        dS = rhs3 / d3 - l43 * dy
-        da_br = rhs0 / b00 - l30 * dS - l40 * dy
-        da_ru = (g1 - a14 * dy) / a11
-        dg = (g2 - a02 * da_br - a23 * dS) / a22
-        ds = (s1_aru * da_ru - dy, s2_abr * da_br + s2_S * dS - dy, s3_g * dg - dS,
-              cap_a * da_br - dg, da_br, da_ru, dg, -dy, dy)
-        return grad, (da_br, da_ru, dg, dS, dy), ds
+        rhs2 = g2 - l20 * g0
+        dy = (g3 - k1 * g1 - l30 * g0 - l32 * rhs2) / d3
+        dS = rhs2 / d2 - l32 * dy
+        da_br = g0 / a00 - l20 * dS - l30 * dy
+        da_ru = (g1 - a13 * dy) / a11
+        ds = (s1_aru * da_ru - dy, s2_abr * da_br + s2_S * dS - dy, s3_abr * da_br - dS,
+              -da_br, da_br, da_ru, -dy, dy)
+        return grad, (da_br, da_ru, dS, dy), ds
 
-    z0 = (a_br0, a_ru0, gamma0, S0, y0)
-    return _solve(slacks, objective, newton, z0, ("alpha_br", "alpha_ru", "gamma_br_db", "S"), R0, path)
+    z0 = (a_br0, a_ru0, S0, y0)
+    return _solve(slacks, objective, newton, z0, ("alpha_br", "alpha_ru", "S"), R0, path)
 
 
 def solve_auxiliary(

@@ -171,6 +171,7 @@ class TestMain:
         assert main(["solve", "--config", cfg_path]) == EXIT_OK
         out = capsys.readouterr().out
         assert "status: converged" in out and "eta_bps:" in out
+        assert "\nmax_iter_blocks: 0\n" in out
 
         infeasible = _write(tmp_path, "P_b=1e-9\nW=1e8\n", name="inf.txt")
         assert main(["solve", "--config", infeasible]) == EXIT_INFEASIBLE

@@ -156,6 +156,24 @@ class TestThresholdAndCap:
         caps = max_semantic_bandwidth(params, fit, d)
         assert np.all(np.diff(caps) < 0)
 
+    def test_cap_meets_the_floor_rule(self):
+        # The cap as a fraction of W meets the floor's own SNR rule, with no
+        # tolerance, on random (system, d_br) draws; the closed form alone
+        # misses it by a few ulps on about a quarter of them.
+        rng = np.random.default_rng(1)
+        for _ in range(5000):
+            p, f = random_params(rng), random_fit(rng)
+            d = rng.uniform(0.0, p.D)
+            cap = max_semantic_bandwidth(p, f, d)
+            assert snr_br_db(p, d, cap / p.W) >= min_snr_threshold_db(f), (p, f, d)
+
+    def test_cap_steps_down_elementwise(self, params, fit):
+        # On an array every entry meets the rule at its own d_br.
+        d = np.random.default_rng(2).uniform(0.0, params.D, size=2000)
+        caps = max_semantic_bandwidth(params, fit, d)
+        assert caps.shape == d.shape
+        assert np.all(snr_br_db(params, d, caps / params.W) >= min_snr_threshold_db(fit))
+
 
 class TestEffectiveRate:
     def test_min_of_equal_branches(self, params, fit):
@@ -188,7 +206,8 @@ class TestFloorRule:
     @pytest.mark.parametrize("system", range(6))
     def test_is_feasible_agrees_with_effective_rate_at_the_floor(self, params, fit, system):
         # alpha_br at the floor's edge, from max_semantic_bandwidth, and its
-        # neighbours: both functions apply the one SNR rule, with no slack.
+        # neighbours: both functions apply the one SNR rule, with no slack,
+        # and the edge itself is feasible.
         rng = np.random.default_rng(3)
         p, f = params, fit
         for _ in range(system):
@@ -198,9 +217,9 @@ class TestFloorRule:
             # at alpha_br = 1/4.
             q = dataclasses.replace(p, W=4.0 * float(max_semantic_bandwidth(p, f, d)))
             edge = float(max_semantic_bandwidth(q, f, d)) / q.W
-            # (alpha_br, expected feasibility); the edge itself and one ulp
-            # above it may fall either way, by the rounding of the cap
-            cases = ((edge, None), (math.nextafter(edge, 1.0), None),
+            # (alpha_br, expected feasibility); one ulp above the edge may
+            # fall either way, by the rounding of the cap
+            cases = ((edge, True), (math.nextafter(edge, 1.0), None),
                      (edge * (1.0 - 1e-8), True), (edge * (1.0 + 1e-8), False))
             for a, expected in cases:
                 pt = DesignPoint(d, q.D - d, a, 1.0 - a, 0.0, 0.0)

@@ -39,6 +39,9 @@ class TestRunDefaults:
         assert default_report.status == "converged"
         assert default_report.zeta <= cfg.eps1
 
+    def test_every_block_solve_converges(self, default_report):
+        assert default_report.max_iter_blocks == 0
+
     def test_best_point_feasible(self, default_report, params, fit):
         assert is_feasible(params, fit, default_report.best)
         assert default_report.best.eta > 0
@@ -141,6 +144,8 @@ class TestRunEdges:
         assert is_feasible(p, fit, report.best)
         assert effective_rate(p, fit, report.best) == report.best.eta
         assert report.best.eta >= 0.98 * oracle_search(p, fit, GridSpec()).eta
+        # the report counts those blocks
+        assert report.max_iter_blocks > 0
 
     def test_both_blocks_infeasible_at_start(self, cfg):
         # System 9 of the seeded draw: its similarity floor admits a point,
@@ -193,11 +198,9 @@ class TestRunEdges:
 class TestFinalize:
     def test_alpha_above_the_cap_drops_onto_the_floor(self, cfg):
         # From an alpha_br above the similarity cap, the final point lowers
-        # alpha_br to the cap and gives the difference to alpha_ru; where
-        # the cap rounds a few ulps above the floor's edge (about a quarter
-        # of these draws), it steps down until the SNR rule holds.
+        # alpha_br to the cap, which meets the SNR rule, and gives the
+        # difference to alpha_ru.
         rng = np.random.default_rng(5)
-        stepped = 0
         for _ in range(200):
             p, f = random_params(rng), random_fit(rng)
             d = rng.uniform(0.0, p.D)
@@ -208,10 +211,8 @@ class TestFinalize:
             best = _finalize(p, f, (d, p.D - d), (0.3, 0.7), cfg)
             assert effective_rate(p, f, best) == best.eta
             assert (best.d_br, best.d_ru) == (d, p.D - d)
-            assert cap * (1.0 - 1e-14) <= best.alpha_br <= cap
+            assert best.alpha_br == cap
             assert best.alpha_br + best.alpha_ru == pytest.approx(1.0, abs=1e-15)
-            stepped += best.alpha_br < cap
-        assert stepped > 0
 
 
 class TestRandomSystems:

@@ -11,6 +11,7 @@ from semrelay.model import (
     SystemParams,
     bit_rate_ru,
     max_semantic_bandwidth,
+    min_snr_threshold_db,
     semantic_bit_rate,
     semantic_similarity,
     snr_br_db,
@@ -51,7 +52,7 @@ def _random_cases(n=3, seed=3):
 class TestSolvePlacement:
     def test_matches_grid_oracle(self, params, fit):
         for i, (p, f, d, alpha) in enumerate(
-                [(params, fit, (50.0, 50.0), (0.3, 0.7)), *_random_cases()]):
+                [(params, fit, (50.0, 50.0), (0.3, 0.7)), *_random_cases(n=8)]):
             lp = _incumbent_lp(p, f, d, alpha)
             sol = solve_placement(p, f, lp, alpha[1], d, 1000.0, 1e-4)
             assert sol.status == "optimal", i
@@ -97,7 +98,7 @@ class TestSolveBandwidth:
     def test_matches_grid_oracle(self, params, fit):
         lam = 1000.0
         for i, (p, f, d, alpha) in enumerate(
-                [(params, fit, (50.0, 50.0), (0.5, 0.5)), *_random_cases()]):
+                [(params, fit, (50.0, 50.0), (0.5, 0.5)), *_random_cases(n=8)]):
             lp = _incumbent_lp(p, f, d, alpha)
             sol = solve_bandwidth(p, f, lp, alpha, lam)
             assert sol.status == "optimal", i
@@ -118,12 +119,12 @@ class TestSolveBandwidth:
         d = (50.0, 50.0)
         lp = _incumbent_lp(params, fit, d, (0.5, 0.5))
         sol = solve_bandwidth(params, fit, lp, (0.5, 0.5), 1000.0)
-        s_var = sol.point["S"]
-        gamma_var = sol.point["gamma_br_db"]
-        # surrogate keeps S below the exact similarity at the SNR variable
-        assert s_var <= float(semantic_similarity(fit, gamma_var)) + 1e-9
-        # and the SNR variable stays below the exact ceiling
-        assert gamma_var <= float(snr_br_db(params, d[0], sol.point["alpha_br"])) + 1e-9
+        # the block's SNR is its ceiling tangent, which stays below the exact
+        # SNR, so S stays below the exact similarity, and the point meets
+        # the similarity floor
+        gamma = float(snr_br_db(params, d[0], sol.point["alpha_br"]))
+        assert sol.point["S"] <= float(semantic_similarity(fit, gamma)) + 1e-9
+        assert gamma >= min_snr_threshold_db(fit)
 
     def test_infeasible_placement_reports_infeasible(self, fit):
         # even the floor allocation misses the threshold at this distance
@@ -181,7 +182,7 @@ class TestBlockDerivatives:
             lp = _incumbent_lp(p, f, d, alpha)
             solve_placement(p, f, lp, alpha[1], d, 1000.0, 1e-4)
             solve_bandwidth(p, f, lp, alpha, 1000.0)
-        assert [len(x0) for _, _, x0, _ in calls] == [4, 5] * 4
+        assert [len(x0) for _, _, x0, _ in calls] == [4, 4] * 4
         for eval_full, eval_value, x0, x in calls:
             for z in (x0, 0.5 * (x0 + x)):
                 for t in (10.0, 1e4):
@@ -192,7 +193,9 @@ class TestBlockDerivatives:
         # eval_full gives a phi that is not finite, with no grad or dx. The
         # exact relay->user rate is undefined at alpha_ru <= 0, so that
         # point must not reach log1p, and far below the SNR threshold the
-        # logistic term must not overflow.
+        # logistic term must not overflow: at gamma = -1e4 in the placement
+        # block, and at alpha_br = 1e4, where the SNR ceiling is that low, in
+        # the bandwidth block.
         calls = self._record(monkeypatch)
         lp = _incumbent_lp(params, fit, (50.0, 50.0), (0.3, 0.7))
         solve_placement(params, fit, lp, 0.7, (50.0, 50.0), 1000.0, 1e-4)
@@ -202,10 +205,9 @@ class TestBlockDerivatives:
         outside = [(pl_full, pl_value, [-1.0, *pl_rest])]
         for a_ru in (0.0, -0.1, DEFAULT_ALPHA_FLOOR):
             outside.append((bw_full, bw_value, [a_br, a_ru, *bw_rest]))
-        for eval_full, eval_value, z in ((pl_full, pl_value, pl_x0.tolist()),
-                                         (bw_full, bw_value, bw_x0.tolist())):
-            z[2] = -1e4  # gamma
-            outside.append((eval_full, eval_value, z))
+        pl_z, bw_z = pl_x0.tolist(), bw_x0.tolist()
+        pl_z[2], bw_z[0] = -1e4, 1e4  # gamma, alpha_br
+        outside += [(pl_full, pl_value, pl_z), (bw_full, bw_value, bw_z)]
         for eval_full, eval_value, z in outside:
             for t in (10.0, 1e4):
                 assert eval_value(z, t) == -math.inf, z
@@ -225,10 +227,10 @@ class TestBlockDerivatives:
             (pl_full, pl_value, pl_x0, {3: nan}),  # every slack of y is NaN, the first too
             (pl_full, pl_value, pl_x0, {1: nan, 2: -inf}),  # NaN first, then gamma's slack -inf
             (pl_full, pl_value, pl_x0, {0: nan}),  # NaN in the third and fourth slacks only
-            # bandwidth (alpha_br, alpha_ru, gamma, S, y)
-            (bw_full, bw_value, bw_x0, {4: nan}),  # every slack of y is NaN, the first too
-            (bw_full, bw_value, bw_x0, {0: inf, 4: nan}),  # NaN first, then -inf
-            (bw_full, bw_value, bw_x0, {3: nan}),  # NaN in the second and third slacks only
+            # bandwidth (alpha_br, alpha_ru, S, y)
+            (bw_full, bw_value, bw_x0, {3: nan}),  # every slack of y is NaN, the first too
+            (bw_full, bw_value, bw_x0, {0: inf, 3: nan}),  # NaN first, then -inf
+            (bw_full, bw_value, bw_x0, {2: nan}),  # NaN in the second and third slacks only
         )
         for eval_full, eval_value, x0, change in cases:
             z = x0.tolist()
@@ -378,7 +380,7 @@ class TestWarmStart:
     def test_resolve_from_own_path_matches_cold_with_fewer_steps(self, params, fit, monkeypatch):
         calls = self._count_eval_full(monkeypatch)
         for i, (p, f, d, alpha) in enumerate(
-                [(params, fit, (50.0, 50.0), (0.3, 0.7)), *_random_cases()]):
+                [(params, fit, (50.0, 50.0), (0.3, 0.7)), *_random_cases(n=8)]):
             for solve in self._blocks(p, f, d, alpha):
                 calls[0] = 0
                 cold = solve()
