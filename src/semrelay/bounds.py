@@ -63,10 +63,20 @@ def rate_ru_coeffs(p: SystemParams, lp: LocalPoint, alpha_ru: float) -> Tangent:
     return Tangent(u_t, math.log1p(snr_t) * _LOG2E, -(snr_t / u_t) * _LOG2E / (1.0 + snr_t))
 
 
+def logistic_v(fit: SigmoidFit, gamma: float) -> float:
+    """v = exp(-(c1*gamma + c2)) of the logistic term 1/(1 + v), on a
+    scalar. The exponent is clamped at 700, which only a gamma far outside
+    the barrier domain reaches, so that a block's slack there is negative
+    instead of raising OverflowError. (A conditional, not max(): the blocks
+    call this on every barrier evaluation.)"""
+    x = fit.c1 * gamma + fit.c2
+    return math.exp(-x if x > -700.0 else 700.0)
+
+
 def logistic_coeffs(fit: SigmoidFit, lp: LocalPoint) -> Tangent:
     """Logistic term 1/(1 + v) in v = exp(-(c1*gamma + c2)), where it is
     convex; tangent at lp.gamma_br_db."""
-    v_t = math.exp(-min(max(fit.c1 * lp.gamma_br_db + fit.c2, -700.0), 700.0))
+    v_t = logistic_v(fit, lp.gamma_br_db)
     sig_t = 1.0 / (1.0 + v_t)
     return Tangent(v_t, sig_t, -sig_t * sig_t)
 

@@ -121,8 +121,12 @@ SWEEP_FIELDS = tuple(f.name for f in dataclasses.fields(SweepRow))
 
 def sweep_bandwidths(w_min: float, w_max: float, points: int, log_spacing: bool = True):
     """Deterministic list of bandwidth values, ascending."""
+    if not (math.isfinite(w_min) and math.isfinite(w_max)):
+        raise ValueError("w_min and w_max must be finite")
     if not w_min > 0:
         raise ValueError("w_min must be positive")
+    if w_max < w_min:
+        raise ValueError("w_max must be at least w_min")
     if points < 2:
         raise ValueError("points must be at least 2")
     if log_spacing:

@@ -208,7 +208,7 @@ def bit_rate_ru(p: SystemParams, d_ru, alpha_ru):
     return shannon_rate(p, p.P_r, d_ru, alpha_ru)
 
 
-def min_snr_threshold_db(fit: SigmoidFit):
+def min_snr_threshold_db(fit: SigmoidFit) -> float:
     """SNR in dB at which similarity equals eps_bar exactly.
 
     The similarity floor eps >= eps_bar is equivalent to SNR >= this value,
@@ -219,7 +219,7 @@ def min_snr_threshold_db(fit: SigmoidFit):
     guarantees a1 < eps_bar < a1 + a2, so the log is finite.
     """
     ratio = (fit.eps_bar - fit.a1) / (fit.a1 + fit.a2 - fit.eps_bar)
-    return np.log(ratio) / fit.c1 - fit.c2 / fit.c1
+    return math.log(ratio) / fit.c1 - fit.c2 / fit.c1
 
 
 def max_semantic_bandwidth(p: SystemParams, fit: SigmoidFit, d_br):

@@ -23,6 +23,7 @@ from semrelay.bounds import (
     LocalPoint,
     log_path_coeffs,
     logistic_coeffs,
+    logistic_v,
     rate_ru_coeffs,
     snr_cap_coeffs,
     square_coeffs,
@@ -76,16 +77,6 @@ def _interior(hi: float, lo: float) -> float:
     return x if x > lo else 0.5 * (hi + lo)
 
 
-def _logistic_v(fit: SigmoidFit, gamma: float) -> float:
-    """v = exp(-(c1*gamma + c2)) of the logistic tangent. The exponent is
-    clamped at 700, which only a gamma far outside the barrier domain
-    reaches, so that the slack there is negative instead of raising
-    OverflowError. (A conditional, not max(): this runs on every barrier
-    evaluation.)"""
-    x = fit.c1 * gamma + fit.c2
-    return math.exp(-x if x > -700.0 else 700.0)
-
-
 def _log_sum(s) -> float:
     """sum(log s) of the slacks s, or -inf when one is not positive or is
     NaN. (min passes over a NaN that is not first, and log keeps it.)"""
@@ -93,6 +84,31 @@ def _log_sum(s) -> float:
         return -math.inf
     total = sum(map(math.log, s))
     return total if total == total else -math.inf
+
+
+def _newton_dx(g, a00, a11, a22, a33, a02, a03, a13, a23):
+    """Solve A dx = g for the symmetric A = (a_ij) of a block's four
+    variables (x0, x1, x2, x3), whose only cross terms are (x0, x2),
+    (x0, x3), (x1, x3) and (x2, x3): eliminate x1 into x3, then solve the
+    3x3 system in (x0, x2, x3) by LDL^T. None when a pivot is not positive.
+    """
+    if not (a00 > 0.0 and a11 > 0.0):
+        return None
+    g0, g1, g2, g3 = g
+    k1 = a13 / a11
+    l20, l30 = a02 / a00, a03 / a00
+    d2 = a22 - l20 * a02
+    if not d2 > 0.0:
+        return None
+    l32 = (a23 - l30 * a02) / d2
+    d3 = a33 - k1 * a13 - l30 * a03 - l32 * l32 * d2
+    if not d3 > 0.0:
+        return None
+    rhs2 = g2 - l20 * g0
+    dx3 = (g3 - k1 * g1 - l30 * g0 - l32 * rhs2) / d3
+    dx2 = rhs2 / d2 - l32 * dx3
+    dx0 = g0 / a00 - l20 * dx2 - l30 * dx3
+    return dx0, (g1 - a13 * dx3) / a11, dx2, dx3
 
 
 def _solve(slacks, objective, newton, z0, names, R0, path) -> SubproblemSolution:
@@ -159,37 +175,38 @@ def solve_placement(
 
     Maximizes eta - (nu/2 lam) * ||d - d_hat||^2 subject to the tangent
     surrogates of the two rate constraints and of the SNR ceiling, the SNR
-    threshold, and d >= 0. Infeasible when no d_br admits the threshold at
-    the fixed split, which signals that the bandwidth block must move first.
+    threshold, and d >= 0. The ceiling is anchored on lp.gamma_br_db, which
+    must be the exact SNR at (lp.d_br, lp.alpha_br). Infeasible when no
+    d_br admits the threshold at the fixed split, which signals that the
+    bandwidth block must move first.
     path is the `SubproblemSolution.path` of the block's previous solve;
     the barrier starts from its centers when one fits, and the default
     solves cold.
     """
-    alpha_br = lp.alpha_br
     d_hat_br, d_hat_ru = aux
     R0 = rate_scale(p, fit)
     w = nu / (2.0 * lam * R0)
     y_cap = ETA_CAP_FACTOR
     H2 = p.H * p.H
     half_beta = p.beta / 2.0
-    gamma_min = float(min_snr_threshold_db(fit))
+    gamma_min = min_snr_threshold_db(fit)
 
     u_t, r_t, r_u = rate_ru_coeffs(p, lp, alpha_ru)
     v_t, sig_t, sig_v = logistic_coeffs(fit, lp)
     y_t, _, l_y = log_path_coeffs(lp, p.H)
     a1c = alpha_ru * p.W / R0
-    b2 = alpha_br * p.W * p.mu / (fit.K * R0)
+    b2 = lp.alpha_br * p.W * p.mu / (fit.K * R0)
     # With the log-path tangent the SNR ceiling is a downward parabola in
-    # d_br, cap_peak - q3 * d_br^2, equal to the exact SNR at lp.d_br.
+    # d_br, cap_peak - q3 * d_br^2, equal to lp.gamma_br_db at lp.d_br.
     q3 = 5.0 * p.beta * l_y
-    cap_peak = 10.0 * math.log10(snr_lin(p, p.P_b, lp.d_br, alpha_br)) + q3 * y_t
+    cap_peak = lp.gamma_br_db + q3 * y_t
     if cap_peak <= gamma_min + 1e-12:
         return SubproblemSolution({}, -math.inf, "infeasible")
 
     def slacks(d_br, d_ru, gamma, y):
         return (
             a1c * (r_t + r_u * ((d_ru * d_ru + H2) ** half_beta - u_t)) - y,
-            b2 * (fit.a1 + fit.a2 * (sig_t + sig_v * (_logistic_v(fit, gamma) - v_t))) - y,
+            b2 * (fit.a1 + fit.a2 * (sig_t + sig_v * (logistic_v(fit, gamma) - v_t))) - y,
             cap_peak - q3 * d_br * d_br - gamma,
             d_br,
             d_ru,
@@ -218,7 +235,7 @@ def solve_placement(
         base = d_ru * d_ru + H2
         s1_dru = a1c * r_u * p.beta * d_ru * base ** (half_beta - 1.0)
         s1_dru2 = a1c * r_u * p.beta * base ** (half_beta - 2.0) * ((p.beta - 1.0) * d_ru * d_ru + H2)
-        s2_g = -b2 * fit.a2 * sig_v * fit.c1 * _logistic_v(fit, gamma)
+        s2_g = -b2 * fit.a2 * sig_v * fit.c1 * logistic_v(fit, gamma)
         s3_db = -2.0 * q3 * d_br
         r1, r2, r3 = s1_dru / s1, s2_g / s2, s3_db / s3
 
@@ -233,26 +250,13 @@ def solve_placement(
         a11 = t * 2.0 * w - s1_dru2 / s1 + r1 * r1 + 1.0 / (s5 * s5)
         a22 = fit.c1 * r2 + r2 * r2 + 1.0 / (s3 * s3) + 1.0 / (s6 * s6)
         a33 = 1.0 / (s1 * s1) + 1.0 / (s2 * s2) + 1.0 / (s7 * s7) + 1.0 / (s8 * s8)
-        a02, a13, a23 = -r3 / s3, -r1 / s1, -r2 / s2
-        # The only cross terms are (d_br, gamma), (d_ru, y) and (gamma, y):
-        # eliminate d_br and d_ru, then solve the 2x2 system in (gamma, y).
-        if not (a00 > 0.0 and a11 > 0.0):
+        # The cross terms are (d_br, gamma), (d_ru, y) and (gamma, y).
+        dx = _newton_dx(grad, a00, a11, a22, a33, -r3 / s3, 0.0, -r1 / s1, -r2 / s2)
+        if dx is None:
             return grad, None, None
-        k0, k1 = a02 / a00, a13 / a11
-        b22, b33 = a22 - k0 * a02, a33 - k1 * a13
-        if not b22 > 0.0:
-            return grad, None, None
-        l23 = a23 / b22
-        b33 -= l23 * a23
-        if not b33 > 0.0:
-            return grad, None, None
-        g0, g1, g2, g3 = grad
-        rhs2 = g2 - k0 * g0
-        dy = (g3 - k1 * g1 - l23 * rhs2) / b33
-        dg = (rhs2 - a23 * dy) / b22
-        dd_br, dd_ru = (g0 - a02 * dg) / a00, (g1 - a13 * dy) / a11
+        dd_br, dd_ru, dg, dy = dx
         ds = (s1_dru * dd_ru - dy, s2_g * dg - dy, s3_db * dd_br - dg, dd_br, dd_ru, dg, -dy, dy)
-        return grad, (dd_br, dd_ru, dg, dy), ds
+        return grad, dx, ds
 
     z0 = (d_br0, d_ru0, gamma0, y0)
     return _solve(slacks, objective, newton, z0, ("d_br", "d_ru", "gamma_br_db"), R0, path)
@@ -273,32 +277,33 @@ def solve_bandwidth(
     Maximizes eta - (1/2 lam) * ||alpha - alpha_hat||^2. The relay->user
     rate is exact (concave in alpha_ru); the semantic-hop constraints use
     the square and similarity tangents, the latter evaluated at the
-    SNR-ceiling tangent, which is affine in alpha_br. Similarity rises with
-    the SNR, so the SNR sits on that ceiling at every optimum and needs no
-    variable of its own; the threshold becomes alpha_br < a_max, where the
-    ceiling meets it. Infeasible when a_max is at or below the floor.
+    SNR-ceiling tangent, which is affine in alpha_br and anchored on
+    lp.gamma_br_db, which must be the exact SNR at (lp.d_br, lp.alpha_br).
+    Similarity rises with the SNR, so the SNR sits on that ceiling at every
+    optimum and needs no variable of its own; the threshold becomes
+    alpha_br < a_max, where the ceiling meets it. Infeasible when a_max is
+    at or below the floor.
     path is as in `solve_placement`.
     """
     a_hat_br, a_hat_ru = aux
     R0 = rate_scale(p, fit)
     w = 1.0 / (2.0 * lam * R0)
     y_cap = ETA_CAP_FACTOR
-    gamma_min = float(min_snr_threshold_db(fit))
+    gamma_min = min_snr_threshold_db(fit)
 
     c_ru = snr_lin(p, p.P_r, lp.d_ru, 1.0)  # SNR times alpha_ru
     wr = p.W / R0
     q2 = p.W * p.mu / (4.0 * fit.K * R0)
     x_t, sq_t, sq_x = square_coeffs(lp)
     v_t, sig_t, sig_v = logistic_coeffs(fit, lp)
-    a_t, cap_t, cap_a = snr_cap_coeffs(lp)
-    # SNR ceiling, affine in alpha_br: cd + cap_t + cap_a * (alpha_br - a_t).
-    cd = 10.0 * math.log10(snr_lin(p, p.P_b, lp.d_br, 1.0))
-    a_max = a_t + (gamma_min - cd - cap_t) / cap_a  # the ceiling meets gamma_min
+    a_t, _, cap_a = snr_cap_coeffs(lp)
+    # SNR ceiling, affine in alpha_br: lp.gamma_br_db + cap_a * (alpha_br - a_t).
+    a_max = a_t + (gamma_min - lp.gamma_br_db) / cap_a  # the ceiling meets gamma_min
     if a_max <= alpha_floor:
         return SubproblemSolution({}, -math.inf, "infeasible")
 
     def slacks(a_br, a_ru, S, y):
-        v = _logistic_v(fit, cd + cap_t + cap_a * (a_br - a_t))  # at the SNR ceiling
+        v = logistic_v(fit, lp.gamma_br_db + cap_a * (a_br - a_t))  # at the SNR ceiling
         return (
             wr * a_ru * math.log1p(c_ru / a_ru) / _LN2 - y if a_ru > 0.0 else -math.inf,
             q2 * (sq_t + sq_x * (a_br + S - x_t) - (a_br - S) * (a_br - S)) - y,
@@ -332,7 +337,7 @@ def solve_bandwidth(
         s1_aru2 = -wr * c_ru * c_ru / (a_ru * (a_ru + c_ru) * (a_ru + c_ru) * _LN2)
         s2_abr = q2 * (sq_x - 2.0 * (a_br - S))
         s2_S = q2 * (sq_x + 2.0 * (a_br - S))
-        s3_abr = -fit.a2 * sig_v * fit.c1 * cap_a * _logistic_v(fit, cd + cap_t + cap_a * (a_br - a_t))
+        s3_abr = -fit.a2 * sig_v * fit.c1 * cap_a * logistic_v(fit, lp.gamma_br_db + cap_a * (a_br - a_t))
         r1, r2a, r2s, r3 = s1_aru / s1, s2_abr / s2, s2_S / s2, s3_abr / s3
 
         grad = (
@@ -348,30 +353,14 @@ def solve_bandwidth(
         a22 = 2.0 * q2 / s2 + r2s * r2s + 1.0 / (s3 * s3)
         a33 = 1.0 / (s1 * s1) + 1.0 / (s2 * s2) + 1.0 / (s7 * s7) + 1.0 / (s8 * s8)
         a02 = r2a * r2s - 2.0 * q2 / s2 - r3 / s3
-        a03, a13, a23 = -r2a / s2, -r1 / s1, -r2s / s2
-        # The cross terms are (alpha_br, S), (alpha_br, y), (alpha_ru, y) and
-        # (S, y): eliminate alpha_ru into y, then solve the 3x3 system in
-        # (alpha_br, S, y) by LDL^T.
-        if not (a00 > 0.0 and a11 > 0.0):
+        # The cross terms are (alpha_br, S), (alpha_br, y), (alpha_ru, y) and (S, y).
+        dx = _newton_dx(grad, a00, a11, a22, a33, a02, -r2a / s2, -r1 / s1, -r2s / s2)
+        if dx is None:
             return grad, None, None
-        g0, g1, g2, g3 = grad
-        k1 = a13 / a11
-        l20, l30 = a02 / a00, a03 / a00
-        d2 = a22 - l20 * a02
-        if not d2 > 0.0:
-            return grad, None, None
-        l32 = (a23 - l30 * a02) / d2
-        d3 = a33 - k1 * a13 - l30 * a03 - l32 * l32 * d2
-        if not d3 > 0.0:
-            return grad, None, None
-        rhs2 = g2 - l20 * g0
-        dy = (g3 - k1 * g1 - l30 * g0 - l32 * rhs2) / d3
-        dS = rhs2 / d2 - l32 * dy
-        da_br = g0 / a00 - l20 * dS - l30 * dy
-        da_ru = (g1 - a13 * dy) / a11
+        da_br, da_ru, dS, dy = dx
         ds = (s1_aru * da_ru - dy, s2_abr * da_br + s2_S * dS - dy, s3_abr * da_br - dS,
               -da_br, da_br, da_ru, -dy, dy)
-        return grad, (da_br, da_ru, dS, dy), ds
+        return grad, dx, ds
 
     z0 = (a_br0, a_ru0, S0, y0)
     return _solve(slacks, objective, newton, z0, ("alpha_br", "alpha_ru", "S"), R0, path)

@@ -209,6 +209,22 @@ class TestMain:
         assert main(["solve", "--W", value]) == EXIT_USAGE
         assert "--W: W must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bounds", [
+        ("1e5", "inf"), ("1e5", "nan"), ("1e5", "0"), ("inf", "1e6"), ("1e6", "1e5"),
+    ], ids=["w_max-inf", "w_max-nan", "w_max-0", "w_min-inf", "descending"])
+    def test_bad_sweep_bounds_exit_before_any_solve(self, tmp_path, capsys, monkeypatch, bounds):
+        def no_solve(*args):
+            raise AssertionError("a row was solved")
+
+        monkeypatch.setattr("semrelay.cli.run", no_solve)
+        out = tmp_path / "sweep.csv"
+        args = ["sweep", "--w-min", bounds[0], "--w-max", bounds[1], "--points", "3",
+                "--out", str(out)]
+        assert main(args) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
     def test_oracle_command(self, capsys):
         assert main(["oracle", "--grid", "201"]) == EXIT_OK
         out = capsys.readouterr().out

@@ -19,6 +19,7 @@ from semrelay.model import (
 from semrelay.subproblems import (
     ETA_CAP_FACTOR,
     TOL_SUB,
+    _newton_dx,
     rate_scale,
     solve_auxiliary,
     solve_bandwidth,
@@ -134,6 +135,50 @@ class TestSolveBandwidth:
         lp = LocalPoint(d[0], d[1], 0.5, gamma, float(semantic_similarity(fit, gamma)))
         sol = solve_bandwidth(p, fit, lp, (0.5, 0.5), 1000.0)
         assert sol.status == "infeasible"
+
+
+class TestNewtonDx:
+    """The Newton solve that both blocks share, on the sparsity of their
+    -H: cross terms (x0, x2), (x0, x3), (x1, x3) and (x2, x3), where the
+    placement block has no (x0, x3) term."""
+
+    _ENTRIES = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (0, 3), (1, 3), (2, 3))
+
+    @classmethod
+    def _solve(cls, a, g):
+        return _newton_dx(tuple(map(float, g)), *(float(a[i, j]) for i, j in cls._ENTRIES))
+
+    def test_matches_dense_solve(self):
+        # Random positive definite matrices with that sparsity, each scaled
+        # by a random diagonal over six decades as the barrier's are; the
+        # error is measured in the scaled coordinates.
+        rng = np.random.default_rng(11)
+        for k in range(200):
+            a = np.zeros((4, 4))
+            for i, j in self._ENTRIES[4:]:
+                a[i, j] = a[j, i] = rng.normal()
+            if k % 2:
+                a[0, 3] = a[3, 0] = 0.0
+            a += (rng.uniform(1e-3, 1.0) - np.linalg.eigvalsh(a)[0]) * np.eye(4)
+            scale = 10.0 ** rng.uniform(-3.0, 3.0, 4)
+            a *= np.outer(scale, scale)
+            g = rng.normal(size=4) * scale
+            dx, ref = np.asarray(self._solve(a, g)), np.linalg.solve(a, g)
+            assert np.linalg.norm((dx - ref) * scale) <= 1e-10 * np.linalg.norm(ref * scale), k
+
+    @pytest.mark.parametrize("pivot", range(4))
+    @pytest.mark.parametrize("offset", [0.0, -0.5])
+    def test_pivot_not_positive_gives_none(self, pivot, offset):
+        # Unit diagonal with the one cross term that makes the pivot exactly
+        # zero; the offset takes it below zero.
+        a = np.eye(4)
+        cross = {0: None, 1: None, 2: (0, 2), 3: (1, 3)}[pivot]
+        if cross is not None:
+            a[cross] = a[cross[::-1]] = 1.0
+        a[pivot, pivot] = float(cross is not None) + offset
+        assert self._solve(a, np.ones(4)) is None
+        a[pivot, pivot] += 1.0  # the same matrix with that pivot positive
+        assert self._solve(a, np.ones(4)) is not None
 
 
 class TestBlockDerivatives:
