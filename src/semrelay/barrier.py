@@ -1,7 +1,7 @@
 """Log-barrier Newton solver for the small convex block subproblems.
 
-The block programs have at most five variables and about ten smooth
-constraints, so a primal path-following method is enough: maximize
+Each block program has four variables and eight smooth constraints, so a
+path-following method on the primal barrier is enough: maximize
 t*f(x) + sum(log(-g_i(x))) by damped Newton, then grow t by a fixed factor
 until the duality measure m/t drops below the requested gap. The Newton
 system is sparse, and each block solves it in closed form. Everything is
@@ -12,16 +12,31 @@ nearby problem may take them as its warm path: it starts at the highest
 stage whose old center is still nearly centered for the new problem, and
 skips the stages below. With an empty path it starts cold at t = _T0.
 
+The duals of a center carry over to the next stage. At a center for t the
+duals are 1/s_i for the slacks s_i; after t grows by F they are F/s_i on
+the new scale, and the primal-dual Newton step with duals k/s_i solves
+(t*A_f + k*B) dx = grad, where t*A_f and B are the objective's and the
+barrier's parts of -H. So the first step after a growth takes k = F, and
+after an accepted step of length a, k <- 1 + (k - 1)(1 - a), the dual
+update of the linear model; cold starts and warm starts take k = 1, the
+primal step. A centering stops when k * grad.dx <= _DECREMENT_TOL: A_f is
+positive semidefinite, so t*A_f + k*B <= k*(t*A_f + B) for k >= 1 and the
+rule bounds the primal Newton decrement by the same tolerance.
+
 Problems plug in through a single fused callback so the per-step cost stays
 a few microseconds. Points are sequences of plain floats, and each problem
 solves its own Newton system, whose sparsity it knows:
 
     eval_full(x, t)  -> (phi, grad, dx, bound), where dx solves
-                        (-H) dx = grad for the Hessian H of phi at x (None
-                        when a pivot of -H is not positive) and no step
-                        x + s*dx with s >= bound lies in the domain (grad,
-                        dx and bound are not read when phi is not finite)
+                        (t*A_f + k*B) dx = grad at x (None when a pivot is
+                        not positive), k is t.k when t is a `Scaled` and 1
+                        for a plain float (then the matrix is -H, the
+                        Hessian of phi), and no step x + s*dx with
+                        s >= bound lies in the domain (grad, dx and bound
+                        are not read when phi is not finite)
     eval_value(x, t) -> phi, or -inf when x is outside the domain
+
+phi and grad are those of t*f + sum(log s_i) for the value of t alone.
 
 The blocks' constraint slacks are concave, so each lies below its tangent
 along dx, and a step at or past the first zero of a falling tangent leaves
@@ -33,8 +48,8 @@ bound = inf.
 The line search calls eval_value once per trial it evaluates, and the next
 Newton step calls eval_full at the accepted trial, so a problem may keep
 the work of its last evaluation for the next call, provided its results
-depend on (x, t) alone. A centering that starts at a warm center starts
-from the eval_full call that accepted it.
+depend on its arguments alone. A centering that starts at a warm center
+starts from the eval_full call that accepted it.
 """
 
 from __future__ import annotations
@@ -57,18 +72,31 @@ _T0 = 10.0
 _WARM_DECREMENT = 1.0
 
 
-def _newton(eval_full, eval_value, x, t, full=None):
-    """Center at fixed t, from full = eval_full(x, t) when the caller has
-    it. Returns (x, converged, steps)."""
+class Scaled(float):
+    """A barrier parameter t that carries the dual scale k of the Newton
+    step to eval_full; it is t in every arithmetic use."""
+
+    __slots__ = ("k",)
+
+    def __new__(cls, t, k):
+        self = super().__new__(cls, t)
+        self.k = k
+        return self
+
+
+def _newton(eval_full, eval_value, x, t, k, full=None):
+    """Center at fixed t with the duals carried at scale k, from
+    full = eval_full(x, t) when the caller has it (k = 1 then). Returns
+    (x, converged, steps)."""
     for step in range(_MAX_NEWTON):
-        phi, grad, dx, bound = full or eval_full(x, t)
+        phi, grad, dx, bound = full or eval_full(x, t if k == 1.0 else Scaled(t, k))
         full = None
         # Outside the domain the line search cannot tell better from worse,
         # and without positive pivots there is no ascent direction.
         if not math.isfinite(phi) or dx is None:
             return x, False, step
         decrement = sum(map(mul, grad, dx))
-        if decrement <= _DECREMENT_TOL:
+        if k * decrement <= _DECREMENT_TOL:
             # Newton direction of a concave phi always has decrement >= 0;
             # tiny values mean we are centered.
             return x, True, step
@@ -82,6 +110,7 @@ def _newton(eval_full, eval_value, x, t, full=None):
         else:
             return x, False, step
         x = cand
+        k = 1.0 + (k - 1.0) * (1.0 - s)
     return x, False, _MAX_NEWTON
 
 
@@ -113,15 +142,18 @@ def maximize(eval_full, eval_value, x0, n_constraints, gap, path=()):
     (t, x) of each converged centering below t_final, in increasing t, x a
     tuple. The barrier parameter grows by 10 per stage, or by 100 after
     stages that converge in a couple of Newton steps (a start near the path
-    needs no slow walk through the early stages).
+    needs no slow walk through the early stages), and each stage after a
+    converged one starts with that center's duals, at the scale k of the
+    growth.
     """
     t_final = n_constraints / gap
     cold = (min(_T0, t_final), [float(v) for v in x0], None)
     t, x, full = _warm_start(eval_full, path, t_final) or cold
+    k = 1.0
     ok_all = True
     centers = []
     while True:
-        x, ok, steps = _newton(eval_full, eval_value, x, t, full)
+        x, ok, steps = _newton(eval_full, eval_value, x, t, k, full)
         full = None
         ok_all = ok_all and ok
         if t >= t_final:
@@ -129,5 +161,8 @@ def maximize(eval_full, eval_value, x0, n_constraints, gap, path=()):
         if ok:
             centers.append((t, tuple(x)))
         factor = 100.0 if (ok and steps <= 2) else 10.0
-        t = min(t * factor, t_final)
+        t_next = min(t * factor, t_final)
+        # The duals of a center carry over; those of a failed centering do not.
+        k = t_next / t if ok else 1.0
+        t = t_next
     return x, ok_all, tuple(centers)

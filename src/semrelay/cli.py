@@ -308,7 +308,10 @@ def main(argv=None) -> int:
     if args.command == "sweep":
         try:
             ws = sweep_bandwidths(args.w_min, args.w_max, args.points, args.log)
-        except ValueError as exc:
+            # Fail on an output path that cannot be written before any
+            # solve; this creates the file empty when it is missing.
+            open(args.out, "a", encoding="utf-8").close()
+        except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         rows = compute_sweep(params, fit, cfg, ws)
@@ -317,7 +320,11 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     if args.command == "oracle":
-        grid = GridSpec(args.grid, args.grid, cfg.alpha_floor)
+        try:
+            grid = GridSpec(args.grid, args.grid, cfg.alpha_floor)
+        except ValueError as exc:
+            print(f"error: --grid: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         pt = oracle_search(params, fit, grid)
         if pt is None:
             print("status: infeasible")

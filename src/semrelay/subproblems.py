@@ -15,8 +15,8 @@ and SNR in dB. tol_sub below is relative to that rate scale.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from operator import truediv
 
 from semrelay import barrier
 from semrelay.bounds import (
@@ -54,6 +54,8 @@ ETA_CAP_FACTOR = 1.5
 # Strict-interior margins used to push the incumbent off the boundary.
 DIST_MARGIN_FRAC = 1e-3  # of D, for distances
 _REL_MARGIN = 0.05  # fraction of the available slack for gamma, S, eta
+# A few ulps: the rounding error of a slack relative to the terms it subtracts.
+_ULPS = 4.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -86,8 +88,8 @@ def _log_sum(s) -> float:
     return total if total == total else -math.inf
 
 
-def _newton_dx(g, a00, a11, a22, a33, a02, a03, a13, a23):
-    """Solve A dx = g for the symmetric A = (a_ij) of a block's four
+def _newton_dx(g, a00, a11, a22, a33, a02, a03, a13, a23, k=1.0):
+    """Solve A dx = g / k for the symmetric A = (a_ij) of a block's four
     variables (x0, x1, x2, x3), whose only cross terms are (x0, x2),
     (x0, x3), (x1, x3) and (x2, x3): eliminate x1 into x3, then solve the
     3x3 system in (x0, x2, x3) by LDL^T. None when a pivot is not positive.
@@ -95,6 +97,8 @@ def _newton_dx(g, a00, a11, a22, a33, a02, a03, a13, a23):
     if not (a00 > 0.0 and a11 > 0.0):
         return None
     g0, g1, g2, g3 = g
+    if k != 1.0:
+        g0, g1, g2, g3 = g0 / k, g1 / k, g2 / k, g3 / k
     k1 = a13 / a11
     l20, l30 = a02 / a00, a03 / a00
     d2 = a22 - l20 * a02
@@ -117,12 +121,16 @@ def _solve(slacks, objective, newton, z0, names, R0, path) -> SubproblemSolution
     from the strictly feasible start z0.
 
     z ends with the rate variable in units of R0; names label the other
-    coordinates of the returned point. newton(z, t, s) returns
-    (grad, dx, ds) of the barrier objective at an interior z with slacks s,
-    where dx solves (-H) dx = grad, or is None when a pivot of -H is not
-    positive, and ds holds the derivative of each slack along dx. The
+    coordinates of the returned point. newton(z, t, k, s) returns
+    (grad, dx, rate) of the barrier objective at an interior z with slacks
+    s, where dx solves (t*A_f + k*B) dx = grad as in `barrier`, or is None
+    when a pivot is not positive, and rate = min(ds_i/(s_i + pad_i)) over
+    the slacks, with ds_i the derivative of slack i along dx and pad_i a
+    bound on its rounding error, a few ulps of the terms it subtracts. The
     slacks are concave, so no step x + s*dx at or beyond the first zero of
-    a falling slack's tangent, -s_i/ds_i, lies in the domain.
+    a falling slack's tangent lies in the domain; at -(s_i + pad_i)/ds_i
+    that tangent is -pad_i, so no step past -1/rate lies in the domain also
+    in floating point.
     """
     # The point, slacks and log-sum of the last evaluation: the accepted
     # trial of a line search comes back as the next Newton step's point,
@@ -146,12 +154,11 @@ def _solve(slacks, objective, newton, z0, names, R0, path) -> SubproblemSolution
         phi = eval_value(z, t)  # leaves the slacks at z in last_s
         if not math.isfinite(phi):
             return phi, None, None, None
-        grad, dx, ds = newton(z, t, last_s)
+        grad, dx, rate = newton(z, t, getattr(t, "k", 1.0), last_s)
         if dx is None:
             return phi, grad, None, None
-        # min(-s_i/ds_i) over the falling slacks is -1 over the fastest
-        # relative fall, min(ds_i/s_i), when that is negative.
-        rate = min(map(truediv, ds, last_s))
+        # -1 over the fastest relative fall is the first zero of a falling
+        # padded slack's tangent.
         return phi, grad, dx, -1.0 / rate if rate < 0.0 else math.inf
 
     z, ok, centers = barrier.maximize(eval_full, eval_value, z0, len(slacks(*z0)), TOL_SUB, path)
@@ -227,7 +234,12 @@ def solve_placement(
     gamma0 = _interior(slacks(d_br0, d_ru0, 0.0, 0.0)[2], gamma_min)
     y0 = _interior(min(*slacks(d_br0, d_ru0, gamma0, 0.0)[:2], y_cap), -y_cap)
 
-    def newton(z, t, s):
+    # The rounding error of each slack: the rate slacks and the box subtract
+    # terms of at most y_cap, the SNR slacks terms of at most the larger of
+    # cap_peak and gamma_min; d_br and d_ru are their own slacks.
+    e_y, e_g = _ULPS * y_cap, _ULPS * max(abs(cap_peak), abs(gamma_min))
+
+    def newton(z, t, k, s):
         d_br, d_ru, gamma, y = z
         s1, s2, s3, s4, s5, s6, s7, s8 = s
 
@@ -245,18 +257,24 @@ def solve_placement(
             r2 - 1.0 / s3 + 1.0 / s6,
             t - 1.0 / s1 - 1.0 / s2 - 1.0 / s7 + 1.0 / s8,
         )
-        # a_ij = -H_ij, with H = t*hess(f) + sum(s''/s - (s'/s) outer (s'/s)).
-        a00 = t * 2.0 * w + 2.0 * q3 / s3 + r3 * r3 + 1.0 / (s4 * s4)
-        a11 = t * 2.0 * w - s1_dru2 / s1 + r1 * r1 + 1.0 / (s5 * s5)
+        # a_ij = -H_ij, with H = t*hess(f) + sum(s''/s - (s'/s) outer (s'/s)),
+        # except that the objective's part is divided by the dual scale k:
+        # ((t/k) A_f + B) dx = grad/k is the step (t A_f + k B) dx = grad.
+        tw = t / k * 2.0 * w
+        a00 = tw + 2.0 * q3 / s3 + r3 * r3 + 1.0 / (s4 * s4)
+        a11 = tw - s1_dru2 / s1 + r1 * r1 + 1.0 / (s5 * s5)
         a22 = fit.c1 * r2 + r2 * r2 + 1.0 / (s3 * s3) + 1.0 / (s6 * s6)
         a33 = 1.0 / (s1 * s1) + 1.0 / (s2 * s2) + 1.0 / (s7 * s7) + 1.0 / (s8 * s8)
         # The cross terms are (d_br, gamma), (d_ru, y) and (gamma, y).
-        dx = _newton_dx(grad, a00, a11, a22, a33, -r3 / s3, 0.0, -r1 / s1, -r2 / s2)
+        dx = _newton_dx(grad, a00, a11, a22, a33, -r3 / s3, 0.0, -r1 / s1, -r2 / s2, k)
         if dx is None:
             return grad, None, None
         dd_br, dd_ru, dg, dy = dx
-        ds = (s1_dru * dd_ru - dy, s2_g * dg - dy, s3_db * dd_br - dg, dd_br, dd_ru, dg, -dy, dy)
-        return grad, dx, ds
+        # min(ds_i/(s_i + pad_i)), ds_i the derivative of slack i along dx.
+        rate = min((s1_dru * dd_ru - dy) / (s1 + e_y), (s2_g * dg - dy) / (s2 + e_y),
+                   (s3_db * dd_br - dg) / (s3 + e_g), dd_br / s4, dd_ru / s5, dg / (s6 + e_g),
+                   -dy / (s7 + e_y), dy / (s8 + e_y))
+        return grad, dx, rate
 
     z0 = (d_br0, d_ru0, gamma0, y0)
     return _solve(slacks, objective, newton, z0, ("d_br", "d_ru", "gamma_br_db"), R0, path)
@@ -328,7 +346,14 @@ def solve_bandwidth(
     S0 = slacks(a_br0, a_ru0, 0.0, 0.0)[2] - max(1e-9, _REL_MARGIN * fit.a2)
     y0 = _interior(min(*slacks(a_br0, a_ru0, S0, 0.0)[:2], y_cap), -y_cap)
 
-    def newton(z, t, s):
+    # The rounding error of each slack: the rate slacks and the box subtract
+    # terms of at most y_cap, the similarity slack terms of at most a1 + a2,
+    # and the bounds on the split terms near a_max or alpha_floor, where
+    # they fall to zero.
+    e_y, e_s = _ULPS * y_cap, _ULPS * (fit.a1 + fit.a2)
+    e_a, e_f = _ULPS * a_max, _ULPS * alpha_floor
+
+    def newton(z, t, k, s):
         a_br, a_ru, S, y = z
         s1, s2, s3, s4, s5, s6, s7, s8 = s
 
@@ -346,21 +371,26 @@ def solve_bandwidth(
             r2s - 1.0 / s3,
             t - 1.0 / s1 - 1.0 / s2 - 1.0 / s7 + 1.0 / s8,
         )
-        # a_ij = -H_ij, as in the placement block; s3'' = -c1 * cap_a * s3'.
-        a00 = (t * 2.0 * w + 2.0 * q2 / s2 + r2a * r2a + fit.c1 * cap_a * r3 + r3 * r3
+        # a_ij = -H_ij and the dual scale as in the placement block;
+        # s3'' = -c1 * cap_a * s3'.
+        tw = t / k * 2.0 * w
+        a00 = (tw + 2.0 * q2 / s2 + r2a * r2a + fit.c1 * cap_a * r3 + r3 * r3
                + 1.0 / (s4 * s4) + 1.0 / (s5 * s5))
-        a11 = t * 2.0 * w - s1_aru2 / s1 + r1 * r1 + 1.0 / (s6 * s6)
+        a11 = tw - s1_aru2 / s1 + r1 * r1 + 1.0 / (s6 * s6)
         a22 = 2.0 * q2 / s2 + r2s * r2s + 1.0 / (s3 * s3)
         a33 = 1.0 / (s1 * s1) + 1.0 / (s2 * s2) + 1.0 / (s7 * s7) + 1.0 / (s8 * s8)
         a02 = r2a * r2s - 2.0 * q2 / s2 - r3 / s3
         # The cross terms are (alpha_br, S), (alpha_br, y), (alpha_ru, y) and (S, y).
-        dx = _newton_dx(grad, a00, a11, a22, a33, a02, -r2a / s2, -r1 / s1, -r2s / s2)
+        dx = _newton_dx(grad, a00, a11, a22, a33, a02, -r2a / s2, -r1 / s1, -r2s / s2, k)
         if dx is None:
             return grad, None, None
         da_br, da_ru, dS, dy = dx
-        ds = (s1_aru * da_ru - dy, s2_abr * da_br + s2_S * dS - dy, s3_abr * da_br - dS,
-              -da_br, da_br, da_ru, -dy, dy)
-        return grad, dx, ds
+        # min(ds_i/(s_i + pad_i)), as in the placement block.
+        rate = min((s1_aru * da_ru - dy) / (s1 + e_y),
+                   (s2_abr * da_br + s2_S * dS - dy) / (s2 + e_y),
+                   (s3_abr * da_br - dS) / (s3 + e_s), -da_br / (s4 + e_a), da_br / (s5 + e_f),
+                   da_ru / (s6 + e_f), -dy / (s7 + e_y), dy / (s8 + e_y))
+        return grad, dx, rate
 
     z0 = (a_br0, a_ru0, S0, y0)
     return _solve(slacks, objective, newton, z0, ("alpha_br", "alpha_ru", "S"), R0, path)

@@ -225,6 +225,27 @@ class TestMain:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not out.exists()
 
+    _SWEEP = ["sweep", "--w-min", "1e5", "--w-max", "1e7", "--points", "3", "--out"]
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--grid", "1"],
+        ["oracle", "--grid", "0"],
+        ["oracle", "--grid", "-5"],
+        [*_SWEEP, "{tmp}/missing/x.csv"],
+        [*_SWEEP, "{tmp}"],
+    ], ids=["grid-1", "grid-0", "grid-negative", "sweep-out-missing-dir", "sweep-out-is-dir"])
+    def test_usage_errors_exit_before_any_work(self, tmp_path, capsys, monkeypatch, argv):
+        def no_work(*args):
+            raise AssertionError("a solve or a search ran")
+
+        monkeypatch.setattr("semrelay.cli.run", no_work)
+        monkeypatch.setattr("semrelay.cli.oracle_search", no_work)
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert list(tmp_path.iterdir()) == []
+
     def test_oracle_command(self, capsys):
         assert main(["oracle", "--grid", "201"]) == EXIT_OK
         out = capsys.readouterr().out

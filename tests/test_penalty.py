@@ -108,6 +108,27 @@ class TestRunDefaults:
         run(SystemParams(W=1e5), fit, cfg)
         assert 0 < calls["value"] <= calls["full"], calls
 
+    def test_carried_duals_save_newton_steps(self, fit, cfg, monkeypatch):
+        # With Scaled replaced by its plain t, every Newton step is the
+        # primal one, and the run takes more of them.
+        calls = [0]
+        maximize = barrier.maximize
+
+        def counting(eval_full, *args):
+            def full(x, t):
+                calls[0] += 1
+                return eval_full(x, t)
+
+            return maximize(full, *args)
+
+        monkeypatch.setattr(barrier, "maximize", counting)
+        scaled = run(SystemParams(W=1e5), fit, cfg)
+        with_duals, calls[0] = calls[0], 0
+        monkeypatch.setattr(barrier, "Scaled", lambda t, k: t)
+        primal = run(SystemParams(W=1e5), fit, cfg)
+        assert primal.status == scaled.status == "converged"
+        assert calls[0] > with_duals, (calls[0], with_duals)
+
 
 class TestRunEdges:
     def test_infeasible_system_detected(self, fit, cfg):

@@ -184,27 +184,44 @@ class TestNewtonDx:
 class TestBlockDerivatives:
     """The gradient and the Newton direction that each block's eval_full
     computes by hand, against central differences of its eval_value and of
-    that gradient, at the barrier's start point and halfway to its solution;
-    and both callbacks outside the barrier domain."""
+    that gradient, at the barrier's start point and halfway to its solution
+    and at dual scales 1, 10 and 100; and both callbacks outside the barrier
+    domain."""
 
     @staticmethod
     def _check(eval_full, eval_value, z, t):
-        _, grad, dx, _ = eval_full(z, t)
-        assert dx is not None
-        grad, dx = np.asarray(grad), np.asarray(dx)
+        phi, grad, _, _ = eval_full(z, t)
+        grad = np.asarray(grad)
         n = len(z)
         h = 1e-6 * (np.abs(z) + 1e-3)
-        hess_fd = np.empty((n, n))
+
+        def hess_fd(tt):
+            cols = []
+            for i in range(n):
+                e = np.zeros(n)
+                e[i] = h[i]
+                cols.append((np.asarray(eval_full(z + e, tt)[1])
+                             - np.asarray(eval_full(z - e, tt)[1])) / (2.0 * h[i]))
+            return np.column_stack(cols)
+
         for i in range(n):
             e = np.zeros(n)
             e[i] = h[i]
             g_fd = (eval_value(z + e, t) - eval_value(z - e, t)) / (2.0 * h[i])
             assert abs(g_fd - grad[i]) <= 1e-5 * (abs(grad[i]) + 1e-6 * np.linalg.norm(grad)), i
-            hess_fd[:, i] = (np.asarray(eval_full(z + e, t)[1]) - np.asarray(eval_full(z - e, t)[1])) / (2.0 * h[i])
-        # dx solves (-H) dx = grad: each row of H_fd dx + grad vanishes on the
-        # scale of the products it sums.
-        residual = hess_fd @ dx + grad
-        assert np.all(np.abs(residual) <= 1e-5 * (np.abs(hess_fd) @ np.abs(dx))), residual
+        # The Hessian of phi is t*H_f + H_b, so H_b is its value at t = 0,
+        # and the scaled step's matrix t*H_f + k*H_b is H(t) + (k - 1) H(0).
+        hess_t, hess_b = hess_fd(t), hess_fd(0.0)
+        for k in (1.0, 10.0, 100.0):
+            phi_k, grad_k, dx, _ = eval_full(z, barrier.Scaled(t, k))
+            assert (phi_k, grad_k) == (phi, tuple(grad)), k
+            assert dx is not None, k
+            dx = np.asarray(dx)
+            hess = hess_t + (k - 1.0) * hess_b
+            # dx solves -(t*H_f + k*H_b) dx = grad: each row of hess dx + grad
+            # vanishes on the scale of the products it sums.
+            residual = hess @ dx + grad
+            assert np.all(np.abs(residual) <= 1e-5 * (np.abs(hess) @ np.abs(dx))), (k, residual)
 
     @staticmethod
     def _record(monkeypatch):
@@ -228,6 +245,20 @@ class TestBlockDerivatives:
             solve_placement(p, f, lp, alpha[1], d, 1000.0, 1e-4)
             solve_bandwidth(p, f, lp, alpha, 1000.0)
         assert [len(x0) for _, _, x0, _ in calls] == [4, 4] * 4
+        for eval_full, eval_value, x0, x in calls:
+            for z in (x0, 0.5 * (x0 + x)):
+                for t in (10.0, 1e4):
+                    self._check(eval_full, eval_value, z, t)
+
+    def test_strong_penalty_matches_finite_differences(self, params, fit, monkeypatch):
+        # At lam = 1000 the objective's part of the Hessian is negligible
+        # against the barrier's; at lam = 1e-3 it is not, and the dual scale
+        # weighs the two against each other.
+        calls = self._record(monkeypatch)
+        for p, f, d, alpha in [(params, fit, (50.0, 50.0), (0.3, 0.7)), *_random_cases()]:
+            lp = _incumbent_lp(p, f, d, alpha)
+            solve_placement(p, f, lp, alpha[1], d, 1e-3, 1e-4)
+            solve_bandwidth(p, f, lp, alpha, 1e-3)
         for eval_full, eval_value, x0, x in calls:
             for z in (x0, 0.5 * (x0 + x)):
                 for t in (10.0, 1e4):
@@ -330,6 +361,11 @@ class TestStepBound:
         steps = self._record_steps(monkeypatch)
         self._solve_blocks(params, fit)
         points = [(eval_value, z, t, out) for _, eval_value, z, t, out in steps]
+        # Steps with the carried duals rarely reach the bound, so add each
+        # point at ten times its t as a plain float: the primal step that
+        # follows a growth of t overshoots.
+        points += [(eval_value, z, 10.0 * t, eval_full(z, 10.0 * t))
+                   for eval_full, eval_value, z, t, _ in steps]
         # The solves never bring the rate variable near its lower box, so
         # add each solve's first point with the rate there, where the
         # Newton step pulls it up.
@@ -455,6 +491,50 @@ class TestWarmStart:
             warm = solve(path)
             assert path == before
             assert all(x is not y for _, x in warm.path for _, y in path)
+
+
+class TestScaledStep:
+    """Centerings that carry the duals of the previous center stop where
+    the primal Newton decrement meets the barrier's tolerance."""
+
+    def test_centers_meet_the_primal_decrement(self, params, fit, monkeypatch):
+        decrements, scales = [], []
+        newton = barrier._newton
+
+        def checked(eval_full, eval_value, x, t, k, full=None):
+            out = newton(eval_full, eval_value, x, t, k, full)
+            if out[1]:
+                _, grad, dx, _ = eval_full(out[0], float(t))
+                decrements.append(sum(g * d for g, d in zip(grad, dx)))
+                scales.append(k)
+            return out
+
+        monkeypatch.setattr(barrier, "_newton", checked)
+        TestStepBound._solve_blocks(params, fit)
+        assert max(decrements) <= barrier._DECREMENT_TOL, max(decrements)
+        # Most centerings start with carried duals, at the growth of t.
+        assert sum(k > 1.0 for k in scales) >= 0.5 * len(scales), scales
+
+    def test_stop_rule_bounds_the_primal_decrement(self):
+        # Maximize t*x + log(1 - x): the objective is linear, so the scaled
+        # step is the primal one over k and its decrement is the primal one
+        # over k. From a point whose primal decrement is 10 times the
+        # tolerance, a centering at k = 100 must still step.
+        def eval_value(x, t):
+            return t * x[0] + math.log(1.0 - x[0]) if x[0] < 1.0 else -math.inf
+
+        def eval_full(x, t):
+            s = 1.0 - x[0]
+            g = t - 1.0 / s
+            dx = g * s * s / getattr(t, "k", 1.0)
+            return eval_value(x, t), (g,), (dx,), s / dx if dx > 0.0 else math.inf
+
+        t = 1.0
+        x0 = [-math.sqrt(10.0 * barrier._DECREMENT_TOL)]  # (t*(1 - x) - 1)^2 = 10 tol
+        x, ok, steps = barrier._newton(eval_full, eval_value, x0, t, 100.0)
+        _, (g,), (dx,), _ = eval_full(x, t)
+        assert ok and steps > 0
+        assert g * dx <= barrier._DECREMENT_TOL
 
 
 class TestSolveAuxiliary:
