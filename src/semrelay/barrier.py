@@ -4,8 +4,8 @@ Each block program has four variables and eight smooth constraints, so a
 path-following method on the primal barrier is enough: maximize
 t*f(x) + sum(log(-g_i(x))) by damped Newton, then grow t by a fixed factor
 until the duality measure m/t drops below the requested gap. The Newton
-system is sparse, and each block solves it in closed form. Everything is
-deterministic; no randomness, no iteration-order ambiguity.
+system is sparse, and `subproblems._solve` solves it in closed form.
+Everything is deterministic; no randomness, no iteration-order ambiguity.
 
 A solve returns the centers it passed on the way, and the next solve of a
 nearby problem may take them as its warm path: it starts at the highest
@@ -24,8 +24,9 @@ positive semidefinite, so t*A_f + k*B <= k*(t*A_f + B) for k >= 1 and the
 rule bounds the primal Newton decrement by the same tolerance.
 
 Problems plug in through a single fused callback so the per-step cost stays
-a few microseconds. Points are sequences of plain floats, and each problem
-solves its own Newton system, whose sparsity it knows:
+a few microseconds. Points are sequences of plain floats, and the problem
+solves its Newton system, whose sparsity it knows; both block programs do
+so in `subproblems._solve`:
 
     eval_full(x, t)  -> (phi, grad, dx, bound), where dx solves
                         (t*A_f + k*B) dx = grad at x (None when a pivot is

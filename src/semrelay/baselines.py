@@ -24,6 +24,8 @@ from semrelay.model import (
     semantic_similarity,
     shannon_rate,
     snr_br_db,
+    _require_finite,
+    _require_int,
 )
 
 
@@ -37,8 +39,12 @@ class GridSpec:
     alpha_floor: float = DEFAULT_ALPHA_FLOOR
 
     def __post_init__(self):
+        _require_finite(self)
+        _require_int(self, "n_d", "n_alpha")
         if self.n_d < 2 or self.n_alpha < 2:
             raise ValueError("grids need at least 2 points per axis")
+        if not 0 < self.alpha_floor < 0.5:
+            raise ValueError("alpha_floor must lie in (0, 0.5)")
 
 
 def _axes(p: SystemParams, g: GridSpec):

@@ -197,22 +197,31 @@ def write_sweep_csv(rows, path: str) -> None:
 
 
 def read_sweep_csv(path: str) -> list[SweepRow]:
-    """Parse a sweep CSV back into rows; exact inverse of write_sweep_csv."""
+    """Parse a sweep CSV back into rows; exact inverse of write_sweep_csv.
+    A wrong header, a row without one field per column, or a cell that is
+    not a number where one belongs (W always, a rate or decision unless
+    empty) raises ConfigError naming the line."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if tuple(header) != SWEEP_FIELDS:
             raise ConfigError(f"{path}: unexpected CSV header {header!r}")
         rows = []
         for record in reader:
+            where = f"{path}:{reader.line_num}"
+            if len(record) != len(SWEEP_FIELDS):
+                raise ConfigError(f"{where}: expected {len(SWEEP_FIELDS)} fields, got {len(record)}")
             kwargs = {}
             for name, text in zip(SWEEP_FIELDS, record):
                 if name.startswith("status"):
                     kwargs[name] = text
-                elif text == "":
+                elif text == "" and name != "W":
                     kwargs[name] = None
                 else:
-                    kwargs[name] = float(text)
+                    try:
+                        kwargs[name] = float(text)
+                    except ValueError:
+                        raise ConfigError(f"{where}: invalid number {text!r} for {name!r}") from None
             rows.append(SweepRow(**kwargs))
     return rows
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,14 +24,24 @@ DEFAULT_ALPHA_FLOOR = 1e-6
 _LN2 = float(np.log(2.0))
 
 
-def _require_finite(obj) -> None:
+def _require_finite(obj, plus_inf=()) -> None:
     """Raise ValueError naming the first field of the dataclass obj that is
-    infinite or NaN; the range checks alone let +inf through. (An int is
-    finite, and math.isfinite cannot convert one beyond the float range.)"""
+    infinite or NaN, where the fields named in plus_inf may be +inf; the
+    range checks alone let NaN and +inf through. (An int is finite, and
+    math.isfinite cannot convert one beyond the float range.)"""
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
-        if not (isinstance(value, int) or math.isfinite(value)):
+        if not (isinstance(value, int) or math.isfinite(value)
+                or (value == math.inf and f.name in plus_inf)):
             raise ValueError(f"{f.name} must be finite")
+
+
+def _require_int(obj, *names) -> None:
+    """Raise ValueError naming the first of the fields names of obj that
+    does not hold an integer (range and linspace take no float)."""
+    for name in names:
+        if not isinstance(getattr(obj, name), numbers.Integral):
+            raise ValueError(f"{name} must be an integer")
 
 
 def db_to_lin(value_db):
@@ -133,6 +144,8 @@ class DesignPoint:
     eta: float  # effective bit rate, bits/s
 
     def __post_init__(self):
+        # The SNR is +inf where the path loss vanishes: d_br = 0 at H = 0.
+        _require_finite(self, plus_inf=("gamma_br_db",))
         if self.d_br < 0 or self.d_ru < 0:
             raise ValueError("distances must be nonnegative")
         if self.alpha_br < 0 or self.alpha_ru < 0:

@@ -28,6 +28,7 @@ from semrelay.model import (
     semantic_similarity,
     snr_br_db,
     _require_finite,
+    _require_int,
 )
 from semrelay.subproblems import (
     DIST_MARGIN_FRAC,
@@ -60,6 +61,7 @@ class PenaltyConfig:
 
     def __post_init__(self):
         _require_finite(self)
+        _require_int(self, "max_inner", "max_outer")
         if not 0 < self.c < 1:
             raise ValueError("c must lie in (0, 1)")
         if not self.lambda0 > 0:

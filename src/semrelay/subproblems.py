@@ -2,14 +2,14 @@
 
 Three blocks are optimized in turn: relay placement, bandwidth allocation,
 and the auxiliary copies that carry the two sum equality constraints. The
-placement and bandwidth blocks are small convex programs built from the
-tangent surrogates in `bounds`; they are solved by the log-barrier Newton
-method in `barrier`. The auxiliary block is a closed-form Euclidean
-projection.
+placement and bandwidth blocks are two instances of one small convex
+program, stated and solved in `_solve` by the log-barrier Newton method in
+`barrier`; each block supplies its surrogates, built from the tangents in
+`bounds`. The auxiliary block is a closed-form Euclidean projection.
 
 Internally the rate variable is normalized by the semantic-hop ceiling
 W*mu*(a1+a2)/K so that tolerances are scale-free; distances stay in meters
-and SNR in dB. tol_sub below is relative to that rate scale.
+and SNR in dB. TOL_SUB below is relative to that rate scale.
 """
 
 from __future__ import annotations
@@ -115,23 +115,39 @@ def _newton_dx(g, a00, a11, a22, a33, a02, a03, a13, a23, k=1.0):
     return dx0, (g1 - a13 * dx3) / a11, dx2, dx3
 
 
-def _solve(slacks, objective, newton, z0, names, R0, path) -> SubproblemSolution:
-    """Maximize objective(*z) subject to slacks(*z) > 0 by the log-barrier
-    method, from the warm path of an earlier solve of the block or else
-    from the strictly feasible start z0.
+def _solve(slacks, partials, bounds, pad_g, w, hat, z0, names, R0, path) -> SubproblemSolution:
+    """The program of both barrier blocks: over z = (x0, x1, x2, y),
+    maximize y - w*((x0 - h0)^2 + (x1 - h1)^2), hat = (h0, h1), subject to
 
-    z ends with the rate variable in units of R0; names label the other
-    coordinates of the returned point. newton(z, t, k, s) returns
-    (grad, dx, rate) of the barrier objective at an interior z with slacks
-    s, where dx solves (t*A_f + k*B) dx = grad as in `barrier`, or is None
-    when a pivot is not positive, and rate = min(ds_i/(s_i + pad_i)) over
-    the slacks, with ds_i the derivative of slack i along dx and pad_i a
-    bound on its rounding error, a few ulps of the terms it subtracts. The
-    slacks are concave, so no step x + s*dx at or beyond the first zero of
-    a falling slack's tangent lies in the domain; at -(s_i + pad_i)/ds_i
+        F1(x1) - y, F2(x0, x2) - y, G(x0) - x2,
+        x0 - lo0, hi0 - x0, x1 - lo1, x2 - lo2,
+        ETA_CAP_FACTOR - y, y + ETA_CAP_FACTOR
+
+    all > 0, with F1, F2 and G concave and bounds = (lo0, hi0, lo1, lo2),
+    of which one is infinite: a bound that is not there. slacks(*z) gives
+    the eight finite slacks in this order, the three bounds in any order,
+    and partials(x0, x1, x2) the partials
+    (F1', F1'', F2_0, F2_2, F2_00, F2_02, F2_22, G', G''). The barrier
+    starts from the warm path of an earlier solve of the block or else from
+    the strictly feasible start z0. y is the rate in units of R0; names
+    label (x0, x1, x2) in the returned point.
+
+    eval_full gives the barrier's Newton step (t*A_f + k*B) dx = grad, as
+    in `barrier`, and the bound min(ds_i/(s_i + pad_i)) on its step, with
+    ds_i the derivative of slack i along dx and pad_i a bound on its
+    rounding error, a few ulps of the terms it subtracts: _ULPS*|b| for a
+    bound b, pad_g for G's slack and _ULPS*ETA_CAP_FACTOR for the rest.
+    The slacks are concave, so no step x + s*dx at or beyond the first zero
+    of a falling slack's tangent lies in the domain; at -(s_i + pad_i)/ds_i
     that tangent is -pad_i, so no step past -1/rate lies in the domain also
     in floating point.
     """
+    h0, h1 = hat
+    lo0, hi0, lo1, lo2 = bounds
+    e_lo0, e_hi0, e_lo1, e_lo2 = (_ULPS * abs(b) for b in bounds)
+    e_y = _ULPS * ETA_CAP_FACTOR
+    w2, m2w = 2.0 * w, -2.0 * w
+    inf, isfinite = math.inf, math.isfinite
     # The point, slacks and log-sum of the last evaluation: the accepted
     # trial of a line search comes back as the next Newton step's point,
     # and a centered point as the next centering's start. The key is a
@@ -146,20 +162,58 @@ def _solve(slacks, objective, newton, z0, names, R0, path) -> SubproblemSolution
             last_log = _log_sum(last_s)
         return last_log
 
+    def objective(x0, x1, x2, y):
+        e0, e1 = x0 - h0, x1 - h1
+        return y - w * (e0 * e0 + e1 * e1)
+
     def eval_value(z, t):
         log_sum = at(z)
-        return log_sum if log_sum == -math.inf else t * objective(*z) + log_sum
+        return log_sum if log_sum == -inf else t * objective(*z) + log_sum
 
     def eval_full(z, t):
-        phi = eval_value(z, t)  # leaves the slacks at z in last_s
-        if not math.isfinite(phi):
+        log_sum = at(z)  # leaves the slacks at z in last_s
+        if log_sum == -inf:
+            return log_sum, None, None, None
+        x0, x1, x2, y = z
+        e0, e1 = x0 - h0, x1 - h1  # kept for the gradient
+        phi = t * (y - w * (e0 * e0 + e1 * e1)) + log_sum
+        if not isfinite(phi):
             return phi, None, None, None
-        grad, dx, rate = newton(z, t, getattr(t, "k", 1.0), last_s)
+        k = getattr(t, "k", 1.0)
+        s1, s2, s3, _, _, _, s7, s8 = last_s
+        # The bounds' slacks, the same floats as in last_s, and inf for the
+        # missing bound.
+        b0, c0 = x0 - lo0, hi0 - x0
+        b1, b2 = x1 - lo1, x2 - lo2
+        f1, f1_11, f2_0, f2_2, f2_00, f2_02, f2_22, g, g_00 = partials(x0, x1, x2)
+        r1, r3 = f1 / s1, g / s3
+        r2a, r2s = f2_0 / s2, f2_2 / s2
+        grad = (
+            t * (m2w * e0) + r2a + r3 - 1.0 / c0 + 1.0 / b0,
+            t * (m2w * e1) + r1 + 1.0 / b1,
+            r2s - 1.0 / s3 + 1.0 / b2,
+            t - 1.0 / s1 - 1.0 / s2 - 1.0 / s7 + 1.0 / s8,
+        )
+        # a_ij = -H_ij, with H = t*hess(f) + sum(s''/s - (s'/s) outer (s'/s)),
+        # except that the objective's part is divided by the dual scale k:
+        # ((t/k) A_f + B) dx = grad/k is the step (t A_f + k B) dx = grad.
+        tw = t / k * w2
+        a00 = tw - f2_00 / s2 + r2a * r2a - g_00 / s3 + r3 * r3 + 1.0 / (c0 * c0) + 1.0 / (b0 * b0)
+        a11 = tw - f1_11 / s1 + r1 * r1 + 1.0 / (b1 * b1)
+        a22 = r2s * r2s - f2_22 / s2 + 1.0 / (s3 * s3) + 1.0 / (b2 * b2)
+        a33 = 1.0 / (s1 * s1) + 1.0 / (s2 * s2) + 1.0 / (s7 * s7) + 1.0 / (s8 * s8)
+        # The cross terms are (x0, x2), (x0, y), (x1, y) and (x2, y).
+        a02 = r2a * r2s - f2_02 / s2 - r3 / s3
+        dx = _newton_dx(grad, a00, a11, a22, a33, a02, -r2a / s2, -r1 / s1, -r2s / s2, k)
         if dx is None:
             return phi, grad, None, None
+        dx0, dx1, dx2, dy = dx
+        rate = min((f1 * dx1 - dy) / (s1 + e_y), (f2_0 * dx0 + f2_2 * dx2 - dy) / (s2 + e_y),
+                   (g * dx0 - dx2) / (s3 + pad_g), -dx0 / (c0 + e_hi0), dx0 / (b0 + e_lo0),
+                   dx1 / (b1 + e_lo1), dx2 / (b2 + e_lo2), -dy / (s7 + e_y), dy / (s8 + e_y))
         # -1 over the fastest relative fall is the first zero of a falling
         # padded slack's tangent.
-        return phi, grad, dx, -1.0 / rate if rate < 0.0 else math.inf
+        return phi, grad, dx, -1.0 / rate if rate < 0.0 else inf
 
     z, ok, centers = barrier.maximize(eval_full, eval_value, z0, len(slacks(*z0)), TOL_SUB, path)
     point = dict(zip(names, z))
@@ -190,9 +244,7 @@ def solve_placement(
     the barrier starts from its centers when one fits, and the default
     solves cold.
     """
-    d_hat_br, d_hat_ru = aux
     R0 = rate_scale(p, fit)
-    w = nu / (2.0 * lam * R0)
     y_cap = ETA_CAP_FACTOR
     H2 = p.H * p.H
     half_beta = p.beta / 2.0
@@ -222,9 +274,16 @@ def solve_placement(
             y + y_cap,
         )
 
-    def objective(d_br, d_ru, gamma, y):
-        e_br, e_ru = d_br - d_hat_br, d_ru - d_hat_ru
-        return y - w * (e_br * e_br + e_ru * e_ru)
+    # F1 = a1c * (r_t + r_u * (u(d_ru) - u_t)) with u = (d_ru^2 + H^2)^(beta/2),
+    # F2 = b2 * (a1 + a2 * logistic tangent(gamma)), G = cap_peak - q3 * d_br^2.
+    f1_c, f2_c, g_00 = a1c * r_u * p.beta, -b2 * fit.a2 * sig_v * fit.c1, -2.0 * q3
+    hb1, hb2, bm1, m_c1 = half_beta - 1.0, half_beta - 2.0, p.beta - 1.0, -fit.c1
+
+    def partials(d_br, d_ru, gamma):
+        base = d_ru * d_ru + H2
+        f2_2 = f2_c * logistic_v(fit, gamma)
+        return (f1_c * d_ru * base ** hb1, f1_c * base ** hb2 * (bm1 * d_ru * d_ru + H2),
+                0.0, f2_2, 0.0, 0.0, m_c1 * f2_2, g_00 * d_br, g_00)
 
     # Strictly feasible start from the incumbent; a slack taken at zero of
     # the variable it bounds is that variable's upper limit.
@@ -234,50 +293,10 @@ def solve_placement(
     gamma0 = _interior(slacks(d_br0, d_ru0, 0.0, 0.0)[2], gamma_min)
     y0 = _interior(min(*slacks(d_br0, d_ru0, gamma0, 0.0)[:2], y_cap), -y_cap)
 
-    # The rounding error of each slack: the rate slacks and the box subtract
-    # terms of at most y_cap, the SNR slacks terms of at most the larger of
-    # cap_peak and gamma_min; d_br and d_ru are their own slacks.
-    e_y, e_g = _ULPS * y_cap, _ULPS * max(abs(cap_peak), abs(gamma_min))
-
-    def newton(z, t, k, s):
-        d_br, d_ru, gamma, y = z
-        s1, s2, s3, s4, s5, s6, s7, s8 = s
-
-        # Nonzero partials of the slacks other than the +-1 entries.
-        base = d_ru * d_ru + H2
-        s1_dru = a1c * r_u * p.beta * d_ru * base ** (half_beta - 1.0)
-        s1_dru2 = a1c * r_u * p.beta * base ** (half_beta - 2.0) * ((p.beta - 1.0) * d_ru * d_ru + H2)
-        s2_g = -b2 * fit.a2 * sig_v * fit.c1 * logistic_v(fit, gamma)
-        s3_db = -2.0 * q3 * d_br
-        r1, r2, r3 = s1_dru / s1, s2_g / s2, s3_db / s3
-
-        grad = (
-            t * (-2.0 * w * (d_br - d_hat_br)) + r3 + 1.0 / s4,
-            t * (-2.0 * w * (d_ru - d_hat_ru)) + r1 + 1.0 / s5,
-            r2 - 1.0 / s3 + 1.0 / s6,
-            t - 1.0 / s1 - 1.0 / s2 - 1.0 / s7 + 1.0 / s8,
-        )
-        # a_ij = -H_ij, with H = t*hess(f) + sum(s''/s - (s'/s) outer (s'/s)),
-        # except that the objective's part is divided by the dual scale k:
-        # ((t/k) A_f + B) dx = grad/k is the step (t A_f + k B) dx = grad.
-        tw = t / k * 2.0 * w
-        a00 = tw + 2.0 * q3 / s3 + r3 * r3 + 1.0 / (s4 * s4)
-        a11 = tw - s1_dru2 / s1 + r1 * r1 + 1.0 / (s5 * s5)
-        a22 = fit.c1 * r2 + r2 * r2 + 1.0 / (s3 * s3) + 1.0 / (s6 * s6)
-        a33 = 1.0 / (s1 * s1) + 1.0 / (s2 * s2) + 1.0 / (s7 * s7) + 1.0 / (s8 * s8)
-        # The cross terms are (d_br, gamma), (d_ru, y) and (gamma, y).
-        dx = _newton_dx(grad, a00, a11, a22, a33, -r3 / s3, 0.0, -r1 / s1, -r2 / s2, k)
-        if dx is None:
-            return grad, None, None
-        dd_br, dd_ru, dg, dy = dx
-        # min(ds_i/(s_i + pad_i)), ds_i the derivative of slack i along dx.
-        rate = min((s1_dru * dd_ru - dy) / (s1 + e_y), (s2_g * dg - dy) / (s2 + e_y),
-                   (s3_db * dd_br - dg) / (s3 + e_g), dd_br / s4, dd_ru / s5, dg / (s6 + e_g),
-                   -dy / (s7 + e_y), dy / (s8 + e_y))
-        return grad, dx, rate
-
-    z0 = (d_br0, d_ru0, gamma0, y0)
-    return _solve(slacks, objective, newton, z0, ("d_br", "d_ru", "gamma_br_db"), R0, path)
+    # G's slack subtracts terms of at most the larger of cap_peak and gamma_min.
+    return _solve(slacks, partials, (0.0, math.inf, 0.0, gamma_min),
+                  _ULPS * max(abs(cap_peak), abs(gamma_min)), nu / (2.0 * lam * R0), aux,
+                  (d_br0, d_ru0, gamma0, y0), ("d_br", "d_ru", "gamma_br_db"), R0, path)
 
 
 def solve_bandwidth(
@@ -303,9 +322,7 @@ def solve_bandwidth(
     at or below the floor.
     path is as in `solve_placement`.
     """
-    a_hat_br, a_hat_ru = aux
     R0 = rate_scale(p, fit)
-    w = 1.0 / (2.0 * lam * R0)
     y_cap = ETA_CAP_FACTOR
     gamma_min = min_snr_threshold_db(fit)
 
@@ -315,13 +332,14 @@ def solve_bandwidth(
     x_t, sq_t, sq_x = square_coeffs(lp)
     v_t, sig_t, sig_v = logistic_coeffs(fit, lp)
     a_t, _, cap_a = snr_cap_coeffs(lp)
-    # SNR ceiling, affine in alpha_br: lp.gamma_br_db + cap_a * (alpha_br - a_t).
-    a_max = a_t + (gamma_min - lp.gamma_br_db) / cap_a  # the ceiling meets gamma_min
+    g_t = lp.gamma_br_db
+    # SNR ceiling, affine in alpha_br: g_t + cap_a * (alpha_br - a_t).
+    a_max = a_t + (gamma_min - g_t) / cap_a  # the ceiling meets gamma_min
     if a_max <= alpha_floor:
         return SubproblemSolution({}, -math.inf, "infeasible")
 
     def slacks(a_br, a_ru, S, y):
-        v = logistic_v(fit, lp.gamma_br_db + cap_a * (a_br - a_t))  # at the SNR ceiling
+        v = logistic_v(fit, g_t + cap_a * (a_br - a_t))  # at the SNR ceiling
         return (
             wr * a_ru * math.log1p(c_ru / a_ru) / _LN2 - y if a_ru > 0.0 else -math.inf,
             q2 * (sq_t + sq_x * (a_br + S - x_t) - (a_br - S) * (a_br - S)) - y,
@@ -333,67 +351,31 @@ def solve_bandwidth(
             y + y_cap,
         )
 
-    def objective(a_br, a_ru, S, y):
-        e_br, e_ru = a_br - a_hat_br, a_ru - a_hat_ru
-        return y - w * (e_br * e_br + e_ru * e_ru)
+    # F1 = wr * a_ru * log2(1 + c_ru/a_ru), F2 = q2 * (square tangent(a_br + S)
+    # - (a_br - S)^2), G = a1 + a2 * logistic tangent(SNR ceiling(a_br)), whose
+    # G'' = -c1 * cap_a * G'.
+    f1_11c, f2_00, g_c = -wr * c_ru * c_ru, -2.0 * q2, -fit.a2 * sig_v * fit.c1 * cap_a
+    g_2c = -fit.c1 * cap_a
+
+    def partials(a_br, a_ru, S):
+        ac, d2 = a_ru + c_ru, 2.0 * (a_br - S)
+        g = g_c * logistic_v(fit, g_t + cap_a * (a_br - a_t))
+        return (wr * (math.log1p(c_ru / a_ru) - c_ru / ac) / _LN2, f1_11c / (a_ru * ac * ac * _LN2),
+                q2 * (sq_x - d2), q2 * (sq_x + d2), f2_00, -f2_00, f2_00, g, g_2c * g)
 
     # Strictly feasible start; a slack taken at zero of the variable it
     # bounds is that variable's upper limit. The incumbent alpha_ru is not
     # part of the expansion point, so the auxiliary copy seeds that
     # coordinate.
     a_br0 = min(max(lp.alpha_br, 2.0 * alpha_floor), alpha_floor + 0.999 * (a_max - alpha_floor))
-    a_ru0 = max(2.0 * alpha_floor, a_hat_ru)
+    a_ru0 = max(2.0 * alpha_floor, aux[1])
     S0 = slacks(a_br0, a_ru0, 0.0, 0.0)[2] - max(1e-9, _REL_MARGIN * fit.a2)
     y0 = _interior(min(*slacks(a_br0, a_ru0, S0, 0.0)[:2], y_cap), -y_cap)
 
-    # The rounding error of each slack: the rate slacks and the box subtract
-    # terms of at most y_cap, the similarity slack terms of at most a1 + a2,
-    # and the bounds on the split terms near a_max or alpha_floor, where
-    # they fall to zero.
-    e_y, e_s = _ULPS * y_cap, _ULPS * (fit.a1 + fit.a2)
-    e_a, e_f = _ULPS * a_max, _ULPS * alpha_floor
-
-    def newton(z, t, k, s):
-        a_br, a_ru, S, y = z
-        s1, s2, s3, s4, s5, s6, s7, s8 = s
-
-        # Nonzero partials of the slacks other than the +-1 entries.
-        s1_aru = wr * (math.log1p(c_ru / a_ru) - c_ru / (a_ru + c_ru)) / _LN2
-        s1_aru2 = -wr * c_ru * c_ru / (a_ru * (a_ru + c_ru) * (a_ru + c_ru) * _LN2)
-        s2_abr = q2 * (sq_x - 2.0 * (a_br - S))
-        s2_S = q2 * (sq_x + 2.0 * (a_br - S))
-        s3_abr = -fit.a2 * sig_v * fit.c1 * cap_a * logistic_v(fit, lp.gamma_br_db + cap_a * (a_br - a_t))
-        r1, r2a, r2s, r3 = s1_aru / s1, s2_abr / s2, s2_S / s2, s3_abr / s3
-
-        grad = (
-            t * (-2.0 * w * (a_br - a_hat_br)) + r2a + r3 - 1.0 / s4 + 1.0 / s5,
-            t * (-2.0 * w * (a_ru - a_hat_ru)) + r1 + 1.0 / s6,
-            r2s - 1.0 / s3,
-            t - 1.0 / s1 - 1.0 / s2 - 1.0 / s7 + 1.0 / s8,
-        )
-        # a_ij = -H_ij and the dual scale as in the placement block;
-        # s3'' = -c1 * cap_a * s3'.
-        tw = t / k * 2.0 * w
-        a00 = (tw + 2.0 * q2 / s2 + r2a * r2a + fit.c1 * cap_a * r3 + r3 * r3
-               + 1.0 / (s4 * s4) + 1.0 / (s5 * s5))
-        a11 = tw - s1_aru2 / s1 + r1 * r1 + 1.0 / (s6 * s6)
-        a22 = 2.0 * q2 / s2 + r2s * r2s + 1.0 / (s3 * s3)
-        a33 = 1.0 / (s1 * s1) + 1.0 / (s2 * s2) + 1.0 / (s7 * s7) + 1.0 / (s8 * s8)
-        a02 = r2a * r2s - 2.0 * q2 / s2 - r3 / s3
-        # The cross terms are (alpha_br, S), (alpha_br, y), (alpha_ru, y) and (S, y).
-        dx = _newton_dx(grad, a00, a11, a22, a33, a02, -r2a / s2, -r1 / s1, -r2s / s2, k)
-        if dx is None:
-            return grad, None, None
-        da_br, da_ru, dS, dy = dx
-        # min(ds_i/(s_i + pad_i)), as in the placement block.
-        rate = min((s1_aru * da_ru - dy) / (s1 + e_y),
-                   (s2_abr * da_br + s2_S * dS - dy) / (s2 + e_y),
-                   (s3_abr * da_br - dS) / (s3 + e_s), -da_br / (s4 + e_a), da_br / (s5 + e_f),
-                   da_ru / (s6 + e_f), -dy / (s7 + e_y), dy / (s8 + e_y))
-        return grad, dx, rate
-
-    z0 = (a_br0, a_ru0, S0, y0)
-    return _solve(slacks, objective, newton, z0, ("alpha_br", "alpha_ru", "S"), R0, path)
+    # G's slack subtracts terms of at most a1 + a2.
+    return _solve(slacks, partials, (alpha_floor, a_max, alpha_floor, -math.inf),
+                  _ULPS * (fit.a1 + fit.a2), 1.0 / (2.0 * lam * R0), aux,
+                  (a_br0, a_ru0, S0, y0), ("alpha_br", "alpha_ru", "S"), R0, path)
 
 
 def solve_auxiliary(

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -60,6 +61,20 @@ class TestOracleSearch:
     def test_grid_spec_validation(self):
         with pytest.raises(ValueError):
             GridSpec(1, 10)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(n_d=10.5), "n_d must be an integer"),
+        (dict(n_alpha=11.0), "n_alpha must be an integer"),
+        (dict(n_d=math.inf), "n_d must be finite"),
+        (dict(alpha_floor=math.nan), "alpha_floor must be finite"),
+        (dict(alpha_floor=0.6), r"alpha_floor must lie in \(0, 0.5\)"),
+        (dict(alpha_floor=-1.0), r"alpha_floor must lie in \(0, 0.5\)"),
+    ])
+    def test_grid_spec_rejects_before_the_search(self, kwargs, message):
+        # Each was accepted, and the search then raised TypeError in
+        # linspace, read as infeasible, or returned alpha_br below the floor.
+        with pytest.raises(ValueError, match=message):
+            GridSpec(**{"n_d": 11, "n_alpha": 11, **kwargs})
 
 
 class TestDfBaseline:

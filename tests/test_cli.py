@@ -145,6 +145,29 @@ class TestSweepCsv:
         with pytest.raises(ConfigError):
             read_sweep_csv(str(path))
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda fields: fields[:-1], "expected 14 fields, got 13"),
+        (lambda fields: fields + ["1.0"], "expected 14 fields, got 15"),
+        (lambda fields: ["1e5", "fast", *fields[2:]], "invalid number 'fast' for 'eta_penalty'"),
+        (lambda fields: ["", *fields[1:]], "invalid number '' for 'W'"),
+    ], ids=["short", "long", "not-a-number", "no-bandwidth"])
+    def test_malformed_row_names_its_line(self, tmp_path, edit, message):
+        # The second data row, line 3 of the file, is malformed; the first
+        # is as written.
+        path = str(tmp_path / "out.csv")
+        write_sweep_csv(self._rows(), path)
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines[2] = ",".join(edit(lines[2].split(",")))
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"^{path}:3: {message}$"):
+            read_sweep_csv(path)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(ConfigError, match="unexpected CSV header"):
+            read_sweep_csv(str(path))
+
     def test_spacing_helpers(self):
         logs = sweep_bandwidths(1e5, 1e7, 3)
         assert logs == [1e5, pytest.approx(1e6, rel=1e-12), 1e7]

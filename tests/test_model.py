@@ -270,6 +270,19 @@ class TestUnitsAndValidation:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             cls(**{name: value})
 
+    @pytest.mark.parametrize("field", range(6))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_design_point_rejects_non_finite(self, field, value):
+        # Only the SNR may be +inf: zero path loss at H = 0.
+        args = [50.0, 50.0, 0.5, 0.5, 0.0, 1.0]
+        args[field] = value
+        name = ("d_br", "d_ru", "alpha_br", "alpha_ru", "gamma_br_db", "eta")[field]
+        if name == "gamma_br_db" and value == math.inf:
+            assert DesignPoint(*args).gamma_br_db == math.inf
+        else:
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                DesignPoint(*args)
+
     def test_threshold_equivalence_random(self):
         # similarity >= eps_bar exactly when gamma >= threshold
         rng = np.random.default_rng(23)

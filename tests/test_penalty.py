@@ -252,6 +252,12 @@ class TestRandomSystems:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("name", ["max_inner", "max_outer"])
+    def test_caps_must_be_integers(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            PenaltyConfig(**{name: 2.5})
+        assert getattr(PenaltyConfig(**{name: np.int64(3)}), name) == 3
+
     def test_rejects_bad_scaling(self):
         with pytest.raises(ValueError):
             PenaltyConfig(c=1.0)

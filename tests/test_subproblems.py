@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from semrelay.subproblems import (
     ETA_CAP_FACTOR,
     TOL_SUB,
     _newton_dx,
+    _solve,
     rate_scale,
     solve_auxiliary,
     solve_bandwidth,
@@ -315,6 +317,59 @@ class TestBlockDerivatives:
             for t in (10.0, 1e4):
                 assert eval_value(z, t) == -math.inf, z
                 assert eval_full(z, t) == (-math.inf, None, None, None), z
+
+
+class TestBlockProgram:
+    """`_solve`, the program that both barrier blocks instantiate, on a
+    synthetic instance: F1(x1) = x1, F2(x0, x2) = x2 + x0/2 and
+    G(x0) = 1 - x0, each minus a concave quadratic when curved, with the
+    bounds 0 < x0 < 0.3 and x1 > 0, and none on x2."""
+
+    Z0 = (0.1, 0.3, 0.2, 0.05)
+    HAT = (0.9, 0.5)
+
+    @classmethod
+    def _run(cls, curved, R0=1.0, path=()):
+        c = 1.0 if curved else 0.0
+        cap = ETA_CAP_FACTOR
+
+        def slacks(x0, x1, x2, y):
+            d = x0 - x2
+            return (x1 - c * x1 * x1 - y, x2 + 0.5 * x0 - c * d * d - y, 1.0 - x0 - c * x0 * x0 - x2,
+                    0.3 - x0, x0, x1, cap - y, y + cap)
+
+        def partials(x0, x1, x2):
+            d = 2.0 * c * (x0 - x2)
+            return (1.0 - 2.0 * c * x1, -2.0 * c, 0.5 - d, 1.0 + d, -2.0 * c, 2.0 * c, -2.0 * c,
+                    -1.0 - 2.0 * c * x0, -2.0 * c)
+
+        ulps = 4.0 * sys.float_info.epsilon
+        return _solve(slacks, partials, (0.0, 0.3, 0.0, -math.inf), ulps, 1.0, cls.HAT, cls.Z0,
+                      ("x0", "x1", "x2"), R0, path)
+
+    def test_affine_instance_reaches_its_vertex(self):
+        # y = min(x1, x2 + x0/2) with x2 = 1 - x0 at the optimum; along that
+        # kink the objective rises in x0 up to 0.72, so x0 stops at its
+        # bound 0.3, and then x1 = y = 0.85: the KKT multipliers of the four
+        # active slacks are 0.7, 0.3, 0.3 and 1.05, all positive.
+        sol = self._run(curved=False, R0=2.0)
+        assert sol.status == "optimal"
+        want = {"x0": 0.3, "x1": 0.85, "x2": 0.7, "eta": 2.0 * 0.85}
+        assert sol.point.keys() == want.keys()
+        for name, v in want.items():
+            assert sol.point[name] == pytest.approx(v, abs=1e-7), name
+        objective = 0.85 - (0.3 - 0.9) ** 2 - (0.85 - 0.5) ** 2
+        assert sol.objective == pytest.approx(2.0 * objective, abs=1e-8)
+        assert self._run(curved=False, R0=2.0, path=sol.path).point == pytest.approx(sol.point, abs=1e-9)
+
+    @pytest.mark.parametrize("curved", [False, True])
+    def test_eval_full_matches_finite_differences(self, curved, monkeypatch):
+        calls = TestBlockDerivatives._record(monkeypatch)
+        self._run(curved)
+        ((eval_full, eval_value, x0, x),) = calls
+        for z in (x0, 0.5 * (x0 + x), 0.99 * x + 0.01 * x0):
+            for t in (10.0, 1e4):
+                TestBlockDerivatives._check(eval_full, eval_value, z, t)
 
 
 class TestStepBound:
