@@ -2,8 +2,9 @@
 
 Each block program has four variables and eight smooth constraints, so a
 path-following method on the primal barrier is enough: maximize
-t*f(x) + sum(log(-g_i(x))) by damped Newton, then grow t by a fixed factor
-until the duality measure m/t drops below the requested gap. The Newton
+t*f(x) + sum(log(-g_i(x))) by damped Newton, then grow t by one fixed
+factor, _GROWTH, until the duality measure m/t drops below the requested
+gap (Boyd & Vandenberghe, *Convex Optimization*, §11.3). The Newton
 system is sparse, and `subproblems._solve` solves it in closed form.
 Everything is deterministic; no randomness, no iteration-order ambiguity.
 
@@ -49,8 +50,7 @@ bound = inf.
 The line search calls eval_value once per trial it evaluates, and the next
 Newton step calls eval_full at the accepted trial, so a problem may keep
 the work of its last evaluation for the next call, provided its results
-depend on its arguments alone. A centering that starts at a warm center
-starts from the eval_full call that accepted it.
+depend on its arguments alone.
 """
 
 from __future__ import annotations
@@ -65,8 +65,10 @@ _MAX_NEWTON = 60
 _BACKTRACK_SLOPE = 0.25
 _BACKTRACK_SHRINK = 0.5
 _MAX_BACKTRACK = 60
-# Barrier parameter of the first centering of a cold start.
+# Barrier parameter of the first centering of a cold start, and its growth
+# per stage.
 _T0 = 10.0
+_GROWTH = 100.0
 # A center of the warm path starts a solve when its Newton decrement for
 # the new problem is at most this (lambda^2 <= 1, inside the region where
 # damped Newton takes few steps to converge).
@@ -85,22 +87,20 @@ class Scaled(float):
         return self
 
 
-def _newton(eval_full, eval_value, x, t, k, full=None):
-    """Center at fixed t with the duals carried at scale k, from
-    full = eval_full(x, t) when the caller has it (k = 1 then). Returns
-    (x, converged, steps)."""
-    for step in range(_MAX_NEWTON):
-        phi, grad, dx, bound = full or eval_full(x, t if k == 1.0 else Scaled(t, k))
-        full = None
+def _newton(eval_full, eval_value, x, t, k):
+    """Center at fixed t with the duals carried at scale k. Returns
+    (x, converged)."""
+    for _ in range(_MAX_NEWTON):
+        phi, grad, dx, bound = eval_full(x, t if k == 1.0 else Scaled(t, k))
         # Outside the domain the line search cannot tell better from worse,
         # and without positive pivots there is no ascent direction.
         if not math.isfinite(phi) or dx is None:
-            return x, False, step
+            return x, False
         decrement = sum(map(mul, grad, dx))
         if k * decrement <= _DECREMENT_TOL:
             # Newton direction of a concave phi always has decrement >= 0;
             # tiny values mean we are centered.
-            return x, True, step
+            return x, True
         s = 1.0
         for _ in range(_MAX_BACKTRACK):
             if s < bound:
@@ -109,22 +109,19 @@ def _newton(eval_full, eval_value, x, t, k, full=None):
                     break
             s *= _BACKTRACK_SHRINK
         else:
-            return x, False, step
+            return x, False
         x = cand
         k = 1.0 + (k - 1.0) * (1.0 - s)
-    return x, False, _MAX_NEWTON
+    return x, False
 
 
-def _warm_start(eval_full, path, t_final):
-    """The (t, x, eval_full(x, t)) of the highest center of path below
-    t_final that is nearly centered for the problem of eval_full, or None."""
+def _warm_start(eval_full, path):
+    """The (t, x) of the highest center of path that is nearly centered for
+    the problem of eval_full, x a list, or None."""
     for t, x in reversed(path):
-        if t >= t_final:
-            continue
-        full = eval_full(x, t)
-        phi, grad, dx, _ = full
+        phi, grad, dx, _ = eval_full(x, t)
         if math.isfinite(phi) and dx is not None and sum(map(mul, grad, dx)) <= _WARM_DECREMENT:
-            return t, list(x), full
+            return t, list(x)
     return None
 
 
@@ -133,36 +130,32 @@ def maximize(eval_full, eval_value, x0, n_constraints, gap, path=()):
 
     path holds (t, x) centers of an earlier, nearby solve in increasing t,
     as this function returns them. The solve starts at the highest of them
-    below t_final that is nearly centered for this problem (Newton
-    decrement lambda^2 <= _WARM_DECREMENT), and otherwise cold at
-    (x0, _T0). x0 must then be strictly feasible; one outside the domain
-    comes back unchanged, unconverged. path is not modified.
+    that is nearly centered for this problem (Newton decrement
+    lambda^2 <= _WARM_DECREMENT), and otherwise cold at (x0, _T0). x0 must
+    then be strictly feasible; one outside the domain comes back unchanged,
+    unconverged. path is not modified.
 
     Returns (x, converged, centers): x a list of floats; converged means
     every centering succeeded and m/t_final <= gap; centers holds the
     (t, x) of each converged centering below t_final, in increasing t, x a
-    tuple. The barrier parameter grows by 10 per stage, or by 100 after
-    stages that converge in a couple of Newton steps (a start near the path
-    needs no slow walk through the early stages), and each stage after a
-    converged one starts with that center's duals, at the scale k of the
-    growth.
+    tuple. The barrier parameter grows by the one factor _GROWTH per stage
+    up to t_final = m/gap (a start at or above t_final is centered once),
+    and each stage after a converged one starts with that center's duals,
+    at the scale k of the growth.
     """
     t_final = n_constraints / gap
-    cold = (min(_T0, t_final), [float(v) for v in x0], None)
-    t, x, full = _warm_start(eval_full, path, t_final) or cold
+    t, x = _warm_start(eval_full, path) or (min(_T0, t_final), [float(v) for v in x0])
     k = 1.0
     ok_all = True
     centers = []
     while True:
-        x, ok, steps = _newton(eval_full, eval_value, x, t, k, full)
-        full = None
+        x, ok = _newton(eval_full, eval_value, x, t, k)
         ok_all = ok_all and ok
         if t >= t_final:
             break
         if ok:
             centers.append((t, tuple(x)))
-        factor = 100.0 if (ok and steps <= 2) else 10.0
-        t_next = min(t * factor, t_final)
+        t_next = min(t * _GROWTH, t_final)
         # The duals of a center carry over; those of a failed centering do not.
         k = t_next / t if ok else 1.0
         t = t_next

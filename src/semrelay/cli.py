@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import math
 import sys
 from dataclasses import dataclass
@@ -47,10 +48,23 @@ class ConfigError(ValueError):
     """Malformed or inconsistent configuration input."""
 
 
+def _open_utf8(path: str, newline=None) -> io.StringIO:
+    """The text of a UTF-8 file as a stream that splits lines as
+    open(path, newline=newline) does. A file that is not UTF-8 raises
+    ConfigError naming the line of its first bad byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_config(path: str) -> tuple[SystemParams, SigmoidFit, PenaltyConfig]:
     """Parse a key=value config file; missing keys take the defaults."""
     values: dict[str, float] = {}
-    with open(path, encoding="utf-8") as fh:
+    with _open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -200,8 +214,9 @@ def read_sweep_csv(path: str) -> list[SweepRow]:
     """Parse a sweep CSV back into rows; exact inverse of write_sweep_csv.
     A wrong header, a row without one field per column, or a cell that is
     not a number where one belongs (W always, a rate or decision unless
-    empty) raises ConfigError naming the line."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    empty) raises ConfigError naming the line, as does a file that is not
+    UTF-8."""
+    with _open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         if tuple(header) != SWEEP_FIELDS:

@@ -48,13 +48,15 @@ TOL_SUB = 1e-9
 # 0.82 plateau, alpha_br + alpha_ru lies in 2.6..4.5) both hop rates sit at
 # the cap, 1.500 R0. Without the box, and without the matching cap in
 # penalty._tighten, W = 1e5 took 5,549 inner cycles and 1e6 took 13,955,
-# against 514 and 1,154 with it, and 4,958 of the 11,098 block solves at
-# W = 1e5 did not converge.
+# against 514 and 1,154 with it in the same measurement (513 and 1,145
+# with the barrier's present schedule), and 4,958 of the 11,098 block
+# solves at W = 1e5 did not converge.
 ETA_CAP_FACTOR = 1.5
 # Strict-interior margins used to push the incumbent off the boundary.
 DIST_MARGIN_FRAC = 1e-3  # of D, for distances
 _REL_MARGIN = 0.05  # fraction of the available slack for gamma, S, eta
-# A few ulps: the rounding error of a slack relative to the terms it subtracts.
+# A few ulps: the rounding error of a slack relative to the terms it subtracts,
+# and the step bound's relative margin.
 _ULPS = 4.0 * sys.float_info.epsilon
 
 
@@ -133,18 +135,19 @@ def _solve(slacks, partials, bounds, pad_g, w, hat, z0, names, R0, path) -> Subp
     label (x0, x1, x2) in the returned point.
 
     eval_full gives the barrier's Newton step (t*A_f + k*B) dx = grad, as
-    in `barrier`, and the bound min(ds_i/(s_i + pad_i)) on its step, with
-    ds_i the derivative of slack i along dx and pad_i a bound on its
-    rounding error, a few ulps of the terms it subtracts: _ULPS*|b| for a
-    bound b, pad_g for G's slack and _ULPS*ETA_CAP_FACTOR for the rest.
-    The slacks are concave, so no step x + s*dx at or beyond the first zero
-    of a falling slack's tangent lies in the domain; at -(s_i + pad_i)/ds_i
-    that tangent is -pad_i, so no step past -1/rate lies in the domain also
-    in floating point.
+    in `barrier`, and a bound on its step. The slacks are concave, so no
+    step x + s*dx at or beyond the first zero of a falling slack's tangent,
+    -s_i/ds_i with ds_i the derivative of slack i along dx, lies in the
+    domain. The bound is -(1 + _ULPS)/rate, rate = min(ds_i/(s_i + pad_i))
+    over the slacks. pad_i bounds the rounding error of a curved slack, a
+    few ulps of the terms it subtracts: pad_g for G's slack and
+    _ULPS*ETA_CAP_FACTOR for F1's and F2's. The six affine slacks take no
+    pad. The margin (1 + _ULPS) lifts the bound past the rounding of the
+    two divisions, so that every step the line search skips lies outside
+    the domain also in floating point.
     """
     h0, h1 = hat
     lo0, hi0, lo1, lo2 = bounds
-    e_lo0, e_hi0, e_lo1, e_lo2 = (_ULPS * abs(b) for b in bounds)
     e_y = _ULPS * ETA_CAP_FACTOR
     w2, m2w = 2.0 * w, -2.0 * w
     inf, isfinite = math.inf, math.isfinite
@@ -209,11 +212,11 @@ def _solve(slacks, partials, bounds, pad_g, w, hat, z0, names, R0, path) -> Subp
             return phi, grad, None, None
         dx0, dx1, dx2, dy = dx
         rate = min((f1 * dx1 - dy) / (s1 + e_y), (f2_0 * dx0 + f2_2 * dx2 - dy) / (s2 + e_y),
-                   (g * dx0 - dx2) / (s3 + pad_g), -dx0 / (c0 + e_hi0), dx0 / (b0 + e_lo0),
-                   dx1 / (b1 + e_lo1), dx2 / (b2 + e_lo2), -dy / (s7 + e_y), dy / (s8 + e_y))
+                   (g * dx0 - dx2) / (s3 + pad_g), -dx0 / c0, dx0 / b0, dx1 / b1, dx2 / b2,
+                   -dy / s7, dy / s8)
         # -1 over the fastest relative fall is the first zero of a falling
-        # padded slack's tangent.
-        return phi, grad, dx, -1.0 / rate if rate < 0.0 else inf
+        # padded slack's tangent; the margin puts the bound past its rounding.
+        return phi, grad, dx, -(1.0 + _ULPS) / rate if rate < 0.0 else inf
 
     z, ok, centers = barrier.maximize(eval_full, eval_value, z0, len(slacks(*z0)), TOL_SUB, path)
     point = dict(zip(names, z))

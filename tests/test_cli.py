@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,18 @@ class TestLoadConfig:
         assert main(["solve", "--config", path]) == EXIT_USAGE
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data, line", [
+        (b"\xff\xfe", 1), (b"W=1e6\r\n# caf\xe9\nbeta=3\n", 2),
+    ], ids=["bom-utf16", "latin1-comment"])
+    def test_non_utf8_file_ends_in_one_error_line(self, tmp_path, capsys, data, line):
+        path = tmp_path / "cfg.txt"
+        path.write_bytes(data)
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:{line}: not UTF-8 text"):
+            load_config(str(path))
+        assert main(["solve", "--config", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:{line}: not UTF-8 text") and err.count("\n") == 1
+
     def test_round_trip(self, tmp_path):
         src = _write(tmp_path, "W=3.25e6\nbeta=2.75\neps_bar=0.91\nlambda0=7.5\nmax_outer=123\n")
         loaded = load_config(src)
@@ -161,6 +174,21 @@ class TestSweepCsv:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ConfigError, match=f"^{path}:3: {message}$"):
             read_sweep_csv(path)
+
+    def test_non_utf8_row_names_its_line(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_sweep_csv(self._rows(), str(path))
+        with open(path, "ab") as fh:
+            fh.write(b"1e7,\xff\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:4: not UTF-8 text"):
+            read_sweep_csv(str(path))
+
+    def test_quoted_line_breaks_read_back(self, tmp_path):
+        # A cell keeps its line breaks untranslated, as csv needs.
+        rows = [*self._rows(), SweepRow(2e6, *[None] * 8, "a\r\nb\rc\n", *["ok"] * 4)]
+        path = str(tmp_path / "out.csv")
+        write_sweep_csv(rows, path)
+        assert read_sweep_csv(path) == rows
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -242,7 +242,7 @@ class TestRandomSystems:
         # exception, a point exactly when the status is not infeasible, and
         # every converged point meets the similarity floor with its own rate.
         rng = np.random.default_rng(11)
-        for i in range(16):
+        for i in range(32):
             p, f = random_params(rng), random_fit(rng)
             report = run(p, f, cfg)
             assert (report.best is None) == (report.status == "infeasible"), i

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from semrelay import barrier
+from semrelay import barrier, subproblems
 from semrelay.bounds import LocalPoint
 from semrelay.model import (
     DEFAULT_ALPHA_FLOOR,
@@ -440,6 +440,31 @@ class TestStepBound:
         # The bound cuts the full Newton step at a fair share of the points.
         assert below_one >= 0.1 * len(points), (below_one, len(points))
 
+    def test_feasible_trial_ulps_before_the_crossing_is_not_skipped(self, monkeypatch):
+        # A step along x0 alone toward its lower bound lo0, on a program
+        # whose other slacks do not fall: the exact crossing lies an ulp
+        # past the trial s = 2^-14, which keeps x0 - lo0 > 0. The bound
+        # must let the line search evaluate that trial.
+        lo0, x0 = -0.21293635958925727, 2.5079493333802994
+        dx = (-44578.99119361321, 0.0, 0.0, 0.0)
+        cap = ETA_CAP_FACTOR
+
+        def slacks(x0, x1, x2, y):
+            return 1.0 - y, 1.0 - y, 1.0 - x2, x0 - lo0, x1, x2, cap - y, y + cap
+
+        calls = TestBlockDerivatives._record(monkeypatch)
+        z = [x0, 1.0, 0.5, 0.0]
+        _solve(slacks, lambda *x: (0.0,) * 9, (lo0, math.inf, 0.0, 0.0), 0.0, 1.0, (0.0, 0.0),
+               tuple(z), ("x0", "x1", "x2"), 1.0, ())
+        ((eval_full, eval_value, _, _),) = calls
+        monkeypatch.setattr(subproblems, "_newton_dx", lambda *args: dx)
+        _, _, step, bound = eval_full(z, 1.0)
+        assert step == dx
+        s = 0.5 ** 14
+        trial = [zi + s * di for zi, di in zip(z, dx)]
+        assert trial[0] - lo0 > 0.0 and math.isfinite(eval_value(trial, 1.0))
+        assert s < bound, bound
+
     def test_unbounded_line_search_gives_same_solves(self, params, fit, monkeypatch):
         bounded = self._solve_blocks(params, fit)
         maximize = barrier.maximize
@@ -530,6 +555,18 @@ class TestWarmStart:
                 for name, v in cold.point.items():
                     assert warm.point[name] == pytest.approx(v, rel=1e-9), (i, name)
 
+    def test_cold_solve_grows_t_by_one_factor(self, params, fit):
+        t_final = 8 / TOL_SUB  # eight slacks
+        want, t = [], barrier._T0
+        while t < t_final:
+            want.append(t)
+            t *= barrier._GROWTH
+        for p, f, d, alpha in [(params, fit, (50.0, 50.0), (0.3, 0.7)), *_random_cases()]:
+            for solve in self._blocks(p, f, d, alpha):
+                sol = solve()
+                assert sol.status == "optimal"
+                assert [t for t, _ in sol.path] == want
+
     def test_empty_or_outside_path_gives_cold_solution(self, params, fit):
         place, band = self._blocks(params, fit, (50.0, 50.0), (0.3, 0.7))
         for solve, coord, outside in ((place, 0, -1.0), (band, 1, -0.1)):
@@ -556,8 +593,8 @@ class TestScaledStep:
         decrements, scales = [], []
         newton = barrier._newton
 
-        def checked(eval_full, eval_value, x, t, k, full=None):
-            out = newton(eval_full, eval_value, x, t, k, full)
+        def checked(eval_full, eval_value, x, t, k):
+            out = newton(eval_full, eval_value, x, t, k)
             if out[1]:
                 _, grad, dx, _ = eval_full(out[0], float(t))
                 decrements.append(sum(g * d for g, d in zip(grad, dx)))
@@ -586,9 +623,9 @@ class TestScaledStep:
 
         t = 1.0
         x0 = [-math.sqrt(10.0 * barrier._DECREMENT_TOL)]  # (t*(1 - x) - 1)^2 = 10 tol
-        x, ok, steps = barrier._newton(eval_full, eval_value, x0, t, 100.0)
+        x, ok = barrier._newton(eval_full, eval_value, x0, t, 100.0)
         _, (g,), (dx,), _ = eval_full(x, t)
-        assert ok and steps > 0
+        assert ok and x != x0
         assert g * dx <= barrier._DECREMENT_TOL
 
 
