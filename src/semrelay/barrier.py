@@ -1,6 +1,6 @@
 """Log-barrier Newton solver for the small convex block subproblems.
 
-Each block program has four variables and eight smooth constraints, so a
+Each block program has four variables and seven smooth constraints, so a
 path-following method on the primal barrier is enough: maximize
 t*f(x) + sum(log(-g_i(x))) by damped Newton, then grow t by one fixed
 factor, _GROWTH, until the duality measure m/t drops below the requested

@@ -270,8 +270,17 @@ def _load(args) -> tuple[SystemParams, SigmoidFit, PenaltyConfig]:
     return params, fit, cfg
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with usage errors exiting EXIT_USAGE instead of 2;
+    subparsers take the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="semrelay",
         description="Joint relay placement and bandwidth allocation for a semantic relay link.",
     )

@@ -119,7 +119,7 @@ def _tighten(p, fit, d, alpha, eta_cap=float("inf")):
     """The incumbent at the primal variables: its expansion point, with SNR
     and similarity recomputed from them, and its rate.
 
-    eta_cap mirrors the compactness box of the block subproblems: while the
+    eta_cap mirrors the rate cap of the block subproblems: while the
     bandwidth fractions can exceed 1 under a weak penalty, the incumbent
     rate must stay inside the same feasible set the blocks optimize over,
     otherwise the ascent property of the cycle breaks. The cap is inactive

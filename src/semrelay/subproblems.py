@@ -40,17 +40,17 @@ from semrelay.model import (
 
 # Relative duality gap for each block solve.
 TOL_SUB = 1e-9
-# The rate variable is additionally boxed at this multiple of the semantic
-# ceiling to keep the feasible sets compact for the barrier method; the box
-# never binds at a converged solution because alpha_br + alpha_ru -> 1.
-# It binds on the way, and the penalty schedule relies on it: in each of the
-# first 214 phases of the default W = 1e6 run (zeta falls from 1.73 to the
-# 0.82 plateau, alpha_br + alpha_ru lies in 2.6..4.5) both hop rates sit at
-# the cap, 1.500 R0. Without the box, and without the matching cap in
+# The rate variable is capped at this multiple of the semantic ceiling (it
+# has no lower bound; see `_solve`). The cap never binds at a converged
+# solution because alpha_br + alpha_ru -> 1. It binds on the way, and the
+# penalty schedule relies on it: in each of the first 214 phases of the
+# default W = 1e6 run (zeta falls from 1.73 to the 0.82 plateau,
+# alpha_br + alpha_ru lies in 2.6..4.5) both hop rates sit at the cap,
+# 1.500 R0. Without the cap, and without the matching cap in
 # penalty._tighten, W = 1e5 took 5,549 inner cycles and 1e6 took 13,955,
-# against 514 and 1,154 with it in the same measurement (513 and 1,145
-# with the barrier's present schedule), and 4,958 of the 11,098 block
-# solves at W = 1e5 did not converge.
+# against 514 and 1,154 with it in the same measurement (513 and 1,170
+# with the present barrier), and 4,958 of the 11,098 block solves at
+# W = 1e5 did not converge.
 ETA_CAP_FACTOR = 1.5
 # Strict-interior margins used to push the incumbent off the boundary.
 DIST_MARGIN_FRAC = 1e-3  # of D, for distances
@@ -117,22 +117,25 @@ def _newton_dx(g, a00, a11, a22, a33, a02, a03, a13, a23, k=1.0):
     return dx0, (g1 - a13 * dx3) / a11, dx2, dx3
 
 
-def _solve(slacks, partials, bounds, pad_g, w, hat, z0, names, R0, path) -> SubproblemSolution:
+def _solve(slacks, partials, bounds, pad_g, w, hat, start, names, R0, path) -> SubproblemSolution:
     """The program of both barrier blocks: over z = (x0, x1, x2, y),
     maximize y - w*((x0 - h0)^2 + (x1 - h1)^2), hat = (h0, h1), subject to
 
         F1(x1) - y, F2(x0, x2) - y, G(x0) - x2,
         x0 - lo0, hi0 - x0, x1 - lo1, x2 - lo2,
-        ETA_CAP_FACTOR - y, y + ETA_CAP_FACTOR
+        ETA_CAP_FACTOR - y
 
     all > 0, with F1, F2 and G concave and bounds = (lo0, hi0, lo1, lo2),
-    of which one is infinite: a bound that is not there. slacks(*z) gives
-    the eight finite slacks in this order, the three bounds in any order,
-    and partials(x0, x1, x2) the partials
-    (F1', F1'', F2_0, F2_2, F2_00, F2_02, F2_22, G', G''). The barrier
-    starts from the warm path of an earlier solve of the block or else from
-    the strictly feasible start z0. y is the rate in units of R0; names
-    label (x0, x1, x2) in the returned point.
+    of which one is infinite: a bound that is not there. A block supplies
+    slacks(*z), the first six finite slacks in this order with the three
+    bounds in any order, and partials(x0, x1, x2), the partials
+    (F1', F1'', F2_0, F2_2, F2_00, F2_02, F2_22, G', G''); the cap is
+    added here. y needs no lower bound: it is maximized and F1 and F2 bound
+    it from above, so the barrier objective falls to -inf as y -> -inf.
+    The barrier starts from the warm path of an earlier solve of the block
+    or else from (*start, y0), with y0 a margin below
+    min(F1, F2, ETA_CAP_FACTOR) at the block's start = (x0, x1, x2). y is
+    the rate in units of R0; names label (x0, x1, x2) in the returned point.
 
     eval_full gives the barrier's Newton step (t*A_f + k*B) dx = grad, as
     in `barrier`, and a bound on its step. The slacks are concave, so no
@@ -141,14 +144,16 @@ def _solve(slacks, partials, bounds, pad_g, w, hat, z0, names, R0, path) -> Subp
     domain. The bound is -(1 + _ULPS)/rate, rate = min(ds_i/(s_i + pad_i))
     over the slacks. pad_i bounds the rounding error of a curved slack, a
     few ulps of the terms it subtracts: pad_g for G's slack and
-    _ULPS*ETA_CAP_FACTOR for F1's and F2's. The six affine slacks take no
-    pad. The margin (1 + _ULPS) lifts the bound past the rounding of the
-    two divisions, so that every step the line search skips lies outside
-    the domain also in floating point.
+    _ULPS*ETA_CAP_FACTOR for F1's and F2's, which covers the y they
+    subtract while y > -ETA_CAP_FACTOR (y < ETA_CAP_FACTOR in the domain).
+    The five affine slacks take no pad. The margin (1 + _ULPS) lifts the
+    bound past the rounding of the two divisions, so that every step the
+    line search skips lies outside the domain also in floating point.
     """
     h0, h1 = hat
     lo0, hi0, lo1, lo2 = bounds
-    e_y = _ULPS * ETA_CAP_FACTOR
+    cap = ETA_CAP_FACTOR
+    e_y = _ULPS * cap
     w2, m2w = 2.0 * w, -2.0 * w
     inf, isfinite = math.inf, math.isfinite
     # The point, slacks and log-sum of the last evaluation: the accepted
@@ -161,7 +166,7 @@ def _solve(slacks, partials, bounds, pad_g, w, hat, z0, names, R0, path) -> Subp
         nonlocal last_z, last_s, last_log
         key = tuple(z)
         if key != last_z:
-            last_z, last_s = key, slacks(*z)
+            last_z, last_s = key, (*slacks(*z), cap - key[3])
             last_log = _log_sum(last_s)
         return last_log
 
@@ -183,7 +188,7 @@ def _solve(slacks, partials, bounds, pad_g, w, hat, z0, names, R0, path) -> Subp
         if not isfinite(phi):
             return phi, None, None, None
         k = getattr(t, "k", 1.0)
-        s1, s2, s3, _, _, _, s7, s8 = last_s
+        s1, s2, s3, _, _, _, s7 = last_s
         # The bounds' slacks, the same floats as in last_s, and inf for the
         # missing bound.
         b0, c0 = x0 - lo0, hi0 - x0
@@ -195,7 +200,7 @@ def _solve(slacks, partials, bounds, pad_g, w, hat, z0, names, R0, path) -> Subp
             t * (m2w * e0) + r2a + r3 - 1.0 / c0 + 1.0 / b0,
             t * (m2w * e1) + r1 + 1.0 / b1,
             r2s - 1.0 / s3 + 1.0 / b2,
-            t - 1.0 / s1 - 1.0 / s2 - 1.0 / s7 + 1.0 / s8,
+            t - 1.0 / s1 - 1.0 / s2 - 1.0 / s7,
         )
         # a_ij = -H_ij, with H = t*hess(f) + sum(s''/s - (s'/s) outer (s'/s)),
         # except that the objective's part is divided by the dual scale k:
@@ -204,7 +209,7 @@ def _solve(slacks, partials, bounds, pad_g, w, hat, z0, names, R0, path) -> Subp
         a00 = tw - f2_00 / s2 + r2a * r2a - g_00 / s3 + r3 * r3 + 1.0 / (c0 * c0) + 1.0 / (b0 * b0)
         a11 = tw - f1_11 / s1 + r1 * r1 + 1.0 / (b1 * b1)
         a22 = r2s * r2s - f2_22 / s2 + 1.0 / (s3 * s3) + 1.0 / (b2 * b2)
-        a33 = 1.0 / (s1 * s1) + 1.0 / (s2 * s2) + 1.0 / (s7 * s7) + 1.0 / (s8 * s8)
+        a33 = 1.0 / (s1 * s1) + 1.0 / (s2 * s2) + 1.0 / (s7 * s7)
         # The cross terms are (x0, x2), (x0, y), (x1, y) and (x2, y).
         a02 = r2a * r2s - f2_02 / s2 - r3 / s3
         dx = _newton_dx(grad, a00, a11, a22, a33, a02, -r2a / s2, -r1 / s1, -r2s / s2, k)
@@ -213,12 +218,14 @@ def _solve(slacks, partials, bounds, pad_g, w, hat, z0, names, R0, path) -> Subp
         dx0, dx1, dx2, dy = dx
         rate = min((f1 * dx1 - dy) / (s1 + e_y), (f2_0 * dx0 + f2_2 * dx2 - dy) / (s2 + e_y),
                    (g * dx0 - dx2) / (s3 + pad_g), -dx0 / c0, dx0 / b0, dx1 / b1, dx2 / b2,
-                   -dy / s7, dy / s8)
+                   -dy / s7)
         # -1 over the fastest relative fall is the first zero of a falling
         # padded slack's tangent; the margin puts the bound past its rounding.
         return phi, grad, dx, -(1.0 + _ULPS) / rate if rate < 0.0 else inf
 
-    z, ok, centers = barrier.maximize(eval_full, eval_value, z0, len(slacks(*z0)), TOL_SUB, path)
+    y0 = _interior(min(*slacks(*start, 0.0)[:2], cap), -cap)
+    # Seven slacks: the block's six and the cap.
+    z, ok, centers = barrier.maximize(eval_full, eval_value, (*start, y0), 7, TOL_SUB, path)
     point = dict(zip(names, z))
     point["eta"] = z[-1] * R0
     return SubproblemSolution(point, objective(*z) * R0, "optimal" if ok else "max-iter", centers)
@@ -248,7 +255,6 @@ def solve_placement(
     solves cold.
     """
     R0 = rate_scale(p, fit)
-    y_cap = ETA_CAP_FACTOR
     H2 = p.H * p.H
     half_beta = p.beta / 2.0
     gamma_min = min_snr_threshold_db(fit)
@@ -273,8 +279,6 @@ def solve_placement(
             d_br,
             d_ru,
             gamma - gamma_min,
-            y_cap - y,
-            y + y_cap,
         )
 
     # F1 = a1c * (r_t + r_u * (u(d_ru) - u_t)) with u = (d_ru^2 + H^2)^(beta/2),
@@ -294,12 +298,11 @@ def solve_placement(
     d_br0 = min(max(lp.d_br, margin_d), 0.999 * math.sqrt((cap_peak - gamma_min) / q3))
     d_ru0 = max(lp.d_ru, margin_d)
     gamma0 = _interior(slacks(d_br0, d_ru0, 0.0, 0.0)[2], gamma_min)
-    y0 = _interior(min(*slacks(d_br0, d_ru0, gamma0, 0.0)[:2], y_cap), -y_cap)
 
     # G's slack subtracts terms of at most the larger of cap_peak and gamma_min.
     return _solve(slacks, partials, (0.0, math.inf, 0.0, gamma_min),
                   _ULPS * max(abs(cap_peak), abs(gamma_min)), nu / (2.0 * lam * R0), aux,
-                  (d_br0, d_ru0, gamma0, y0), ("d_br", "d_ru", "gamma_br_db"), R0, path)
+                  (d_br0, d_ru0, gamma0), ("d_br", "d_ru", "gamma_br_db"), R0, path)
 
 
 def solve_bandwidth(
@@ -326,7 +329,6 @@ def solve_bandwidth(
     path is as in `solve_placement`.
     """
     R0 = rate_scale(p, fit)
-    y_cap = ETA_CAP_FACTOR
     gamma_min = min_snr_threshold_db(fit)
 
     c_ru = snr_lin(p, p.P_r, lp.d_ru, 1.0)  # SNR times alpha_ru
@@ -350,8 +352,6 @@ def solve_bandwidth(
             a_max - a_br,
             a_br - alpha_floor,
             a_ru - alpha_floor,
-            y_cap - y,
-            y + y_cap,
         )
 
     # F1 = wr * a_ru * log2(1 + c_ru/a_ru), F2 = q2 * (square tangent(a_br + S)
@@ -373,12 +373,11 @@ def solve_bandwidth(
     a_br0 = min(max(lp.alpha_br, 2.0 * alpha_floor), alpha_floor + 0.999 * (a_max - alpha_floor))
     a_ru0 = max(2.0 * alpha_floor, aux[1])
     S0 = slacks(a_br0, a_ru0, 0.0, 0.0)[2] - max(1e-9, _REL_MARGIN * fit.a2)
-    y0 = _interior(min(*slacks(a_br0, a_ru0, S0, 0.0)[:2], y_cap), -y_cap)
 
     # G's slack subtracts terms of at most a1 + a2.
     return _solve(slacks, partials, (alpha_floor, a_max, alpha_floor, -math.inf),
                   _ULPS * (fit.a1 + fit.a2), 1.0 / (2.0 * lam * R0), aux,
-                  (a_br0, a_ru0, S0, y0), ("alpha_br", "alpha_ru", "S"), R0, path)
+                  (a_br0, a_ru0, S0), ("alpha_br", "alpha_ru", "S"), R0, path)
 
 
 def solve_auxiliary(

@@ -297,6 +297,26 @@ class TestMain:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--W", "abc"], "semrelay solve: error: argument --W: invalid float value"),
+        (["sweep"], "semrelay sweep: error: the following arguments are required: "),
+        (["bogus"], "semrelay: error: argument command: invalid choice"),
+    ], ids=["bad-float", "missing-required", "unknown-command"])
+    def test_argparse_errors_exit_usage(self, capsys, argv, message):
+        # EXIT_INFEASIBLE is 2, argparse's own exit code for usage errors.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and message in err, err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+    def test_help_exits_ok(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: ")
+
     def test_oracle_command(self, capsys):
         assert main(["oracle", "--grid", "201"]) == EXIT_OK
         out = capsys.readouterr().out

@@ -291,6 +291,23 @@ class TestBlockDerivatives:
                 assert eval_value(z, t) == -math.inf, z
                 assert eval_full(z, t) == (-math.inf, None, None, None), z
 
+    def test_rate_far_below_the_cap_is_inside_domain(self, params, fit, monkeypatch):
+        # The rate variable has no lower bound: it is maximized and F1 and
+        # F2 bound it from above. At each block's start with the rate at
+        # -10 times the cap, the barrier is finite and its Newton step
+        # raises the rate.
+        calls = self._record(monkeypatch)
+        lp = _incumbent_lp(params, fit, (50.0, 50.0), (0.3, 0.7))
+        solve_placement(params, fit, lp, 0.7, (50.0, 50.0), 1000.0, 1e-4)
+        solve_bandwidth(params, fit, lp, (0.3, 0.7), 1000.0)
+        assert len(calls) == 2
+        for eval_full, eval_value, x0, _ in calls:
+            z = [*x0[:-1].tolist(), -10.0 * ETA_CAP_FACTOR]
+            for t in (10.0, 1e4):
+                assert math.isfinite(eval_value(z, t)), z
+                phi, _, dx, _ = eval_full(z, t)
+                assert math.isfinite(phi) and dx[3] > 0.0, (z, dx)
+
     def test_nan_slack_is_outside_domain(self, params, fit, monkeypatch):
         # A NaN slack, first or after others, puts the point outside the
         # domain; a later slack <= 0 must then not reach math.log.
@@ -325,18 +342,17 @@ class TestBlockProgram:
     G(x0) = 1 - x0, each minus a concave quadratic when curved, with the
     bounds 0 < x0 < 0.3 and x1 > 0, and none on x2."""
 
-    Z0 = (0.1, 0.3, 0.2, 0.05)
+    Z0 = (0.1, 0.3, 0.2)
     HAT = (0.9, 0.5)
 
     @classmethod
     def _run(cls, curved, R0=1.0, path=()):
         c = 1.0 if curved else 0.0
-        cap = ETA_CAP_FACTOR
 
         def slacks(x0, x1, x2, y):
             d = x0 - x2
             return (x1 - c * x1 * x1 - y, x2 + 0.5 * x0 - c * d * d - y, 1.0 - x0 - c * x0 * x0 - x2,
-                    0.3 - x0, x0, x1, cap - y, y + cap)
+                    0.3 - x0, x0, x1)
 
         def partials(x0, x1, x2):
             d = 2.0 * c * (x0 - x2)
@@ -421,9 +437,10 @@ class TestStepBound:
         # follows a growth of t overshoots.
         points += [(eval_value, z, 10.0 * t, eval_full(z, 10.0 * t))
                    for eval_full, eval_value, z, t, _ in steps]
-        # The solves never bring the rate variable near its lower box, so
-        # add each solve's first point with the rate there, where the
-        # Newton step pulls it up.
+        # The solves never bring the rate variable near -ETA_CAP_FACTOR,
+        # the lowest rate the F1/F2 pad covers, so add each solve's first
+        # point with the rate just above it, where the Newton step pulls it
+        # up.
         starts = {eval_full: (eval_value, z) for eval_full, eval_value, z, _, _ in reversed(steps)}
         for eval_full, (eval_value, z) in starts.items():
             z = [*z[:-1], -ETA_CAP_FACTOR + 1e-3]
@@ -440,6 +457,15 @@ class TestStepBound:
         # The bound cuts the full Newton step at a fair share of the points.
         assert below_one >= 0.1 * len(points), (below_one, len(points))
 
+    def test_rate_stays_where_the_pad_holds(self, params, fit, monkeypatch):
+        # The F1/F2 pad covers the rate they subtract while
+        # y > -ETA_CAP_FACTOR. No floor keeps y there, so the solves must,
+        # at every point they evaluate inside the domain.
+        steps = self._record_steps(monkeypatch)
+        self._solve_blocks(params, fit)
+        rates = [z[3] for _, _, z, _, (phi, _, _, _) in steps if math.isfinite(phi)]
+        assert rates and min(rates) > -ETA_CAP_FACTOR, min(rates)
+
     def test_feasible_trial_ulps_before_the_crossing_is_not_skipped(self, monkeypatch):
         # A step along x0 alone toward its lower bound lo0, on a program
         # whose other slacks do not fall: the exact crossing lies an ulp
@@ -447,15 +473,14 @@ class TestStepBound:
         # must let the line search evaluate that trial.
         lo0, x0 = -0.21293635958925727, 2.5079493333802994
         dx = (-44578.99119361321, 0.0, 0.0, 0.0)
-        cap = ETA_CAP_FACTOR
 
         def slacks(x0, x1, x2, y):
-            return 1.0 - y, 1.0 - y, 1.0 - x2, x0 - lo0, x1, x2, cap - y, y + cap
+            return 1.0 - y, 1.0 - y, 1.0 - x2, x0 - lo0, x1, x2
 
         calls = TestBlockDerivatives._record(monkeypatch)
         z = [x0, 1.0, 0.5, 0.0]
         _solve(slacks, lambda *x: (0.0,) * 9, (lo0, math.inf, 0.0, 0.0), 0.0, 1.0, (0.0, 0.0),
-               tuple(z), ("x0", "x1", "x2"), 1.0, ())
+               tuple(z[:3]), ("x0", "x1", "x2"), 1.0, ())
         ((eval_full, eval_value, _, _),) = calls
         monkeypatch.setattr(subproblems, "_newton_dx", lambda *args: dx)
         _, _, step, bound = eval_full(z, 1.0)
@@ -464,6 +489,23 @@ class TestStepBound:
         trial = [zi + s * di for zi, di in zip(z, dx)]
         assert trial[0] - lo0 > 0.0 and math.isfinite(eval_value(trial, 1.0))
         assert s < bound, bound
+
+    def test_cap_bounds_a_rising_rate(self, monkeypatch):
+        # A step along y alone, on a program whose F1 and F2 lie above the
+        # cap: the cap, which `_solve` adds, is the first slack to reach
+        # zero, and the bound sits just past that crossing.
+        def slacks(x0, x1, x2, y):
+            return 2.0 - y, 2.0 - y, 1.0 - x2, x0, x1, x2
+
+        calls = TestBlockDerivatives._record(monkeypatch)
+        _solve(slacks, lambda *x: (0.0,) * 9, (0.0, math.inf, 0.0, 0.0), 0.0, 1.0, (0.5, 0.5),
+               (0.5, 0.5, 0.5), ("x0", "x1", "x2"), 1.0, ())
+        ((eval_full, _, _, _),) = calls
+        dy = 4.0
+        monkeypatch.setattr(subproblems, "_newton_dx", lambda *args: (0.0, 0.0, 0.0, dy))
+        _, _, _, bound = eval_full([0.5, 0.5, 0.5, 1.0], 1.0)
+        crossing = (ETA_CAP_FACTOR - 1.0) / dy
+        assert crossing <= bound <= crossing * (1.0 + 1e-12), bound
 
     def test_unbounded_line_search_gives_same_solves(self, params, fit, monkeypatch):
         bounded = self._solve_blocks(params, fit)
@@ -556,7 +598,7 @@ class TestWarmStart:
                     assert warm.point[name] == pytest.approx(v, rel=1e-9), (i, name)
 
     def test_cold_solve_grows_t_by_one_factor(self, params, fit):
-        t_final = 8 / TOL_SUB  # eight slacks
+        t_final = 7 / TOL_SUB  # seven slacks
         want, t = [], barrier._T0
         while t < t_final:
             want.append(t)

@@ -3,16 +3,20 @@ names from outside: `run`, the block solves and the model scalars as
 `penalty` imports them, `barrier.maximize` with its two callbacks, the
 baselines and the CLI entry points. A refactor that renames or drops one of
 them breaks only traced benchmark runs, so this suite runs one traced solve
-and one traced sweep."""
+and one traced sweep, and a traced run whose blocks are both infeasible at
+the start."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import semrelay
 from semrelay import barrier, cli, penalty
 from semrelay.model import SigmoidFit, SystemParams
 from semrelay.penalty import PenaltyConfig
+from oracles import random_fit, random_params
 
 _TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -49,3 +53,20 @@ def test_traced_solve_and_sweep_match_the_reports(tmp_path, monkeypatch):
     for module, names in zip(modules, before):
         moved = [k for k, v in names.items() if vars(module).get(k) is not v]
         assert moved == [], (module.__name__, moved)
+
+
+def test_traced_double_infeasible_run_is_counted(monkeypatch):
+    # System 9 of the seeded draw, as in test_penalty's
+    # test_both_blocks_infeasible_at_start: one phase, no cycle.
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        p, f = random_params(rng), random_fit(rng)
+    tracer = _load_tracer(monkeypatch).Tracer()
+    with tracer.installed(semrelay):
+        report = semrelay.run(p, f, PenaltyConfig())
+    assert report.status == "infeasible" and report.outer_iters == 1
+    assert tracer.cross_check() == []
+    metrics = tracer.layer_metrics()
+    assert metrics["penalty.phases"] == 1
+    assert metrics["penalty.cycles"] == 0
+    assert metrics["penalty.status.infeasible"] == 1
