@@ -29,28 +29,21 @@ a few microseconds. Points are sequences of plain floats, and the problem
 solves its Newton system, whose sparsity it knows; both block programs do
 so in `subproblems._solve`:
 
-    eval_full(x, t)  -> (phi, grad, dx, bound), where dx solves
+    eval_full(x, t)  -> (phi, grad, dx), where dx solves
                         (t*A_f + k*B) dx = grad at x (None when a pivot is
                         not positive), k is t.k when t is a `Scaled` and 1
-                        for a plain float (then the matrix is -H, the
-                        Hessian of phi), and no step x + s*dx with
-                        s >= bound lies in the domain (grad, dx and bound
-                        are not read when phi is not finite)
+                        for a plain float, when the matrix is -H, the
+                        Hessian of phi; grad and dx are not read when phi
+                        is not finite
     eval_value(x, t) -> phi, or -inf when x is outside the domain
 
 phi and grad are those of t*f + sum(log s_i) for the value of t alone.
 
-The blocks' constraint slacks are concave, so each lies below its tangent
-along dx, and a step at or past the first zero of a falling tangent leaves
-the domain. The line search skips those steps without evaluating them;
-each is a step that evaluating would have rejected at -inf, so the
-backtracking sequence and the accepted step are the same as with
-bound = inf.
-
-The line search calls eval_value once per trial it evaluates, and the next
-Newton step calls eval_full at the accepted trial, so a problem may keep
-the work of its last evaluation for the next call, provided its results
-depend on its arguments alone.
+The line search halves the step from s = 1 until the Armijo test passes; a
+trial outside the domain fails it at -inf. It calls eval_value once per
+trial, and the next Newton step calls eval_full at the accepted trial, so a
+problem may keep the work of its last evaluation for the next call,
+provided its results depend on its arguments alone.
 """
 
 from __future__ import annotations
@@ -91,7 +84,7 @@ def _newton(eval_full, eval_value, x, t, k):
     """Center at fixed t with the duals carried at scale k. Returns
     (x, converged)."""
     for _ in range(_MAX_NEWTON):
-        phi, grad, dx, bound = eval_full(x, t if k == 1.0 else Scaled(t, k))
+        phi, grad, dx = eval_full(x, t if k == 1.0 else Scaled(t, k))
         # Outside the domain the line search cannot tell better from worse,
         # and without positive pivots there is no ascent direction.
         if not math.isfinite(phi) or dx is None:
@@ -103,10 +96,9 @@ def _newton(eval_full, eval_value, x, t, k):
             return x, True
         s = 1.0
         for _ in range(_MAX_BACKTRACK):
-            if s < bound:
-                cand = [xi + s * di for xi, di in zip(x, dx)]
-                if eval_value(cand, t) >= phi + _BACKTRACK_SLOPE * s * decrement:
-                    break
+            cand = [xi + s * di for xi, di in zip(x, dx)]
+            if eval_value(cand, t) >= phi + _BACKTRACK_SLOPE * s * decrement:
+                break
             s *= _BACKTRACK_SHRINK
         else:
             return x, False
@@ -119,7 +111,7 @@ def _warm_start(eval_full, path):
     """The (t, x) of the highest center of path that is nearly centered for
     the problem of eval_full, x a list, or None."""
     for t, x in reversed(path):
-        phi, grad, dx, _ = eval_full(x, t)
+        phi, grad, dx = eval_full(x, t)
         if math.isfinite(phi) and dx is not None and sum(map(mul, grad, dx)) <= _WARM_DECREMENT:
             return t, list(x)
     return None

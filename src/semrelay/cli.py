@@ -213,9 +213,9 @@ def write_sweep_csv(rows, path: str) -> None:
 def read_sweep_csv(path: str) -> list[SweepRow]:
     """Parse a sweep CSV back into rows; exact inverse of write_sweep_csv.
     A wrong header, a row without one field per column, or a cell that is
-    not a number where one belongs (W always, a rate or decision unless
-    empty) raises ConfigError naming the line, as does a file that is not
-    UTF-8."""
+    not a finite number where one belongs (W always, a rate or decision
+    unless empty) raises ConfigError naming the line, as does a file that
+    is not UTF-8."""
     with _open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -235,6 +235,8 @@ def read_sweep_csv(path: str) -> list[SweepRow]:
                 else:
                     try:
                         kwargs[name] = float(text)
+                        if not math.isfinite(kwargs[name]):
+                            raise ValueError
                     except ValueError:
                         raise ConfigError(f"{where}: invalid number {text!r} for {name!r}") from None
             rows.append(SweepRow(**kwargs))

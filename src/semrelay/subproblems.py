@@ -15,7 +15,6 @@ and SNR in dB. TOL_SUB below is relative to that rate scale.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from semrelay import barrier
@@ -55,9 +54,6 @@ ETA_CAP_FACTOR = 1.5
 # Strict-interior margins used to push the incumbent off the boundary.
 DIST_MARGIN_FRAC = 1e-3  # of D, for distances
 _REL_MARGIN = 0.05  # fraction of the available slack for gamma, S, eta
-# A few ulps: the rounding error of a slack relative to the terms it subtracts,
-# and the step bound's relative margin.
-_ULPS = 4.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -117,7 +113,7 @@ def _newton_dx(g, a00, a11, a22, a33, a02, a03, a13, a23, k=1.0):
     return dx0, (g1 - a13 * dx3) / a11, dx2, dx3
 
 
-def _solve(slacks, partials, bounds, pad_g, w, hat, start, names, R0, path) -> SubproblemSolution:
+def _solve(slacks, partials, bounds, w, hat, start, names, R0, path) -> SubproblemSolution:
     """The program of both barrier blocks: over z = (x0, x1, x2, y),
     maximize y - w*((x0 - h0)^2 + (x1 - h1)^2), hat = (h0, h1), subject to
 
@@ -138,22 +134,11 @@ def _solve(slacks, partials, bounds, pad_g, w, hat, start, names, R0, path) -> S
     the rate in units of R0; names label (x0, x1, x2) in the returned point.
 
     eval_full gives the barrier's Newton step (t*A_f + k*B) dx = grad, as
-    in `barrier`, and a bound on its step. The slacks are concave, so no
-    step x + s*dx at or beyond the first zero of a falling slack's tangent,
-    -s_i/ds_i with ds_i the derivative of slack i along dx, lies in the
-    domain. The bound is -(1 + _ULPS)/rate, rate = min(ds_i/(s_i + pad_i))
-    over the slacks. pad_i bounds the rounding error of a curved slack, a
-    few ulps of the terms it subtracts: pad_g for G's slack and
-    _ULPS*ETA_CAP_FACTOR for F1's and F2's, which covers the y they
-    subtract while y > -ETA_CAP_FACTOR (y < ETA_CAP_FACTOR in the domain).
-    The five affine slacks take no pad. The margin (1 + _ULPS) lifts the
-    bound past the rounding of the two divisions, so that every step the
-    line search skips lies outside the domain also in floating point.
+    in `barrier`.
     """
     h0, h1 = hat
     lo0, hi0, lo1, lo2 = bounds
     cap = ETA_CAP_FACTOR
-    e_y = _ULPS * cap
     w2, m2w = 2.0 * w, -2.0 * w
     inf, isfinite = math.inf, math.isfinite
     # The point, slacks and log-sum of the last evaluation: the accepted
@@ -181,12 +166,12 @@ def _solve(slacks, partials, bounds, pad_g, w, hat, start, names, R0, path) -> S
     def eval_full(z, t):
         log_sum = at(z)  # leaves the slacks at z in last_s
         if log_sum == -inf:
-            return log_sum, None, None, None
+            return log_sum, None, None
         x0, x1, x2, y = z
         e0, e1 = x0 - h0, x1 - h1  # kept for the gradient
         phi = t * (y - w * (e0 * e0 + e1 * e1)) + log_sum
         if not isfinite(phi):
-            return phi, None, None, None
+            return phi, None, None
         k = getattr(t, "k", 1.0)
         s1, s2, s3, _, _, _, s7 = last_s
         # The bounds' slacks, the same floats as in last_s, and inf for the
@@ -213,15 +198,7 @@ def _solve(slacks, partials, bounds, pad_g, w, hat, start, names, R0, path) -> S
         # The cross terms are (x0, x2), (x0, y), (x1, y) and (x2, y).
         a02 = r2a * r2s - f2_02 / s2 - r3 / s3
         dx = _newton_dx(grad, a00, a11, a22, a33, a02, -r2a / s2, -r1 / s1, -r2s / s2, k)
-        if dx is None:
-            return phi, grad, None, None
-        dx0, dx1, dx2, dy = dx
-        rate = min((f1 * dx1 - dy) / (s1 + e_y), (f2_0 * dx0 + f2_2 * dx2 - dy) / (s2 + e_y),
-                   (g * dx0 - dx2) / (s3 + pad_g), -dx0 / c0, dx0 / b0, dx1 / b1, dx2 / b2,
-                   -dy / s7)
-        # -1 over the fastest relative fall is the first zero of a falling
-        # padded slack's tangent; the margin puts the bound past its rounding.
-        return phi, grad, dx, -(1.0 + _ULPS) / rate if rate < 0.0 else inf
+        return phi, grad, dx
 
     y0 = _interior(min(*slacks(*start, 0.0)[:2], cap), -cap)
     # Seven slacks: the block's six and the cap.
@@ -299,9 +276,7 @@ def solve_placement(
     d_ru0 = max(lp.d_ru, margin_d)
     gamma0 = _interior(slacks(d_br0, d_ru0, 0.0, 0.0)[2], gamma_min)
 
-    # G's slack subtracts terms of at most the larger of cap_peak and gamma_min.
-    return _solve(slacks, partials, (0.0, math.inf, 0.0, gamma_min),
-                  _ULPS * max(abs(cap_peak), abs(gamma_min)), nu / (2.0 * lam * R0), aux,
+    return _solve(slacks, partials, (0.0, math.inf, 0.0, gamma_min), nu / (2.0 * lam * R0), aux,
                   (d_br0, d_ru0, gamma0), ("d_br", "d_ru", "gamma_br_db"), R0, path)
 
 
@@ -374,9 +349,8 @@ def solve_bandwidth(
     a_ru0 = max(2.0 * alpha_floor, aux[1])
     S0 = slacks(a_br0, a_ru0, 0.0, 0.0)[2] - max(1e-9, _REL_MARGIN * fit.a2)
 
-    # G's slack subtracts terms of at most a1 + a2.
     return _solve(slacks, partials, (alpha_floor, a_max, alpha_floor, -math.inf),
-                  _ULPS * (fit.a1 + fit.a2), 1.0 / (2.0 * lam * R0), aux,
+                  1.0 / (2.0 * lam * R0), aux,
                   (a_br0, a_ru0, S0), ("alpha_br", "alpha_ru", "S"), R0, path)
 
 

@@ -163,7 +163,11 @@ class TestSweepCsv:
         (lambda fields: fields + ["1.0"], "expected 14 fields, got 15"),
         (lambda fields: ["1e5", "fast", *fields[2:]], "invalid number 'fast' for 'eta_penalty'"),
         (lambda fields: ["", *fields[1:]], "invalid number '' for 'W'"),
-    ], ids=["short", "long", "not-a-number", "no-bandwidth"])
+        (lambda fields: ["nan", *fields[1:]], "invalid number 'nan' for 'W'"),
+        (lambda fields: [fields[0], "inf", *fields[2:]], "invalid number 'inf' for 'eta_penalty'"),
+        (lambda fields: [*fields[:8], "-inf", *fields[9:]], "invalid number '-inf' for 'zeta'"),
+    ], ids=["short", "long", "not-a-number", "no-bandwidth", "nan-bandwidth", "inf-rate",
+            "negative-inf-zeta"])
     def test_malformed_row_names_its_line(self, tmp_path, edit, message):
         # The second data row, line 3 of the file, is malformed; the first
         # is as written.

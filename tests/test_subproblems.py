@@ -1,10 +1,9 @@
 import math
-import sys
 
 import numpy as np
 import pytest
 
-from semrelay import barrier, subproblems
+from semrelay import barrier
 from semrelay.bounds import LocalPoint
 from semrelay.model import (
     DEFAULT_ALPHA_FLOOR,
@@ -192,7 +191,7 @@ class TestBlockDerivatives:
 
     @staticmethod
     def _check(eval_full, eval_value, z, t):
-        phi, grad, _, _ = eval_full(z, t)
+        phi, grad, _ = eval_full(z, t)
         grad = np.asarray(grad)
         n = len(z)
         h = 1e-6 * (np.abs(z) + 1e-3)
@@ -215,7 +214,7 @@ class TestBlockDerivatives:
         # and the scaled step's matrix t*H_f + k*H_b is H(t) + (k - 1) H(0).
         hess_t, hess_b = hess_fd(t), hess_fd(0.0)
         for k in (1.0, 10.0, 100.0):
-            phi_k, grad_k, dx, _ = eval_full(z, barrier.Scaled(t, k))
+            phi_k, grad_k, dx = eval_full(z, barrier.Scaled(t, k))
             assert (phi_k, grad_k) == (phi, tuple(grad)), k
             assert dx is not None, k
             dx = np.asarray(dx)
@@ -273,7 +272,10 @@ class TestBlockDerivatives:
         # point must not reach log1p, and far below the SNR threshold the
         # logistic term must not overflow: at gamma = -1e4 in the placement
         # block, and at alpha_br = 1e4, where the SNR ceiling is that low, in
-        # the bandwidth block.
+        # the bandwidth block. The line search evaluates every trial of a
+        # full Newton step, and those reach d_ru and alpha_ru near 1e5: at
+        # d_ru = 1e3 D, and at alpha_ru = 1e5 with the rate above its cap
+        # (the rate F1 rises with alpha_ru, so alpha_ru alone stays inside).
         calls = self._record(monkeypatch)
         lp = _incumbent_lp(params, fit, (50.0, 50.0), (0.3, 0.7))
         solve_placement(params, fit, lp, 0.7, (50.0, 50.0), 1000.0, 1e-4)
@@ -286,10 +288,14 @@ class TestBlockDerivatives:
         pl_z, bw_z = pl_x0.tolist(), bw_x0.tolist()
         pl_z[2], bw_z[0] = -1e4, 1e4  # gamma, alpha_br
         outside += [(pl_full, pl_value, pl_z), (bw_full, bw_value, bw_z)]
+        pl_z, bw_z = pl_x0.tolist(), bw_x0.tolist()
+        pl_z[1] = 1e3 * params.D  # d_ru
+        bw_z[1], bw_z[3] = 1e5, 2.0 * ETA_CAP_FACTOR  # alpha_ru, the rate
+        outside += [(pl_full, pl_value, pl_z), (bw_full, bw_value, bw_z)]
         for eval_full, eval_value, z in outside:
             for t in (10.0, 1e4):
                 assert eval_value(z, t) == -math.inf, z
-                assert eval_full(z, t) == (-math.inf, None, None, None), z
+                assert eval_full(z, t) == (-math.inf, None, None), z
 
     def test_rate_far_below_the_cap_is_inside_domain(self, params, fit, monkeypatch):
         # The rate variable has no lower bound: it is maximized and F1 and
@@ -305,7 +311,7 @@ class TestBlockDerivatives:
             z = [*x0[:-1].tolist(), -10.0 * ETA_CAP_FACTOR]
             for t in (10.0, 1e4):
                 assert math.isfinite(eval_value(z, t)), z
-                phi, _, dx, _ = eval_full(z, t)
+                phi, _, dx = eval_full(z, t)
                 assert math.isfinite(phi) and dx[3] > 0.0, (z, dx)
 
     def test_nan_slack_is_outside_domain(self, params, fit, monkeypatch):
@@ -333,7 +339,7 @@ class TestBlockDerivatives:
                 z[i] = v
             for t in (10.0, 1e4):
                 assert eval_value(z, t) == -math.inf, z
-                assert eval_full(z, t) == (-math.inf, None, None, None), z
+                assert eval_full(z, t) == (-math.inf, None, None), z
 
 
 class TestBlockProgram:
@@ -359,8 +365,7 @@ class TestBlockProgram:
             return (1.0 - 2.0 * c * x1, -2.0 * c, 0.5 - d, 1.0 + d, -2.0 * c, 2.0 * c, -2.0 * c,
                     -1.0 - 2.0 * c * x0, -2.0 * c)
 
-        ulps = 4.0 * sys.float_info.epsilon
-        return _solve(slacks, partials, (0.0, 0.3, 0.0, -math.inf), ulps, 1.0, cls.HAT, cls.Z0,
+        return _solve(slacks, partials, (0.0, 0.3, 0.0, -math.inf), 1.0, cls.HAT, cls.Z0,
                       ("x0", "x1", "x2"), R0, path)
 
     def test_affine_instance_reaches_its_vertex(self):
@@ -388,9 +393,9 @@ class TestBlockProgram:
                 TestBlockDerivatives._check(eval_full, eval_value, z, t)
 
 
-class TestStepBound:
-    """The step bound that eval_full returns, and the slacks that a block
-    keeps from one evaluation of a point to the next."""
+class TestKeptSlacks:
+    """The slacks that a block keeps from one evaluation of a point to the
+    next give the same results as a fresh evaluation."""
 
     @staticmethod
     def _solve_blocks(params, fit):
@@ -409,117 +414,6 @@ class TestStepBound:
                 solve_bandwidth(p, f, lp, alpha, 500.0, DEFAULT_ALPHA_FLOOR, band.path),
             ]
         return sols
-
-    @staticmethod
-    def _record_steps(monkeypatch):
-        """Patch barrier.maximize to log (eval_full, eval_value, z, t,
-        eval_full(z, t)) of every eval_full call into the returned list."""
-        steps = []
-        maximize = barrier.maximize
-
-        def recording(eval_full, eval_value, *args):
-            def logged(z, t):
-                out = eval_full(z, t)
-                steps.append((eval_full, eval_value, list(z), t, out))
-                return out
-
-            return maximize(logged, eval_value, *args)
-
-        monkeypatch.setattr(barrier, "maximize", recording)
-        return steps
-
-    def test_steps_at_or_past_bound_leave_domain(self, params, fit, monkeypatch):
-        steps = self._record_steps(monkeypatch)
-        self._solve_blocks(params, fit)
-        points = [(eval_value, z, t, out) for _, eval_value, z, t, out in steps]
-        # Steps with the carried duals rarely reach the bound, so add each
-        # point at ten times its t as a plain float: the primal step that
-        # follows a growth of t overshoots.
-        points += [(eval_value, z, 10.0 * t, eval_full(z, 10.0 * t))
-                   for eval_full, eval_value, z, t, _ in steps]
-        # The solves never bring the rate variable near -ETA_CAP_FACTOR,
-        # the lowest rate the F1/F2 pad covers, so add each solve's first
-        # point with the rate just above it, where the Newton step pulls it
-        # up.
-        starts = {eval_full: (eval_value, z) for eval_full, eval_value, z, _, _ in reversed(steps)}
-        for eval_full, (eval_value, z) in starts.items():
-            z = [*z[:-1], -ETA_CAP_FACTOR + 1e-3]
-            points += [(eval_value, z, t, eval_full(z, t)) for t in (10.0, 1e4)]
-        below_one = 0
-        for eval_value, z, t, (phi, _, dx, bound) in points:
-            if not math.isfinite(phi) or dx is None or bound == math.inf:
-                continue
-            below_one += bound <= 1.0
-            edge = bound * (1.0 + 1e-9)
-            for s in (edge, 2.0 * edge, *(0.5 ** k for k in range(60) if 0.5 ** k >= edge)):
-                trial = [zi + s * di for zi, di in zip(z, dx)]
-                assert eval_value(trial, t) == -math.inf, (z, t, s, bound)
-        # The bound cuts the full Newton step at a fair share of the points.
-        assert below_one >= 0.1 * len(points), (below_one, len(points))
-
-    def test_rate_stays_where_the_pad_holds(self, params, fit, monkeypatch):
-        # The F1/F2 pad covers the rate they subtract while
-        # y > -ETA_CAP_FACTOR. No floor keeps y there, so the solves must,
-        # at every point they evaluate inside the domain.
-        steps = self._record_steps(monkeypatch)
-        self._solve_blocks(params, fit)
-        rates = [z[3] for _, _, z, _, (phi, _, _, _) in steps if math.isfinite(phi)]
-        assert rates and min(rates) > -ETA_CAP_FACTOR, min(rates)
-
-    def test_feasible_trial_ulps_before_the_crossing_is_not_skipped(self, monkeypatch):
-        # A step along x0 alone toward its lower bound lo0, on a program
-        # whose other slacks do not fall: the exact crossing lies an ulp
-        # past the trial s = 2^-14, which keeps x0 - lo0 > 0. The bound
-        # must let the line search evaluate that trial.
-        lo0, x0 = -0.21293635958925727, 2.5079493333802994
-        dx = (-44578.99119361321, 0.0, 0.0, 0.0)
-
-        def slacks(x0, x1, x2, y):
-            return 1.0 - y, 1.0 - y, 1.0 - x2, x0 - lo0, x1, x2
-
-        calls = TestBlockDerivatives._record(monkeypatch)
-        z = [x0, 1.0, 0.5, 0.0]
-        _solve(slacks, lambda *x: (0.0,) * 9, (lo0, math.inf, 0.0, 0.0), 0.0, 1.0, (0.0, 0.0),
-               tuple(z[:3]), ("x0", "x1", "x2"), 1.0, ())
-        ((eval_full, eval_value, _, _),) = calls
-        monkeypatch.setattr(subproblems, "_newton_dx", lambda *args: dx)
-        _, _, step, bound = eval_full(z, 1.0)
-        assert step == dx
-        s = 0.5 ** 14
-        trial = [zi + s * di for zi, di in zip(z, dx)]
-        assert trial[0] - lo0 > 0.0 and math.isfinite(eval_value(trial, 1.0))
-        assert s < bound, bound
-
-    def test_cap_bounds_a_rising_rate(self, monkeypatch):
-        # A step along y alone, on a program whose F1 and F2 lie above the
-        # cap: the cap, which `_solve` adds, is the first slack to reach
-        # zero, and the bound sits just past that crossing.
-        def slacks(x0, x1, x2, y):
-            return 2.0 - y, 2.0 - y, 1.0 - x2, x0, x1, x2
-
-        calls = TestBlockDerivatives._record(monkeypatch)
-        _solve(slacks, lambda *x: (0.0,) * 9, (0.0, math.inf, 0.0, 0.0), 0.0, 1.0, (0.5, 0.5),
-               (0.5, 0.5, 0.5), ("x0", "x1", "x2"), 1.0, ())
-        ((eval_full, _, _, _),) = calls
-        dy = 4.0
-        monkeypatch.setattr(subproblems, "_newton_dx", lambda *args: (0.0, 0.0, 0.0, dy))
-        _, _, _, bound = eval_full([0.5, 0.5, 0.5, 1.0], 1.0)
-        crossing = (ETA_CAP_FACTOR - 1.0) / dy
-        assert crossing <= bound <= crossing * (1.0 + 1e-12), bound
-
-    def test_unbounded_line_search_gives_same_solves(self, params, fit, monkeypatch):
-        bounded = self._solve_blocks(params, fit)
-        maximize = barrier.maximize
-
-        def unbounded(eval_full, *args):
-            def full(z, t):
-                phi, grad, dx, _ = eval_full(z, t)
-                return phi, grad, dx, math.inf
-
-            return maximize(full, *args)
-
-        monkeypatch.setattr(barrier, "maximize", unbounded)
-        assert self._solve_blocks(params, fit) == bounded
 
     def test_kept_slacks_match_a_fresh_evaluation(self, params, fit, monkeypatch):
         calls = TestBlockDerivatives._record(monkeypatch)
@@ -627,6 +521,21 @@ class TestWarmStart:
             assert all(x is not y for _, x in warm.path for _, y in path)
 
 
+def _log_barrier_1d():
+    """(eval_full, eval_value) of the one-variable program: maximize
+    t*x + log(1 - x), whose center is x = 1 - 1/t."""
+    def eval_value(x, t):
+        return t * x[0] + math.log(1.0 - x[0]) if x[0] < 1.0 else -math.inf
+
+    def eval_full(x, t):
+        s = 1.0 - x[0]
+        g = t - 1.0 / s
+        dx = g * s * s / getattr(t, "k", 1.0)
+        return eval_value(x, t), (g,), (dx,)
+
+    return eval_full, eval_value
+
+
 class TestScaledStep:
     """Centerings that carry the duals of the previous center stop where
     the primal Newton decrement meets the barrier's tolerance."""
@@ -638,13 +547,13 @@ class TestScaledStep:
         def checked(eval_full, eval_value, x, t, k):
             out = newton(eval_full, eval_value, x, t, k)
             if out[1]:
-                _, grad, dx, _ = eval_full(out[0], float(t))
+                _, grad, dx = eval_full(out[0], float(t))
                 decrements.append(sum(g * d for g, d in zip(grad, dx)))
                 scales.append(k)
             return out
 
         monkeypatch.setattr(barrier, "_newton", checked)
-        TestStepBound._solve_blocks(params, fit)
+        TestKeptSlacks._solve_blocks(params, fit)
         assert max(decrements) <= barrier._DECREMENT_TOL, max(decrements)
         # Most centerings start with carried duals, at the growth of t.
         assert sum(k > 1.0 for k in scales) >= 0.5 * len(scales), scales
@@ -654,21 +563,42 @@ class TestScaledStep:
         # step is the primal one over k and its decrement is the primal one
         # over k. From a point whose primal decrement is 10 times the
         # tolerance, a centering at k = 100 must still step.
-        def eval_value(x, t):
-            return t * x[0] + math.log(1.0 - x[0]) if x[0] < 1.0 else -math.inf
-
-        def eval_full(x, t):
-            s = 1.0 - x[0]
-            g = t - 1.0 / s
-            dx = g * s * s / getattr(t, "k", 1.0)
-            return eval_value(x, t), (g,), (dx,), s / dx if dx > 0.0 else math.inf
-
+        eval_full, eval_value = _log_barrier_1d()
         t = 1.0
         x0 = [-math.sqrt(10.0 * barrier._DECREMENT_TOL)]  # (t*(1 - x) - 1)^2 = 10 tol
         x, ok = barrier._newton(eval_full, eval_value, x0, t, 100.0)
-        _, (g,), (dx,), _ = eval_full(x, t)
+        _, (g,), (dx,) = eval_full(x, t)
         assert ok and x != x0
         assert g * dx <= barrier._DECREMENT_TOL
+
+
+class TestLineSearch:
+    """The backtracking line search halves the Newton step from s = 1
+    until the Armijo test passes; a trial outside the domain fails it."""
+
+    def test_trials_outside_the_domain_are_halved(self):
+        # At x = 0 and t = 10 the gradient is 9 and -H is 1, so the full
+        # Newton step lands at x = 9, far outside x < 1.
+        eval_full, eval_value = _log_barrier_1d()
+        trials, points = [], []
+
+        def value(x, t):
+            out = eval_value(x, t)
+            trials.append((x[0], out))
+            return out
+
+        def full(x, t):
+            points.append(x[0])
+            return eval_full(x, t)
+
+        x, ok = barrier._newton(full, value, [0.0], 10.0, 1.0)
+        assert trials[:4] == [(9.0, -math.inf), (4.5, -math.inf), (2.25, -math.inf),
+                              (1.125, -math.inf)]
+        assert trials[4][0] == 0.5625 and math.isfinite(trials[4][1])
+        # Centered: lambda^2 = (t*(1 - x) - 1)^2 <= _DECREMENT_TOL puts x
+        # within 0.05/t of the center 0.9.
+        assert ok and x[0] == pytest.approx(0.9, abs=0.005)
+        assert max(points) < 1.0
 
 
 class TestSolveAuxiliary:
