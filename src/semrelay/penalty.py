@@ -178,9 +178,9 @@ def run(
     # lp carries the incumbent to the blocks: d, alpha_br, and the SNR and
     # similarity recomputed from them.
     lp, eta = _tighten(p, fit, d, alpha, eta_cap)
-    # Each block's barrier starts from the central path of its previous
-    # solve; an infeasible solve leaves an empty path, so the next starts cold.
-    pl_path = bw_path = ()
+    # Each block's barrier starts from the warm state of its previous solve;
+    # a solve that is not optimal leaves none, so the next starts cold.
+    pl_warm = bw_warm = ()
 
     lam = cfg.lambda0
     traces = []
@@ -193,15 +193,15 @@ def run(
         phase = [_p3_objective(eta, d, alpha, aux, lam, cfg.nu)]
         prev_obj = phase[0]
         for _cycle in range(cfg.max_inner):
-            pl = solve_placement(p, fit, lp, alpha[1], aux[0], lam, cfg.nu, pl_path)
-            pl_path = pl.path
+            pl = solve_placement(p, fit, lp, alpha[1], aux[0], lam, cfg.nu, pl_warm)
+            pl_warm = pl.warm
             if pl.status != "infeasible":
                 d = (pl.point["d_br"], pl.point["d_ru"])
                 lp, eta = _tighten(p, fit, d, alpha, eta_cap)
                 phase.append(_p3_objective(eta, d, alpha, aux, lam, cfg.nu))
 
-            bw = solve_bandwidth(p, fit, lp, aux[1], lam, cfg.alpha_floor, bw_path)
-            bw_path = bw.path
+            bw = solve_bandwidth(p, fit, lp, aux[1], lam, cfg.alpha_floor, bw_warm)
+            bw_warm = bw.warm
             if bw.status != "infeasible":
                 alpha = (bw.point["alpha_br"], bw.point["alpha_ru"])
                 lp, eta = _tighten(p, fit, d, alpha, eta_cap)

@@ -3,9 +3,11 @@
 Three blocks are optimized in turn: relay placement, bandwidth allocation,
 and the auxiliary copies that carry the two sum equality constraints. The
 placement and bandwidth blocks are two instances of one small convex
-program, stated and solved in `_solve` by the log-barrier Newton method in
-`barrier`; each block supplies its surrogates, built from the tangents in
-`bounds`. The auxiliary block is a closed-form Euclidean projection.
+program, stated in `_program` and solved in `_solve` by the log-barrier
+Newton method in `barrier`, warm-started by primal-dual steps from the
+block's previous solve; each block supplies its surrogates, built from the
+tangents in `bounds`. The auxiliary block is a closed-form Euclidean
+projection.
 
 Internally the rate variable is normalized by the semantic-hop ceiling
 W*mu*(a1+a2)/K so that tolerances are scale-free; distances stay in meters
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from semrelay import barrier
 from semrelay.bounds import (
@@ -40,7 +43,7 @@ from semrelay.model import (
 # Relative duality gap for each block solve.
 TOL_SUB = 1e-9
 # The rate variable is capped at this multiple of the semantic ceiling (it
-# has no lower bound; see `_solve`). The cap never binds at a converged
+# has no lower bound; see `_program`). The cap never binds at a converged
 # solution because alpha_br + alpha_ru -> 1. It binds on the way, and the
 # penalty schedule relies on it: in each of the first 214 phases of the
 # default W = 1e6 run (zeta falls from 1.73 to the 0.82 plateau,
@@ -51,6 +54,13 @@ TOL_SUB = 1e-9
 # with the present barrier), and 4,958 of the 11,098 block solves at
 # W = 1e5 did not converge.
 ETA_CAP_FACTOR = 1.5
+# The warm start of a block solve (`_warm_point`): at most this many
+# primal-dual steps, each the fraction _PD_STEP_FRACTION of the longest step
+# that keeps the slack variables and duals positive (capped at 1), until
+# every slack is positive and max |lam_i c_i - 1| < _PD_CENTERED.
+_PD_MAX_STEPS = 8
+_PD_STEP_FRACTION = 0.99
+_PD_CENTERED = 0.5
 # Strict-interior margins used to push the incumbent off the boundary.
 DIST_MARGIN_FRAC = 1e-3  # of D, for distances
 _REL_MARGIN = 0.05  # fraction of the available slack for gamma, S, eta
@@ -63,7 +73,7 @@ class SubproblemSolution:
     point: dict[str, float]
     objective: float  # penalized block objective, bits/s
     status: str  # "optimal" | "max-iter" | "infeasible"
-    path: tuple = ()  # the barrier's centers, the warm path of the next solve
+    warm: tuple = ()  # (final point, its slacks) when optimal, the next solve's warm state
 
 
 def rate_scale(p: SystemParams, fit: SigmoidFit) -> float:
@@ -86,8 +96,8 @@ def _log_sum(s) -> float:
     return total if total == total else -math.inf
 
 
-def _newton_dx(g, a00, a11, a22, a33, a02, a03, a13, a23, k=1.0):
-    """Solve A dx = g / k for the symmetric A = (a_ij) of a block's four
+def _newton_dx(g, a00, a11, a22, a33, a02, a03, a13, a23):
+    """Solve A dx = g for the symmetric A = (a_ij) of a block's four
     variables (x0, x1, x2, x3), whose only cross terms are (x0, x2),
     (x0, x3), (x1, x3) and (x2, x3): eliminate x1 into x3, then solve the
     3x3 system in (x0, x2, x3) by LDL^T. None when a pivot is not positive.
@@ -95,8 +105,6 @@ def _newton_dx(g, a00, a11, a22, a33, a02, a03, a13, a23, k=1.0):
     if not (a00 > 0.0 and a11 > 0.0):
         return None
     g0, g1, g2, g3 = g
-    if k != 1.0:
-        g0, g1, g2, g3 = g0 / k, g1 / k, g2 / k, g3 / k
     k1 = a13 / a11
     l20, l30 = a02 / a00, a03 / a00
     d2 = a22 - l20 * a02
@@ -113,7 +121,17 @@ def _newton_dx(g, a00, a11, a22, a33, a02, a03, a13, a23, k=1.0):
     return dx0, (g1 - a13 * dx3) / a11, dx2, dx3
 
 
-def _solve(slacks, partials, bounds, w, hat, start, names, R0, path) -> SubproblemSolution:
+class _Program(NamedTuple):
+    """The callbacks of one block program (see `_program`)."""
+
+    eval_full: Callable  # (z, t) -> (phi, grad, dx), as `barrier` expects
+    eval_value: Callable  # (z, t) -> phi
+    step: Callable  # (z, t, lam, s) -> (dz, ds, dlam), or None
+    slacks: Callable  # z -> the seven slacks at z
+    objective: Callable  # (x0, x1, x2, y) -> y - w*((x0 - h0)^2 + (x1 - h1)^2)
+
+
+def _program(slacks, partials, bounds, w, hat) -> _Program:
     """The program of both barrier blocks: over z = (x0, x1, x2, y),
     maximize y - w*((x0 - h0)^2 + (x1 - h1)^2), hat = (h0, h1), subject to
 
@@ -122,25 +140,35 @@ def _solve(slacks, partials, bounds, w, hat, start, names, R0, path) -> Subprobl
         ETA_CAP_FACTOR - y
 
     all > 0, with F1, F2 and G concave and bounds = (lo0, hi0, lo1, lo2),
-    of which one is infinite: a bound that is not there. A block supplies
-    slacks(*z), the first six finite slacks in this order with the three
-    bounds in any order, and partials(x0, x1, x2), the partials
-    (F1', F1'', F2_0, F2_2, F2_00, F2_02, F2_22, G', G''); the cap is
-    added here. y needs no lower bound: it is maximized and F1 and F2 bound
-    it from above, so the barrier objective falls to -inf as y -> -inf.
-    The barrier starts from the warm path of an earlier solve of the block
-    or else from (*start, y0), with y0 a margin below
-    min(F1, F2, ETA_CAP_FACTOR) at the block's start = (x0, x1, x2). y is
-    the rate in units of R0; names label (x0, x1, x2) in the returned point.
+    of which exactly one is infinite: a bound that is not there. A block
+    supplies slacks(*z), the first six finite slacks in this order, and
+    partials(x0, x1, x2), the partials (F1', F1'', F2_0, F2_2, F2_00,
+    F2_02, F2_22, G', G''); the cap is added here. y needs no lower bound:
+    it is maximized and F1 and F2 bound it from above, so the barrier
+    objective falls to -inf as y -> -inf.
 
-    eval_full gives the barrier's Newton step (t*A_f + k*B) dx = grad, as
-    in `barrier`.
+    One assembly gives the Newton step of the barrier (eval_full) and of
+    the primal-dual system (step): for weights lam_i, v_i and q_i of the
+    slacks c_i it solves A dz = r, with
+
+        A = t*A_f + sum lam_i (-hess c_i) + sum v_i grad c_i grad c_i^T,
+        r = t*grad f + sum q_i grad c_i,
+
+    f the objective and A_f = -hess f. step(z, t, lam, s) takes duals lam
+    and slack variables s, which differ from the slacks c at z while the
+    start is infeasible; v_i = lam_i/s_i and q_i = lam_i + (1 - lam_i c_i)/s_i,
+    and the step returns dz with ds_i = c_i - s_i + grad c_i . dz and
+    dlam_i = (1 - lam_i c_i - lam_i grad c_i . dz)/s_i. At lam_i = 1/c_i
+    and s_i = c_i, A is -H and r the gradient of the barrier objective:
+    that is eval_full.
     """
     h0, h1 = hat
-    lo0, hi0, lo1, lo2 = bounds
     cap = ETA_CAP_FACTOR
     w2, m2w = 2.0 * w, -2.0 * w
     inf, isfinite = math.inf, math.isfinite
+    # The missing bound's place among the program's eight slacks, where its
+    # weights are 0.
+    missing = 3 + [isfinite(b) for b in bounds].index(False)
     # The point, slacks and log-sum of the last evaluation: the accepted
     # trial of a line search comes back as the next Newton step's point,
     # and a centered point as the next centering's start. The key is a
@@ -155,9 +183,38 @@ def _solve(slacks, partials, bounds, w, hat, start, names, R0, path) -> Subprobl
             last_log = _log_sum(last_s)
         return last_log
 
+    def eight(weights):
+        """The weights of the seven slacks in the program's eight places."""
+        return [*weights[:missing], 0.0, *weights[missing:]]
+
     def objective(x0, x1, x2, y):
         e0, e1 = x0 - h0, x1 - h1
         return y - w * (e0 * e0 + e1 * e1)
+
+    def newton(z, t, p, lam, v, q):
+        """(r, dz) of the assembly at z, with p the partials there and v
+        and q in the program's eight places; of lam only the first three,
+        those of the curved slacks, are read. dz is None when a pivot is
+        not positive."""
+        x0, x1, _, _ = z
+        f1, f1_11, f2_0, f2_2, f2_00, f2_02, f2_22, g, g_00 = p
+        l1, l2, l3 = lam[:3]
+        v1, v2, v3, vb0, vc0, vb1, vb2, v7 = v
+        q1, q2, q3, qb0, qc0, qb1, qb2, q7 = q
+        r = (
+            t * (m2w * (x0 - h0)) + q2 * f2_0 + q3 * g + qb0 - qc0,
+            t * (m2w * (x1 - h1)) + q1 * f1 + qb1,
+            q2 * f2_2 - q3 + qb2,
+            t - q1 - q2 - q7,
+        )
+        tw = t * w2
+        a00 = tw - l2 * f2_00 + v2 * f2_0 * f2_0 - l3 * g_00 + v3 * g * g + vb0 + vc0
+        a11 = tw - l1 * f1_11 + v1 * f1 * f1 + vb1
+        a22 = v2 * f2_2 * f2_2 - l2 * f2_22 + v3 + vb2
+        a33 = v1 + v2 + v7
+        # The cross terms are (x0, x2), (x0, y), (x1, y) and (x2, y).
+        a02 = v2 * f2_0 * f2_2 - l2 * f2_02 - v3 * g
+        return r, _newton_dx(r, a00, a11, a22, a33, a02, -v2 * f2_0, -v1 * f1, -v2 * f2_2)
 
     def eval_value(z, t):
         log_sum = at(z)
@@ -167,45 +224,92 @@ def _solve(slacks, partials, bounds, w, hat, start, names, R0, path) -> Subprobl
         log_sum = at(z)  # leaves the slacks at z in last_s
         if log_sum == -inf:
             return log_sum, None, None
-        x0, x1, x2, y = z
-        e0, e1 = x0 - h0, x1 - h1  # kept for the gradient
-        phi = t * (y - w * (e0 * e0 + e1 * e1)) + log_sum
+        phi = t * objective(*z) + log_sum
         if not isfinite(phi):
             return phi, None, None
-        k = getattr(t, "k", 1.0)
-        s1, s2, s3, _, _, _, s7 = last_s
-        # The bounds' slacks, the same floats as in last_s, and inf for the
-        # missing bound.
-        b0, c0 = x0 - lo0, hi0 - x0
-        b1, b2 = x1 - lo1, x2 - lo2
-        f1, f1_11, f2_0, f2_2, f2_00, f2_02, f2_22, g, g_00 = partials(x0, x1, x2)
-        r1, r3 = f1 / s1, g / s3
-        r2a, r2s = f2_0 / s2, f2_2 / s2
-        grad = (
-            t * (m2w * e0) + r2a + r3 - 1.0 / c0 + 1.0 / b0,
-            t * (m2w * e1) + r1 + 1.0 / b1,
-            r2s - 1.0 / s3 + 1.0 / b2,
-            t - 1.0 / s1 - 1.0 / s2 - 1.0 / s7,
-        )
-        # a_ij = -H_ij, with H = t*hess(f) + sum(s''/s - (s'/s) outer (s'/s)),
-        # except that the objective's part is divided by the dual scale k:
-        # ((t/k) A_f + B) dx = grad/k is the step (t A_f + k B) dx = grad.
-        tw = t / k * w2
-        a00 = tw - f2_00 / s2 + r2a * r2a - g_00 / s3 + r3 * r3 + 1.0 / (c0 * c0) + 1.0 / (b0 * b0)
-        a11 = tw - f1_11 / s1 + r1 * r1 + 1.0 / (b1 * b1)
-        a22 = r2s * r2s - f2_22 / s2 + 1.0 / (s3 * s3) + 1.0 / (b2 * b2)
-        a33 = 1.0 / (s1 * s1) + 1.0 / (s2 * s2) + 1.0 / (s7 * s7)
-        # The cross terms are (x0, x2), (x0, y), (x1, y) and (x2, y).
-        a02 = r2a * r2s - f2_02 / s2 - r3 / s3
-        dx = _newton_dx(grad, a00, a11, a22, a33, a02, -r2a / s2, -r1 / s1, -r2s / s2, k)
+        inv = eight([1.0 / s for s in last_s])
+        grad, dx = newton(z, t, partials(*z[:3]), inv, [u * u for u in inv], inv)
         return phi, grad, dx
 
-    y0 = _interior(min(*slacks(*start, 0.0)[:2], cap), -cap)
-    # Seven slacks: the block's six and the cap.
-    z, ok, centers = barrier.maximize(eval_full, eval_value, (*start, y0), 7, TOL_SUB, path)
+    def slack_values(z):
+        at(z)
+        return last_s
+
+    def step(z, t, lam, s):
+        c = slack_values(z)
+        p = partials(*z[:3])
+        v = [li / si for li, si in zip(lam, s)]
+        rho = [(1.0 - li * ci) / si for li, si, ci in zip(lam, s, c)]
+        _, dz = newton(z, t, p, lam, eight(v), eight([li + x for li, x in zip(lam, rho)]))
+        if dz is None:
+            return None
+        # The slacks' derivatives along dz, in the order of c.
+        f1, _, f2_0, f2_2, _, _, _, g, _ = p
+        dz0, dz1, dz2, dz3 = dz
+        dc = [f1 * dz1 - dz3, f2_0 * dz0 + f2_2 * dz2 - dz3, g * dz0 - dz2,
+              dz0, -dz0, dz1, dz2, -dz3]
+        del dc[missing]
+        return (dz, [ci - si + di for ci, si, di in zip(c, s, dc)],
+                [x - vi * di for x, vi, di in zip(rho, v, dc)])
+
+    return _Program(eval_full, eval_value, step, slack_values, objective)
+
+
+def _warm_point(program, z, s, t):
+    """A point near the center at t by infeasible-start primal-dual Newton
+    steps from z with slack variables s and duals 1/s, or None."""
+    step, slacks = program.step, program.slacks
+    lam = [1.0 / si for si in s]
+    for k in range(_PD_MAX_STEPS + 1):
+        c = slacks(z)
+        # A slack that is -inf or a leading NaN: outside the domain of the
+        # block's functions, where the partials are undefined.
+        if not min(c) > -math.inf:
+            return None
+        # |lam_i c_i - 1| < _PD_CENTERED; lam stays positive, so every slack
+        # is then positive too.
+        lc = [li * ci for li, ci in zip(lam, c)]
+        if 1.0 - _PD_CENTERED < min(lc) and max(lc) < 1.0 + _PD_CENTERED:
+            return z
+        if k == _PD_MAX_STEPS:
+            return None
+        out = step(z, t, lam, s)
+        if out is None:
+            return None
+        dz, ds, dlam = out
+        # The longest step that keeps s and lam positive, cut back.
+        room = min([-x / dx for x, dx in zip((*s, *lam), (*ds, *dlam)) if dx < 0.0],
+                   default=math.inf)
+        a = min(1.0, _PD_STEP_FRACTION * room)
+        z = [zi + a * di for zi, di in zip(z, dz)]
+        s = [si + a * di for si, di in zip(s, ds)]
+        lam = [li + a * di for li, di in zip(lam, dlam)]
+
+
+def _solve(slacks, partials, bounds, w, hat, start, names, R0, warm) -> SubproblemSolution:
+    """Solve the block program of `_program`; y is the rate in units of R0,
+    and names label (x0, x1, x2) in the returned point.
+
+    warm is the `SubproblemSolution.warm` of the block's previous solve:
+    its final point z and slacks s. From z, with slack variables s and
+    duals 1/s, a few primal-dual steps aim at this problem's center at
+    t_final, and the barrier centers there from the point they reach
+    (`barrier.maximize`). Without a warm state, or when the steps fail,
+    the barrier starts cold from (*start, y0), with y0 a margin below
+    min(F1, F2, ETA_CAP_FACTOR) at the block's start = (x0, x1, x2).
+    """
+    program = _program(slacks, partials, bounds, w, hat)
+    m = 7  # slacks: the block's six and the cap
+    x_warm = _warm_point(program, *warm, m / TOL_SUB) if warm else None
+    y0 = _interior(min(*slacks(*start, 0.0)[:2], ETA_CAP_FACTOR), -ETA_CAP_FACTOR)
+    z, ok = barrier.maximize(program.eval_full, program.eval_value, (*start, y0), m, TOL_SUB,
+                             x_warm)
     point = dict(zip(names, z))
     point["eta"] = z[-1] * R0
-    return SubproblemSolution(point, objective(*z) * R0, "optimal" if ok else "max-iter", centers)
+    objective = program.objective(*z) * R0
+    if not ok:
+        return SubproblemSolution(point, objective, "max-iter")
+    return SubproblemSolution(point, objective, "optimal", (tuple(z), program.slacks(z)))
 
 
 def solve_placement(
@@ -216,7 +320,7 @@ def solve_placement(
     aux: tuple[float, float],
     lam: float,
     nu: float,
-    path: tuple = (),
+    warm: tuple = (),
 ) -> SubproblemSolution:
     """Optimize (d_br, d_ru, gamma, eta) at the fixed split (lp.alpha_br,
     alpha_ru).
@@ -227,9 +331,9 @@ def solve_placement(
     must be the exact SNR at (lp.d_br, lp.alpha_br). Infeasible when no
     d_br admits the threshold at the fixed split, which signals that the
     bandwidth block must move first.
-    path is the `SubproblemSolution.path` of the block's previous solve;
-    the barrier starts from its centers when one fits, and the default
-    solves cold.
+    warm is the `SubproblemSolution.warm` of the block's previous solve,
+    from which the solve starts when it can (`_solve`); the default solves
+    cold.
     """
     R0 = rate_scale(p, fit)
     H2 = p.H * p.H
@@ -277,7 +381,7 @@ def solve_placement(
     gamma0 = _interior(slacks(d_br0, d_ru0, 0.0, 0.0)[2], gamma_min)
 
     return _solve(slacks, partials, (0.0, math.inf, 0.0, gamma_min), nu / (2.0 * lam * R0), aux,
-                  (d_br0, d_ru0, gamma0), ("d_br", "d_ru", "gamma_br_db"), R0, path)
+                  (d_br0, d_ru0, gamma0), ("d_br", "d_ru", "gamma_br_db"), R0, warm)
 
 
 def solve_bandwidth(
@@ -287,7 +391,7 @@ def solve_bandwidth(
     aux: tuple[float, float],
     lam: float,
     alpha_floor: float = DEFAULT_ALPHA_FLOOR,
-    path: tuple = (),
+    warm: tuple = (),
 ) -> SubproblemSolution:
     """Optimize (alpha_br, alpha_ru, S, eta) at the fixed placement
     (lp.d_br, lp.d_ru).
@@ -301,7 +405,7 @@ def solve_bandwidth(
     optimum and needs no variable of its own; the threshold becomes
     alpha_br < a_max, where the ceiling meets it. Infeasible when a_max is
     at or below the floor.
-    path is as in `solve_placement`.
+    warm is as in `solve_placement`.
     """
     R0 = rate_scale(p, fit)
     gamma_min = min_snr_threshold_db(fit)
@@ -324,8 +428,8 @@ def solve_bandwidth(
             wr * a_ru * math.log1p(c_ru / a_ru) / _LN2 - y if a_ru > 0.0 else -math.inf,
             q2 * (sq_t + sq_x * (a_br + S - x_t) - (a_br - S) * (a_br - S)) - y,
             fit.a1 + fit.a2 * (sig_t + sig_v * (v - v_t)) - S,
-            a_max - a_br,
             a_br - alpha_floor,
+            a_max - a_br,
             a_ru - alpha_floor,
         )
 
@@ -351,7 +455,7 @@ def solve_bandwidth(
 
     return _solve(slacks, partials, (alpha_floor, a_max, alpha_floor, -math.inf),
                   1.0 / (2.0 * lam * R0), aux,
-                  (a_br0, a_ru0, S0), ("alpha_br", "alpha_ru", "S"), R0, path)
+                  (a_br0, a_ru0, S0), ("alpha_br", "alpha_ru", "S"), R0, warm)
 
 
 def solve_auxiliary(

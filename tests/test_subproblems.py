@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from semrelay import barrier
+from semrelay import barrier, subproblems
 from semrelay.bounds import LocalPoint
 from semrelay.model import (
     DEFAULT_ALPHA_FLOOR,
@@ -185,58 +185,90 @@ class TestNewtonDx:
 class TestBlockDerivatives:
     """The gradient and the Newton direction that each block's eval_full
     computes by hand, against central differences of its eval_value and of
-    that gradient, at the barrier's start point and halfway to its solution
-    and at dual scales 1, 10 and 100; and both callbacks outside the barrier
-    domain."""
+    that gradient, at the barrier's start point and halfway to its
+    solution; the primal-dual step of the same assembly, against eval_full's
+    direction at duals 1/c_i and against the carried-duals step at duals
+    k/c_i, and against central differences of the primal-dual system at an
+    infeasible start; and both callbacks outside the barrier domain."""
+
+    @classmethod
+    def _check_points(cls, program, x0, x):
+        """_check at the barrier's start x0, halfway to its solution x and
+        near x, at t = 10, 1e4 and t_final = 7e9. At t_final the Newton
+        step from a point far from the center is long, and differences
+        resolve its system only near the center."""
+        near = 0.99 * x + 0.01 * x0
+        for z in (x0, 0.5 * (x0 + x), near):
+            for t in (10.0, 1e4, 7e9):
+                cls._check(program, z, t, differences=t < 1e6 or z is near)
 
     @staticmethod
-    def _check(eval_full, eval_value, z, t):
-        phi, grad, _ = eval_full(z, t)
+    def _check(program, z, t, differences=True):
+        eval_full, eval_value = program.eval_full, program.eval_value
+        phi, grad, dx = eval_full(z, t)
+        assert dx is not None
+        c = program.slacks(z.tolist())
+        # At duals 1/c_i and slack variables c_i the primal-dual step is
+        # eval_full's Newton step.
+        dz = program.step(z.tolist(), t, [1.0 / ci for ci in c], list(c))[0]
+        assert np.abs(np.subtract(dz, dx)).max() <= 1e-12 * np.abs(dx).max(), (dz, dx)
+        if not differences:
+            return
         grad = np.asarray(grad)
         n = len(z)
         h = 1e-6 * (np.abs(z) + 1e-3)
-
-        def hess_fd(tt):
-            cols = []
+        unit = np.eye(n)
+        if t < 1e6:
+            # Beyond, t*f swamps the differences of eval_value in rounding.
             for i in range(n):
-                e = np.zeros(n)
-                e[i] = h[i]
-                cols.append((np.asarray(eval_full(z + e, tt)[1])
-                             - np.asarray(eval_full(z - e, tt)[1])) / (2.0 * h[i]))
-            return np.column_stack(cols)
-
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = h[i]
-            g_fd = (eval_value(z + e, t) - eval_value(z - e, t)) / (2.0 * h[i])
-            assert abs(g_fd - grad[i]) <= 1e-5 * (abs(grad[i]) + 1e-6 * np.linalg.norm(grad)), i
-        # The Hessian of phi is t*H_f + H_b, so H_b is its value at t = 0,
-        # and the scaled step's matrix t*H_f + k*H_b is H(t) + (k - 1) H(0).
-        hess_t, hess_b = hess_fd(t), hess_fd(0.0)
+                g_fd = (eval_value(z + h[i] * unit[i], t)
+                        - eval_value(z - h[i] * unit[i], t)) / (2.0 * h[i])
+                assert abs(g_fd - grad[i]) <= 1e-5 * (abs(grad[i]) + 1e-6 * np.linalg.norm(grad)), i
+        # The Hessian of phi is t*H_f + H_b: H_b is that of the barrier at
+        # t = 0, by central differences of eval_full's gradient, and H_f
+        # that of the quadratic objective, by second differences, exact for
+        # a quadratic; their steps H are long, so that the penalty term
+        # outweighs the rounding of the rest.
+        hess_b = np.column_stack([
+            (np.asarray(eval_full(z + h[i] * unit[i], 0.0)[1])
+             - np.asarray(eval_full(z - h[i] * unit[i], 0.0)[1])) / (2.0 * h[i])
+            for i in range(n)])
+        f = program.objective
+        big = 1e6 * (np.abs(z) + 1.0)
+        steps = unit * big[:, None]
+        hess_f = np.array([[(f(*(z + ei + ej)) - f(*(z + ei - ej)) - f(*(z - ei + ej))
+                             + f(*(z - ei - ej))) / (4.0 * bi * bj)
+                            for ej, bj in zip(steps, big)] for ei, bi in zip(steps, big)])
         for k in (1.0, 10.0, 100.0):
-            phi_k, grad_k, dx = eval_full(z, barrier.Scaled(t, k))
-            assert (phi_k, grad_k) == (phi, tuple(grad)), k
-            assert dx is not None, k
-            dx = np.asarray(dx)
-            hess = hess_t + (k - 1.0) * hess_b
-            # dx solves -(t*H_f + k*H_b) dx = grad: each row of hess dx + grad
-            # vanishes on the scale of the products it sums.
-            residual = hess @ dx + grad
-            assert np.all(np.abs(residual) <= 1e-5 * (np.abs(hess) @ np.abs(dx))), (k, residual)
+            # The primal-dual step at duals k/c_i and slack variables c_i
+            # is the carried-duals step, which solves
+            # -(t*H_f + k*H_b) dz = grad.
+            dz = np.asarray(program.step(z.tolist(), t, [k / ci for ci in c], list(c))[0])
+            hess = t * hess_f + k * hess_b
+            # Each row of hess dz + grad vanishes on the scale of the
+            # products it sums.
+            residual = hess @ dz + grad
+            assert np.all(np.abs(residual) <= 1e-5 * (np.abs(hess) @ np.abs(dz))), (k, residual)
 
     @staticmethod
     def _record(monkeypatch):
-        """Patch barrier.maximize to log (eval_full, eval_value, x0, x) of
-        every block solve into the returned list."""
+        """Patch subproblems._program and barrier.maximize to log
+        [program, x0, x] of every block solve into the returned list: its
+        `_Program`, the barrier's cold start and the solution."""
         calls = []
-        maximize = barrier.maximize
+        program, maximize = subproblems._program, barrier.maximize
 
-        def recording(eval_full, eval_value, x0, *args):
+        def recording_program(*args):
+            calls.append([program(*args)])
+            return calls[-1][0]
+
+        def recording_maximize(eval_full, eval_value, x0, *args):
             out = maximize(eval_full, eval_value, x0, *args)
-            calls.append((eval_full, eval_value, np.asarray(x0, dtype=float), np.asarray(out[0])))
+            calls[-1] += [np.asarray(x0, dtype=float), np.asarray(out[0])]
             return out
 
-        monkeypatch.setattr(barrier, "maximize", recording)
+        monkeypatch.setattr(subproblems, "_program", recording_program)
+        monkeypatch.setattr(barrier, "maximize", recording_maximize)
         return calls
 
     def test_eval_full_matches_finite_differences(self, params, fit, monkeypatch):
@@ -245,11 +277,9 @@ class TestBlockDerivatives:
             lp = _incumbent_lp(p, f, d, alpha)
             solve_placement(p, f, lp, alpha[1], d, 1000.0, 1e-4)
             solve_bandwidth(p, f, lp, alpha, 1000.0)
-        assert [len(x0) for _, _, x0, _ in calls] == [4, 4] * 4
-        for eval_full, eval_value, x0, x in calls:
-            for z in (x0, 0.5 * (x0 + x)):
-                for t in (10.0, 1e4):
-                    self._check(eval_full, eval_value, z, t)
+        assert [len(x0) for _, x0, _ in calls] == [4, 4] * 4
+        for program, x0, x in calls:
+            self._check_points(program, x0, x)
 
     def test_strong_penalty_matches_finite_differences(self, params, fit, monkeypatch):
         # At lam = 1000 the objective's part of the Hessian is negligible
@@ -260,10 +290,61 @@ class TestBlockDerivatives:
             lp = _incumbent_lp(p, f, d, alpha)
             solve_placement(p, f, lp, alpha[1], d, 1e-3, 1e-4)
             solve_bandwidth(p, f, lp, alpha, 1e-3)
-        for eval_full, eval_value, x0, x in calls:
-            for z in (x0, 0.5 * (x0 + x)):
-                for t in (10.0, 1e4):
-                    self._check(eval_full, eval_value, z, t)
+        for program, x0, x in calls:
+            self._check_points(program, x0, x)
+
+    def test_primal_dual_step_solves_the_linearized_system(self, params, fit, monkeypatch):
+        # At a point where the rate lies above F1 and F2, so that their
+        # slacks are negative, with positive slack variables s that are not
+        # the slacks c and duals lam that are not 1/s, (dz, ds, dlam) solves
+        # the linearization of
+        #   t grad f + sum lam_i grad c_i = 0,  c - s = 0,  lam_i s_i = 1,
+        # whose derivatives are taken by central differences of f and c.
+        calls = self._record(monkeypatch)
+        for p, f, d, alpha in [(params, fit, (50.0, 50.0), (0.3, 0.7)), *_random_cases()]:
+            lp = _incumbent_lp(p, f, d, alpha)
+            solve_placement(p, f, lp, alpha[1], d, 1000.0, 1e-4)
+            solve_bandwidth(p, f, lp, alpha, 1000.0)
+        t = 10.0
+        for program, x0, x in calls:
+            def slacks(v):
+                return np.asarray(program.slacks(list(v)))
+
+            def lagrangian(v):
+                return t * program.objective(*v) + lam @ slacks(v)
+
+            c_x = slacks(x)
+            z = x.copy()
+            z[3] += 1.5 * min(c_x[0], c_x[1])
+            c = slacks(z)
+            assert min(c[0], c[1]) < 0.0
+            s = 1.3 * np.abs(c) + 1e-3 * np.abs(c).max()
+            lam = 2.0 / s
+            dz, ds, dlam = map(np.asarray, program.step(z.tolist(), t, lam.tolist(), s.tolist()))
+            # Long steps: the second differences below nest two central
+            # differences, whose rounding grows as the steps shrink.
+            h = 1e-4 * (np.abs(z) + 1e-3)
+
+            def grad_fd(fn, v):
+                out = np.zeros(4)
+                for i in range(4):
+                    e = np.zeros(4)
+                    e[i] = h[i]
+                    out[i] = (fn(v + e) - fn(v - e)) / (2.0 * h[i])
+                return out
+
+            eps = 1e-3 / max(1.0, np.abs(dz / (np.abs(z) + 1e-3)).max())
+            terms = [
+                grad_fd(lagrangian, z),
+                (grad_fd(lagrangian, z + eps * dz) - grad_fd(lagrangian, z - eps * dz)) / (2 * eps),
+                grad_fd(lambda v: dlam @ slacks(v), z),
+            ]
+            assert np.all(np.abs(sum(terms)) <= 1e-5 * sum(map(np.abs, terms))), terms
+            jdz = (slacks(z + eps * dz) - slacks(z - eps * dz)) / (2 * eps)
+            terms = [c, -s, jdz, -ds]
+            assert np.all(np.abs(sum(terms)) <= 1e-6 * sum(map(np.abs, terms))), terms
+            terms = [lam * s, -np.ones_like(s), lam * ds, s * dlam]
+            assert np.all(np.abs(sum(terms)) <= 1e-12 * sum(map(np.abs, terms))), terms
 
     def test_outside_domain_is_not_finite(self, params, fit, monkeypatch):
         # The barrier's contract: outside the domain eval_value is -inf and
@@ -280,22 +361,22 @@ class TestBlockDerivatives:
         lp = _incumbent_lp(params, fit, (50.0, 50.0), (0.3, 0.7))
         solve_placement(params, fit, lp, 0.7, (50.0, 50.0), 1000.0, 1e-4)
         solve_bandwidth(params, fit, lp, (0.3, 0.7), 1000.0)
-        (pl_full, pl_value, pl_x0, _), (bw_full, bw_value, bw_x0, _) = calls
+        (pl, pl_x0, _), (bw, bw_x0, _) = calls
         (_, *pl_rest), (a_br, _, *bw_rest) = pl_x0.tolist(), bw_x0.tolist()
-        outside = [(pl_full, pl_value, [-1.0, *pl_rest])]
+        outside = [(pl, [-1.0, *pl_rest])]
         for a_ru in (0.0, -0.1, DEFAULT_ALPHA_FLOOR):
-            outside.append((bw_full, bw_value, [a_br, a_ru, *bw_rest]))
+            outside.append((bw, [a_br, a_ru, *bw_rest]))
         pl_z, bw_z = pl_x0.tolist(), bw_x0.tolist()
         pl_z[2], bw_z[0] = -1e4, 1e4  # gamma, alpha_br
-        outside += [(pl_full, pl_value, pl_z), (bw_full, bw_value, bw_z)]
+        outside += [(pl, pl_z), (bw, bw_z)]
         pl_z, bw_z = pl_x0.tolist(), bw_x0.tolist()
         pl_z[1] = 1e3 * params.D  # d_ru
         bw_z[1], bw_z[3] = 1e5, 2.0 * ETA_CAP_FACTOR  # alpha_ru, the rate
-        outside += [(pl_full, pl_value, pl_z), (bw_full, bw_value, bw_z)]
-        for eval_full, eval_value, z in outside:
+        outside += [(pl, pl_z), (bw, bw_z)]
+        for program, z in outside:
             for t in (10.0, 1e4):
-                assert eval_value(z, t) == -math.inf, z
-                assert eval_full(z, t) == (-math.inf, None, None), z
+                assert program.eval_value(z, t) == -math.inf, z
+                assert program.eval_full(z, t) == (-math.inf, None, None), z
 
     def test_rate_far_below_the_cap_is_inside_domain(self, params, fit, monkeypatch):
         # The rate variable has no lower bound: it is maximized and F1 and
@@ -307,11 +388,11 @@ class TestBlockDerivatives:
         solve_placement(params, fit, lp, 0.7, (50.0, 50.0), 1000.0, 1e-4)
         solve_bandwidth(params, fit, lp, (0.3, 0.7), 1000.0)
         assert len(calls) == 2
-        for eval_full, eval_value, x0, _ in calls:
+        for program, x0, _ in calls:
             z = [*x0[:-1].tolist(), -10.0 * ETA_CAP_FACTOR]
             for t in (10.0, 1e4):
-                assert math.isfinite(eval_value(z, t)), z
-                phi, _, dx = eval_full(z, t)
+                assert math.isfinite(program.eval_value(z, t)), z
+                phi, _, dx = program.eval_full(z, t)
                 assert math.isfinite(phi) and dx[3] > 0.0, (z, dx)
 
     def test_nan_slack_is_outside_domain(self, params, fit, monkeypatch):
@@ -321,25 +402,25 @@ class TestBlockDerivatives:
         lp = _incumbent_lp(params, fit, (50.0, 50.0), (0.3, 0.7))
         solve_placement(params, fit, lp, 0.7, (50.0, 50.0), 1000.0, 1e-4)
         solve_bandwidth(params, fit, lp, (0.3, 0.7), 1000.0)
-        (pl_full, pl_value, pl_x0, _), (bw_full, bw_value, bw_x0, _) = calls
+        (pl, pl_x0, _), (bw, bw_x0, _) = calls
         nan, inf = math.nan, math.inf
         cases = (
             # placement (d_br, d_ru, gamma, y)
-            (pl_full, pl_value, pl_x0, {3: nan}),  # every slack of y is NaN, the first too
-            (pl_full, pl_value, pl_x0, {1: nan, 2: -inf}),  # NaN first, then gamma's slack -inf
-            (pl_full, pl_value, pl_x0, {0: nan}),  # NaN in the third and fourth slacks only
+            (pl, pl_x0, {3: nan}),  # every slack of y is NaN, the first too
+            (pl, pl_x0, {1: nan, 2: -inf}),  # NaN first, then gamma's slack -inf
+            (pl, pl_x0, {0: nan}),  # NaN in the third and fourth slacks only
             # bandwidth (alpha_br, alpha_ru, S, y)
-            (bw_full, bw_value, bw_x0, {3: nan}),  # every slack of y is NaN, the first too
-            (bw_full, bw_value, bw_x0, {0: inf, 3: nan}),  # NaN first, then -inf
-            (bw_full, bw_value, bw_x0, {2: nan}),  # NaN in the second and third slacks only
+            (bw, bw_x0, {3: nan}),  # every slack of y is NaN, the first too
+            (bw, bw_x0, {0: inf, 3: nan}),  # NaN first, then -inf
+            (bw, bw_x0, {2: nan}),  # NaN in the second and third slacks only
         )
-        for eval_full, eval_value, x0, change in cases:
+        for program, x0, change in cases:
             z = x0.tolist()
             for i, v in change.items():
                 z[i] = v
             for t in (10.0, 1e4):
-                assert eval_value(z, t) == -math.inf, z
-                assert eval_full(z, t) == (-math.inf, None, None), z
+                assert program.eval_value(z, t) == -math.inf, z
+                assert program.eval_full(z, t) == (-math.inf, None, None), z
 
 
 class TestBlockProgram:
@@ -352,13 +433,13 @@ class TestBlockProgram:
     HAT = (0.9, 0.5)
 
     @classmethod
-    def _run(cls, curved, R0=1.0, path=()):
+    def _run(cls, curved, R0=1.0, warm=()):
         c = 1.0 if curved else 0.0
 
         def slacks(x0, x1, x2, y):
             d = x0 - x2
             return (x1 - c * x1 * x1 - y, x2 + 0.5 * x0 - c * d * d - y, 1.0 - x0 - c * x0 * x0 - x2,
-                    0.3 - x0, x0, x1)
+                    x0, 0.3 - x0, x1)
 
         def partials(x0, x1, x2):
             d = 2.0 * c * (x0 - x2)
@@ -366,7 +447,7 @@ class TestBlockProgram:
                     -1.0 - 2.0 * c * x0, -2.0 * c)
 
         return _solve(slacks, partials, (0.0, 0.3, 0.0, -math.inf), 1.0, cls.HAT, cls.Z0,
-                      ("x0", "x1", "x2"), R0, path)
+                      ("x0", "x1", "x2"), R0, warm)
 
     def test_affine_instance_reaches_its_vertex(self):
         # y = min(x1, x2 + x0/2) with x2 = 1 - x0 at the optimum; along that
@@ -381,16 +462,14 @@ class TestBlockProgram:
             assert sol.point[name] == pytest.approx(v, abs=1e-7), name
         objective = 0.85 - (0.3 - 0.9) ** 2 - (0.85 - 0.5) ** 2
         assert sol.objective == pytest.approx(2.0 * objective, abs=1e-8)
-        assert self._run(curved=False, R0=2.0, path=sol.path).point == pytest.approx(sol.point, abs=1e-9)
+        assert self._run(curved=False, R0=2.0, warm=sol.warm).point == pytest.approx(sol.point, abs=1e-9)
 
     @pytest.mark.parametrize("curved", [False, True])
     def test_eval_full_matches_finite_differences(self, curved, monkeypatch):
         calls = TestBlockDerivatives._record(monkeypatch)
         self._run(curved)
-        ((eval_full, eval_value, x0, x),) = calls
-        for z in (x0, 0.5 * (x0 + x), 0.99 * x + 0.01 * x0):
-            for t in (10.0, 1e4):
-                TestBlockDerivatives._check(eval_full, eval_value, z, t)
+        ((program, x0, x),) = calls
+        TestBlockDerivatives._check_points(program, x0, x)
 
 
 class TestKeptSlacks:
@@ -401,7 +480,7 @@ class TestKeptSlacks:
     def _solve_blocks(params, fit):
         """Both blocks on the default system and `_random_cases()`, as in
         TestBlockDerivatives, each solved cold and then warm from its own
-        path at half the penalty coefficient."""
+        warm state at half the penalty coefficient."""
         sols = []
         for p, f, d, alpha in [(params, fit, (50.0, 50.0), (0.3, 0.7)), *_random_cases()]:
             lp = _incumbent_lp(p, f, d, alpha)
@@ -410,15 +489,16 @@ class TestKeptSlacks:
             sols += [
                 place,
                 band,
-                solve_placement(p, f, lp, alpha[1], d, 500.0, 1e-4, place.path),
-                solve_bandwidth(p, f, lp, alpha, 500.0, DEFAULT_ALPHA_FLOOR, band.path),
+                solve_placement(p, f, lp, alpha[1], d, 500.0, 1e-4, place.warm),
+                solve_bandwidth(p, f, lp, alpha, 500.0, DEFAULT_ALPHA_FLOOR, band.warm),
             ]
         return sols
 
     def test_kept_slacks_match_a_fresh_evaluation(self, params, fit, monkeypatch):
         calls = TestBlockDerivatives._record(monkeypatch)
         self._solve_blocks(params, fit)
-        for eval_full, eval_value, x0, x in calls:
+        for program, x0, x in calls:
+            eval_full, eval_value = program.eval_full, program.eval_value
             points = (x0, 0.5 * (x0 + x), x)
             far = (x0 + x).tolist()  # a point no other evaluation here shares
 
@@ -444,81 +524,87 @@ class TestKeptSlacks:
 
 
 class TestWarmStart:
-    """A block solve that starts from the centers of an earlier solve (its
-    warm path) lands on the cold solution."""
+    """A block solve that starts from the warm state of an earlier solve
+    (its final point and slacks; the tests' names call it the path) lands
+    on the cold solution, and falls back to the cold solve when its
+    primal-dual steps fail."""
 
     @staticmethod
     def _blocks(p, f, d, alpha):
         """The placement and bandwidth solves at one incumbent, each as a
-        function of the warm path."""
+        function of the warm state."""
         lp = _incumbent_lp(p, f, d, alpha)
         return (
-            lambda path=(): solve_placement(p, f, lp, alpha[1], d, 1000.0, 1e-4, path),
-            lambda path=(): solve_bandwidth(p, f, lp, alpha, 1000.0, DEFAULT_ALPHA_FLOOR, path),
+            lambda warm=(): solve_placement(p, f, lp, alpha[1], d, 1000.0, 1e-4, warm),
+            lambda warm=(): solve_bandwidth(p, f, lp, alpha, 1000.0, DEFAULT_ALPHA_FLOOR, warm),
         )
 
-    @staticmethod
-    def _count_eval_full(monkeypatch):
-        """Patch barrier.maximize to count eval_full calls into the returned
-        one-element list."""
-        calls = [0]
-        maximize = barrier.maximize
-
-        def counting(eval_full, *args):
-            def counted(x, t):
-                calls[0] += 1
-                return eval_full(x, t)
-
-            return maximize(counted, *args)
-
-        monkeypatch.setattr(barrier, "maximize", counting)
-        return calls
-
-    def test_resolve_from_own_path_matches_cold_with_fewer_steps(self, params, fit, monkeypatch):
-        calls = self._count_eval_full(monkeypatch)
+    def test_resolve_from_own_path_matches_cold_with_fewer_steps(self, params, fit, barrier_evals):
         for i, (p, f, d, alpha) in enumerate(
                 [(params, fit, (50.0, 50.0), (0.3, 0.7)), *_random_cases(n=8)]):
             for solve in self._blocks(p, f, d, alpha):
-                calls[0] = 0
+                barrier_evals.reset()
                 cold = solve()
-                cold_calls = calls[0]
-                calls[0] = 0
-                warm = solve(cold.path)
+                cold_calls = barrier_evals.full
+                barrier_evals.reset()
+                warm = solve(cold.warm)
                 assert cold.status == warm.status == "optimal", i
-                assert cold.path, i
-                assert calls[0] < cold_calls, i
+                assert cold.warm, i
+                assert barrier_evals.full < cold_calls, i
                 assert warm.objective == pytest.approx(cold.objective, rel=1e-9), i
                 for name, v in cold.point.items():
                     assert warm.point[name] == pytest.approx(v, rel=1e-9), (i, name)
 
-    def test_cold_solve_grows_t_by_one_factor(self, params, fit):
+    def test_cold_solve_grows_t_by_one_factor(self, params, fit, barrier_evals):
         t_final = 7 / TOL_SUB  # seven slacks
         want, t = [], barrier._T0
         while t < t_final:
             want.append(t)
             t *= barrier._GROWTH
+        want.append(t_final)
         for p, f, d, alpha in [(params, fit, (50.0, 50.0), (0.3, 0.7)), *_random_cases()]:
             for solve in self._blocks(p, f, d, alpha):
-                sol = solve()
-                assert sol.status == "optimal"
-                assert [t for t, _ in sol.path] == want
+                barrier_evals.reset()
+                assert solve().status == "optimal"
+                ts = barrier_evals.t
+                assert [t for i, t in enumerate(ts) if i == 0 or t != ts[i - 1]] == want
 
-    def test_empty_or_outside_path_gives_cold_solution(self, params, fit):
+    def test_empty_or_outside_path_gives_cold_solution(self, params, fit, monkeypatch):
         place, band = self._blocks(params, fit, (50.0, 50.0), (0.3, 0.7))
-        for solve, coord, outside in ((place, 0, -1.0), (band, 1, -0.1)):
+        for solve in (place, band):
             cold = solve()
             assert solve(()) == cold
-            # d_br < 0 and alpha_ru < 0 lie outside each block's domain.
-            path = tuple((t, (*x[:coord], outside, *x[coord + 1:])) for t, x in cold.path)
-            assert solve(path) == cold
+            z, s = cold.warm
+            # Slack variables three times the slacks, so duals a third of
+            # 1/c_i: no primal-dual step may be taken, and the start is not
+            # centered enough to skip them.
+            with monkeypatch.context() as m:
+                m.setattr(subproblems, "_PD_MAX_STEPS", 0)
+                assert solve((z, [3.0 * si for si in s])) == cold
+        # alpha_ru < 0 lies outside the domain of the bandwidth block's
+        # exact rate, where its partials are undefined.
+        z, s = band().warm
+        assert band(((z[0], -0.1, *z[2:]), s)) == band()
+
+    def test_infeasible_start_is_repaired(self, params, fit):
+        # d_br < 0 lies outside the placement block's domain, but inside
+        # that of its functions: an infeasible start, which the
+        # primal-dual steps repair.
+        place, _ = self._blocks(params, fit, (50.0, 50.0), (0.3, 0.7))
+        cold = place()
+        z, s = cold.warm
+        warm = place(((-1.0, *z[1:]), s))
+        assert warm.status == "optimal"
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
 
     def test_path_is_not_mutated(self, params, fit):
         for solve in self._blocks(params, fit, (50.0, 50.0), (0.3, 0.7)):
-            path = [[t, list(x)] for t, x in solve().path]
-            before = [[t, list(x)] for t, x in path]
-            warm = solve(path)
-            assert path == before
-            assert all(x is not y for _, x in warm.path for _, y in path)
+            z, s = solve().warm
+            state = ([*z[:-1], 0.99 * z[-1]], list(s))
+            before = [list(x) for x in state]
+            warm = solve(state)
+            assert [list(x) for x in state] == before
+            assert warm.warm[0] is not state[0] and warm.warm[1] is not state[1]
 
 
 def _log_barrier_1d():
@@ -530,46 +616,9 @@ def _log_barrier_1d():
     def eval_full(x, t):
         s = 1.0 - x[0]
         g = t - 1.0 / s
-        dx = g * s * s / getattr(t, "k", 1.0)
-        return eval_value(x, t), (g,), (dx,)
+        return eval_value(x, t), (g,), (g * s * s,)
 
     return eval_full, eval_value
-
-
-class TestScaledStep:
-    """Centerings that carry the duals of the previous center stop where
-    the primal Newton decrement meets the barrier's tolerance."""
-
-    def test_centers_meet_the_primal_decrement(self, params, fit, monkeypatch):
-        decrements, scales = [], []
-        newton = barrier._newton
-
-        def checked(eval_full, eval_value, x, t, k):
-            out = newton(eval_full, eval_value, x, t, k)
-            if out[1]:
-                _, grad, dx = eval_full(out[0], float(t))
-                decrements.append(sum(g * d for g, d in zip(grad, dx)))
-                scales.append(k)
-            return out
-
-        monkeypatch.setattr(barrier, "_newton", checked)
-        TestKeptSlacks._solve_blocks(params, fit)
-        assert max(decrements) <= barrier._DECREMENT_TOL, max(decrements)
-        # Most centerings start with carried duals, at the growth of t.
-        assert sum(k > 1.0 for k in scales) >= 0.5 * len(scales), scales
-
-    def test_stop_rule_bounds_the_primal_decrement(self):
-        # Maximize t*x + log(1 - x): the objective is linear, so the scaled
-        # step is the primal one over k and its decrement is the primal one
-        # over k. From a point whose primal decrement is 10 times the
-        # tolerance, a centering at k = 100 must still step.
-        eval_full, eval_value = _log_barrier_1d()
-        t = 1.0
-        x0 = [-math.sqrt(10.0 * barrier._DECREMENT_TOL)]  # (t*(1 - x) - 1)^2 = 10 tol
-        x, ok = barrier._newton(eval_full, eval_value, x0, t, 100.0)
-        _, (g,), (dx,) = eval_full(x, t)
-        assert ok and x != x0
-        assert g * dx <= barrier._DECREMENT_TOL
 
 
 class TestLineSearch:
@@ -591,7 +640,7 @@ class TestLineSearch:
             points.append(x[0])
             return eval_full(x, t)
 
-        x, ok = barrier._newton(full, value, [0.0], 10.0, 1.0)
+        x, ok = barrier._newton(full, value, [0.0], 10.0)
         assert trials[:4] == [(9.0, -math.inf), (4.5, -math.inf), (2.25, -math.inf),
                               (1.125, -math.inf)]
         assert trials[4][0] == 0.5625 and math.isfinite(trials[4][1])
