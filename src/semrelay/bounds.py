@@ -21,7 +21,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from semrelay.model import SigmoidFit, SystemParams, lin_to_db, path_factor, snr_lin
+from semrelay.model import (
+    SigmoidFit,
+    SystemParams,
+    lin_to_db,
+    logistic_v,
+    path_factor,
+    snr_lin,
+)
 
 _LOG2E = math.log2(math.e)
 _LOG10E = math.log10(math.e)
@@ -61,16 +68,6 @@ def rate_ru_coeffs(p: SystemParams, lp: LocalPoint, alpha_ru: float) -> Tangent:
     u_t = path_factor(p, lp.d_ru)
     snr_t = snr_lin(p, p.P_r, lp.d_ru, alpha_ru)
     return Tangent(u_t, math.log1p(snr_t) * _LOG2E, -(snr_t / u_t) * _LOG2E / (1.0 + snr_t))
-
-
-def logistic_v(fit: SigmoidFit, gamma: float) -> float:
-    """v = exp(-(c1*gamma + c2)) of the logistic term 1/(1 + v), on a
-    scalar. The exponent is clamped at 700, which only a gamma far outside
-    the barrier domain reaches, so that a block's slack there is negative
-    instead of raising OverflowError. (A conditional, not max(): the blocks
-    call this on every barrier evaluation.)"""
-    x = fit.c1 * gamma + fit.c2
-    return math.exp(-x if x > -700.0 else 700.0)
 
 
 def logistic_coeffs(fit: SigmoidFit, lp: LocalPoint) -> Tangent:

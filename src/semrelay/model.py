@@ -3,7 +3,16 @@
 Every formula here is a pure function of immutable inputs. All internal
 arithmetic runs in linear units (watts, Hz); dB and dBm values appear only
 at the API boundary and are converted on entry. The functions broadcast
-over numpy arrays, which the grid oracle relies on.
+over numpy arrays, which the grid searches of `baselines` rely on.
+
+`lin_to_db`, `snr_br_db`, `semantic_similarity`, `shannon_rate` (so
+`bit_rate_ru`) and `max_semantic_bandwidth` also have a plain-`math`
+branch, taken when their inputs are floats, which returns a float. The
+solver's incumbent (`penalty._tighten`, `_finalize`,
+`_has_feasible_point`) and `effective_rate` run this branch, so a point's
+rate and its floor test are the same float code wherever they are taken.
+Arrays take the numpy branch, whose results can differ from it in the last
+bit.
 """
 
 from __future__ import annotations
@@ -50,7 +59,9 @@ def db_to_lin(value_db):
 
 
 def lin_to_db(value):
-    """Linear power ratio -> dB."""
+    """Linear power ratio -> dB; 0 gives -inf on a float as on an array."""
+    if isinstance(value, float):
+        return 10.0 * math.log10(value) if value else -math.inf
     return 10.0 * np.log10(value)
 
 
@@ -177,6 +188,10 @@ def shannon_rate(p: SystemParams, power, d, alpha):
     log1p keeps full relative precision at the tiny SNRs reached when the
     allocated band is wide.
     """
+    if isinstance(d, float) and isinstance(alpha, float):
+        if not alpha > 0:
+            return 0.0
+        return alpha * p.W * math.log1p(snr_lin(p, power, d, alpha)) / _LN2
     alpha = np.asarray(alpha, dtype=float)
     snr = snr_lin(p, power, d, np.where(alpha > 0, alpha, 1.0))
     out = np.where(alpha > 0, alpha * p.W * np.log1p(snr) / _LN2, 0.0)
@@ -189,13 +204,26 @@ def snr_br_db(p: SystemParams, d_br, alpha_br):
     Raises ValueError when alpha_br is not positive: the SNR diverges at
     zero allocated bandwidth and callers are expected to clamp to a floor.
     """
-    if np.any(np.asarray(alpha_br) <= 0):
+    if (alpha_br <= 0 if isinstance(alpha_br, float)
+            else np.any(np.asarray(alpha_br) <= 0)):
         raise ValueError("alpha_br must be positive")
     return lin_to_db(snr_lin(p, p.P_b, d_br, alpha_br))
 
 
+def logistic_v(fit: SigmoidFit, gamma: float) -> float:
+    """v = exp(-(c1*gamma + c2)) of the logistic term 1/(1 + v), on a
+    scalar. The exponent is clamped at 700, which only a gamma far outside
+    the barrier domain reaches, so that a block's slack there is negative
+    instead of raising OverflowError. (A conditional, not max(): the blocks
+    call this on every barrier evaluation.)"""
+    x = fit.c1 * gamma + fit.c2
+    return math.exp(-x if x > -700.0 else 700.0)
+
+
 def semantic_similarity(fit: SigmoidFit, gamma_db):
     """Semantic similarity in (a1, a1 + a2) at the given SNR in dB."""
+    if isinstance(gamma_db, float):
+        return fit.a1 + fit.a2 / (1.0 + logistic_v(fit, gamma_db))
     z = np.clip(fit.c1 * gamma_db + fit.c2, -700.0, 700.0)
     return fit.a1 + fit.a2 / (1.0 + np.exp(-z))
 
@@ -242,10 +270,18 @@ def max_semantic_bandwidth(p: SystemParams, fit: SigmoidFit, d_br):
     value steps down by ulps until the floor's own rule
     `snr_br_db(p, d_br, cap / p.W) >= min_snr_threshold_db(fit)` holds
     (at most 16 steps on 20,000 random draws). A cap of 0 or +inf, where
-    the path loss under- or overflows, is left as it is.
+    the path loss under- or overflows, is left as it is. A float d_br steps
+    down on floats, so the cap meets the rule as the float branch of
+    `snr_br_db` computes it, which is the rule `effective_rate` applies.
     """
     gamma_min = min_snr_threshold_db(fit)
     cap = p.W * snr_lin(p, p.P_b, d_br, 1.0) / db_to_lin(gamma_min)
+    if isinstance(d_br, float):
+        for _ in range(64):
+            if not 0.0 < cap < math.inf or snr_br_db(p, d_br, cap / p.W) >= gamma_min:
+                break
+            cap = math.nextafter(cap, 0.0)
+        return cap
     for _ in range(64):
         edge = np.isfinite(cap) & (cap > 0.0)
         miss = edge & ~(snr_br_db(p, d_br, np.where(edge, cap, p.W) / p.W) >= gamma_min)

@@ -125,13 +125,9 @@ def _tighten(p, fit, d, alpha, eta_cap=float("inf")):
     otherwise the ascent property of the cycle breaks. The cap is inactive
     at any converged point.
     """
-    gamma = float(snr_br_db(p, d[0], alpha[0]))
-    s = float(semantic_similarity(fit, gamma))
-    eta = min(
-        float(semantic_bit_rate(p, fit, alpha[0], s)),
-        float(bit_rate_ru(p, d[1], alpha[1])),
-        eta_cap,
-    )
+    gamma = snr_br_db(p, d[0], alpha[0])
+    s = semantic_similarity(fit, gamma)
+    eta = min(semantic_bit_rate(p, fit, alpha[0], s), bit_rate_ru(p, d[1], alpha[1]), eta_cap)
     return LocalPoint(d[0], d[1], alpha[0], gamma, s), eta
 
 
@@ -249,7 +245,7 @@ def _finalize(p, fit, d, alpha, cfg):
     d_f = (max(d_hat[0], 0.0), max(d_hat[1], 0.0))
     a_f = (max(a_hat[0], cfg.alpha_floor), max(a_hat[1], 0.0))
     if not snr_br_db(p, d_f[0], a_f[0]) >= min_snr_threshold_db(fit):
-        a_br = float(max_semantic_bandwidth(p, fit, d_f[0])) / p.W
+        a_br = max_semantic_bandwidth(p, fit, d_f[0]) / p.W
         a_f = (a_br, a_f[1] + (a_f[0] - a_br))
     lp, eta = _tighten(p, fit, d_f, a_f)
     return DesignPoint(d_f[0], d_f[1], a_f[0], a_f[1], lp.gamma_br_db, eta)

@@ -25,7 +25,6 @@ from semrelay.bounds import (
     LocalPoint,
     log_path_coeffs,
     logistic_coeffs,
-    logistic_v,
     rate_ru_coeffs,
     snr_cap_coeffs,
     square_coeffs,
@@ -35,6 +34,7 @@ from semrelay.model import (
     DEFAULT_ALPHA_FLOOR,
     SigmoidFit,
     SystemParams,
+    logistic_v,
     min_snr_threshold_db,
     semantic_bit_rate,
     snr_lin,

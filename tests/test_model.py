@@ -18,7 +18,9 @@ from semrelay.model import (
     semantic_bit_rate,
     semantic_rate,
     semantic_similarity,
+    shannon_rate,
     snr_br_db,
+    snr_lin,
 )
 from oracles import random_fit, random_params
 
@@ -233,6 +235,79 @@ class TestFloorRule:
         assert is_feasible(params, fit, pt)
         assert not is_feasible(params, fit, dataclasses.replace(pt, d_ru=50.0 + 1e-5))
         assert not is_feasible(params, fit, dataclasses.replace(pt, alpha_ru=0.7 + 1e-7))
+
+
+def _one(x):
+    """x as a one-entry array, which takes a model function's numpy branch."""
+    return np.array([x])
+
+
+class TestScalarPath:
+    # The incumbent's path runs the model on floats, in plain math; the grid
+    # searches run it on arrays, in numpy. Both branches state one formula.
+
+    @staticmethod
+    def _pairs(p, f, d, a):
+        """(name, float branch, array branch) of each function at (d, a).
+        snr_br_db takes d as a float on both branches: path_factor rounds
+        arrays and floats apart in the last bit, and an SNR near 0 dB turns
+        that into a large relative difference in dB."""
+        snr, gamma = snr_lin(p, p.P_b, d, a), snr_br_db(p, d, a)
+        return (
+            ("lin_to_db", lin_to_db(snr), lin_to_db(_one(snr))[0]),
+            ("snr_br_db", gamma, snr_br_db(p, d, _one(a))[0]),
+            ("semantic_similarity", semantic_similarity(f, gamma),
+             semantic_similarity(f, _one(gamma))[0]),
+            ("shannon_rate", shannon_rate(p, p.P_r, d, a),
+             shannon_rate(p, p.P_r, _one(d), _one(a))[0]),
+        )
+
+    def test_floats_in_floats_out(self, params, fit):
+        for name, scalar, _ in self._pairs(params, fit, 50.0, 0.5):
+            assert type(scalar) is float, name
+        assert type(max_semantic_bandwidth(params, fit, 50.0)) is float
+
+    def test_agrees_with_the_array_branch(self):
+        rng = np.random.default_rng(19)
+        for i in range(2000):
+            p, f = random_params(rng), random_fit(rng)
+            d, a = rng.uniform(0.0, p.D), rng.uniform(1e-6, 1.0)
+            for name, scalar, array in self._pairs(p, f, d, a):
+                assert scalar == pytest.approx(array, rel=1e-14, abs=0.0), (i, name)
+
+    def test_edges_match_the_array_branch_without_warnings(self, params, fit):
+        # pytest turns warnings into errors; the array branch's own
+        # divide-by-zero warnings are silenced here, the float branch's
+        # would fail the test.
+        flat = SystemParams(H=0.0)
+        far = 2.0 * 700.0 / fit.c1
+        cases = (
+            (snr_br_db(flat, 0.0, 0.5), snr_br_db, (flat, _one(0.0), _one(0.5)), math.inf),
+            (shannon_rate(flat, flat.P_r, 0.0, 0.5), shannon_rate,
+             (flat, flat.P_r, _one(0.0), _one(0.5)), math.inf),
+            (shannon_rate(params, params.P_r, 50.0, 0.0), shannon_rate,
+             (params, params.P_r, _one(50.0), _one(0.0)), 0.0),
+            (lin_to_db(0.0), lin_to_db, (_one(0.0),), -math.inf),
+            (semantic_similarity(fit, far), semantic_similarity, (fit, _one(far)), fit.a1 + fit.a2),
+            (semantic_similarity(fit, -far), semantic_similarity, (fit, _one(-far)), fit.a1),
+            (semantic_similarity(fit, math.inf), semantic_similarity,
+             (fit, _one(math.inf)), fit.a1 + fit.a2),
+            (semantic_similarity(fit, -math.inf), semantic_similarity,
+             (fit, _one(-math.inf)), fit.a1),
+        )
+        for i, (scalar, fn, args, expected) in enumerate(cases):
+            with np.errstate(divide="ignore"):
+                array = fn(*args)[0]
+            assert scalar == array == expected, i
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.0, -1e-300, -1.0, 1e-12, 0.5, 2.0])
+    def test_snr_raises_where_the_array_branch_raises(self, params, alpha):
+        for a in (alpha, _one(alpha)):
+            if alpha <= 0:
+                with pytest.raises(ValueError, match="alpha_br must be positive"):
+                    snr_br_db(params, 50.0, a)
+            else:
+                snr_br_db(params, 50.0, a)
 
 
 class TestUnitsAndValidation:
