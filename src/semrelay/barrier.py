@@ -11,9 +11,11 @@ Everything is deterministic; no randomness, no iteration-order ambiguity.
 A solve of a nearby problem may skip the path: given a warm point, one
 near the center at t_final = m/gap, it centers there straight away, and
 starts cold at t = _T0 from its strictly feasible start only when that
-centering does not converge. `subproblems._warm_point` finds such a point
-with a few primal-dual steps from the final point of the block's previous
-solve.
+centering does not converge. The block programs find such a point with a
+few primal-dual steps from the final point of the block's previous solve
+(`warm_point` of `subproblems._program`). The cold start comes as a
+function, which the solve calls only when it starts cold, so a solve that
+centers from its warm point never builds it.
 
 Problems plug in through a single fused callback so the per-step cost stays
 a few microseconds. Points are sequences of plain floats, and the problem
@@ -78,16 +80,17 @@ def _newton(eval_full, eval_value, x, t):
     return x, False
 
 
-def maximize(eval_full, eval_value, x0, n_constraints, gap, warm=None):
+def maximize(eval_full, eval_value, start, n_constraints, gap, warm=None):
     """Follow the central path until the duality measure meets `gap`.
 
     warm, when given, is a point near the center at t_final = m/gap, such
     as the final point of a nearby problem's solve moved towards this one;
     the solve centers at t_final from it. Without it, or when that
-    centering does not converge, the solve starts cold at (x0, _T0) and
-    grows t by the one factor _GROWTH per stage up to t_final. x0 must
-    then be strictly feasible; one outside the domain comes back
-    unchanged, unconverged. Neither start is modified.
+    centering does not converge, the solve starts cold at (start(), _T0)
+    and grows t by the one factor _GROWTH per stage up to t_final; start
+    is called only then. Its point must be strictly feasible; one outside
+    the domain comes back unchanged, unconverged. Neither start is
+    modified.
 
     Returns (x, converged): x a list of floats; converged means every
     centering of the returned solve succeeded and m/t_final <= gap.
@@ -97,7 +100,7 @@ def maximize(eval_full, eval_value, x0, n_constraints, gap, warm=None):
         x, ok = _newton(eval_full, eval_value, list(warm), t_final)
         if ok:
             return x, True
-    t, x = min(_T0, t_final), [float(v) for v in x0]
+    t, x = min(_T0, t_final), [float(v) for v in start()]
     ok_all = True
     while True:
         x, ok = _newton(eval_full, eval_value, x, t)

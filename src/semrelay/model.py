@@ -173,12 +173,17 @@ def snr_lin(p: SystemParams, power, d, alpha):
     distance d in the bandwidth share alpha; the link budget of both hops.
 
     With H = 0 the path factor vanishes at d = 0 and the SNR is +inf, on
-    floats as on arrays (where numpy's division gives the same limit).
+    floats as on arrays (where numpy's division gives the same limit). So
+    it is where the denominator underflows to 0 although the path factor
+    does not, as at d = 1e-155 with H = 0 and beta = 2.
     """
     u = path_factor(p, d)
     if isinstance(u, float) and u == 0.0:
         return math.inf
-    return power * p.rho0_lin / (u * alpha * p.W * p.n0_w_hz)
+    den = u * alpha * p.W * p.n0_w_hz
+    if isinstance(den, float) and den == 0.0:
+        return math.inf
+    return power * p.rho0_lin / den
 
 
 def shannon_rate(p: SystemParams, power, d, alpha):

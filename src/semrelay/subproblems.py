@@ -6,8 +6,11 @@ placement and bandwidth blocks are two instances of one small convex
 program, stated in `_program` and solved in `_solve` by the log-barrier
 Newton method in `barrier`, warm-started by primal-dual steps from the
 block's previous solve; each block supplies its surrogates, built from the
-tangents in `bounds`. The auxiliary block is a closed-form Euclidean
-projection.
+tangents in `bounds`, and a function that builds its cold start, which
+runs only when a solve starts cold. `_program` runs the barrier's
+callbacks and the primal-dual steps as scalar code on plain floats, in
+one fixed order over the seven slacks. The auxiliary block is a
+closed-form Euclidean projection.
 
 Internally the rate variable is normalized by the semantic-hop ceiling
 W*mu*(a1+a2)/K so that tolerances are scale-free; distances stay in meters
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from semrelay import barrier
@@ -54,7 +58,7 @@ TOL_SUB = 1e-9
 # with the present barrier), and 4,958 of the 11,098 block solves at
 # W = 1e5 did not converge.
 ETA_CAP_FACTOR = 1.5
-# The warm start of a block solve (`_warm_point`): at most this many
+# The warm start of a block solve (`_Program.warm_point`): at most this many
 # primal-dual steps, each the fraction _PD_STEP_FRACTION of the longest step
 # that keeps the slack variables and duals positive (capped at 1), until
 # every slack is positive and max |lam_i c_i - 1| < _PD_CENTERED.
@@ -121,12 +125,24 @@ def _newton_dx(g, a00, a11, a22, a33, a02, a03, a13, a23):
     return dx0, (g1 - a13 * dx3) / a11, dx2, dx3
 
 
+# For each place 3..6 of the missing bound among a program's eight slacks:
+# an itemgetter that spreads seven per-slack values, with a 0.0 appended,
+# over the eight places (the 0.0 in the missing place), and one that takes
+# the seven back out of eight.
+_PLACES = {
+    missing: (itemgetter(*range(missing), 7, *range(missing, 7)),
+              itemgetter(*(i for i in range(8) if i != missing)))
+    for missing in range(3, 7)
+}
+
+
 class _Program(NamedTuple):
     """The callbacks of one block program (see `_program`)."""
 
     eval_full: Callable  # (z, t) -> (phi, grad, dx), as `barrier` expects
     eval_value: Callable  # (z, t) -> phi
     step: Callable  # (z, t, lam, s) -> (dz, ds, dlam), or None
+    warm_point: Callable  # (z, s, t) -> a point near the center at t, or None
     slacks: Callable  # z -> the seven slacks at z
     objective: Callable  # (x0, x1, x2, y) -> y - w*((x0 - h0)^2 + (x1 - h1)^2)
 
@@ -160,45 +176,50 @@ def _program(slacks, partials, bounds, w, hat) -> _Program:
     and the step returns dz with ds_i = c_i - s_i + grad c_i . dz and
     dlam_i = (1 - lam_i c_i - lam_i grad c_i . dz)/s_i. At lam_i = 1/c_i
     and s_i = c_i, A is -H and r the gradient of the barrier objective:
-    that is eval_full.
+    that is eval_full. warm_point(z, s, t) takes such steps from z, with
+    duals 1/s, until it reaches a point near the center at t.
+
+    Everything runs on plain floats in a fixed order over the seven slacks;
+    the missing bound's place, whose weights are 0, is resolved once here.
     """
     h0, h1 = hat
     cap = ETA_CAP_FACTOR
     w2, m2w = 2.0 * w, -2.0 * w
     inf, isfinite = math.inf, math.isfinite
-    # The missing bound's place among the program's eight slacks, where its
-    # weights are 0.
-    missing = 3 + [isfinite(b) for b in bounds].index(False)
-    # The point, slacks and log-sum of the last evaluation: the accepted
-    # trial of a line search comes back as the next Newton step's point,
-    # and a centered point as the next centering's start. The key is a
-    # copy, so a point changed in place is evaluated afresh.
+    eight, seven = _PLACES[3 + [isfinite(b) for b in bounds].index(False)]
+    # The point and slacks of the last evaluation, and their log-sum once an
+    # evaluation needed it: the accepted trial of a line search comes back
+    # as the next Newton step's point, a centered point as the next
+    # centering's start, and the point the primal-dual steps reach as the
+    # centering's start. The key is a copy, so a point changed in place is
+    # evaluated afresh.
     last_z = last_s = last_log = None
 
-    def at(z):
+    def slack_values(z):
         nonlocal last_z, last_s, last_log
         key = tuple(z)
         if key != last_z:
-            last_z, last_s = key, (*slacks(*z), cap - key[3])
+            last_z, last_s, last_log = key, (*slacks(*key), cap - key[3]), None
+        return last_s
+
+    def at(z):
+        """The log-sum of the slacks at z, which it leaves in last_s."""
+        nonlocal last_log
+        slack_values(z)
+        if last_log is None:
             last_log = _log_sum(last_s)
         return last_log
-
-    def eight(weights):
-        """The weights of the seven slacks in the program's eight places."""
-        return [*weights[:missing], 0.0, *weights[missing:]]
 
     def objective(x0, x1, x2, y):
         e0, e1 = x0 - h0, x1 - h1
         return y - w * (e0 * e0 + e1 * e1)
 
-    def newton(z, t, p, lam, v, q):
-        """(r, dz) of the assembly at z, with p the partials there and v
-        and q in the program's eight places; of lam only the first three,
-        those of the curved slacks, are read. dz is None when a pivot is
-        not positive."""
-        x0, x1, _, _ = z
+    def newton(x0, x1, t, p, l1, l2, l3, v, q):
+        """(r, dz) of the assembly at z = (x0, x1, ...), with p the partials
+        there, l1, l2 and l3 the lam of the curved slacks, and v and q in
+        the program's eight places. dz is None when a pivot is not
+        positive."""
         f1, f1_11, f2_0, f2_2, f2_00, f2_02, f2_22, g, g_00 = p
-        l1, l2, l3 = lam[:3]
         v1, v2, v3, vb0, vc0, vb1, vb2, v7 = v
         q1, q2, q3, qb0, qc0, qb1, qb2, q7 = q
         r = (
@@ -221,69 +242,96 @@ def _program(slacks, partials, bounds, w, hat) -> _Program:
         return log_sum if log_sum == -inf else t * objective(*z) + log_sum
 
     def eval_full(z, t):
-        log_sum = at(z)  # leaves the slacks at z in last_s
+        log_sum = at(z)
         if log_sum == -inf:
             return log_sum, None, None
-        phi = t * objective(*z) + log_sum
+        x0, x1, x2, y = z
+        phi = t * objective(x0, x1, x2, y) + log_sum
         if not isfinite(phi):
             return phi, None, None
-        inv = eight([1.0 / s for s in last_s])
-        grad, dx = newton(z, t, partials(*z[:3]), inv, [u * u for u in inv], inv)
+        c1, c2, c3, c4, c5, c6, c7 = last_s
+        i1, i2, i3, i4, i5, i6, i7 = (1.0 / c1, 1.0 / c2, 1.0 / c3, 1.0 / c4, 1.0 / c5, 1.0 / c6,
+                                      1.0 / c7)
+        inv = eight((i1, i2, i3, i4, i5, i6, i7, 0.0))
+        v = eight((i1 * i1, i2 * i2, i3 * i3, i4 * i4, i5 * i5, i6 * i6, i7 * i7, 0.0))
+        grad, dx = newton(x0, x1, t, partials(x0, x1, x2), i1, i2, i3, v, inv)
         return phi, grad, dx
 
-    def slack_values(z):
-        at(z)
-        return last_s
-
-    def step(z, t, lam, s):
-        c = slack_values(z)
-        p = partials(*z[:3])
-        v = [li / si for li, si in zip(lam, s)]
-        rho = [(1.0 - li * ci) / si for li, si, ci in zip(lam, s, c)]
-        _, dz = newton(z, t, p, lam, eight(v), eight([li + x for li, x in zip(lam, rho)]))
+    def direction(x0, x1, x2, c, t, lam, s):
+        """step at z = (x0, x1, x2, y), with c the slacks there; the rho_i
+        = (1 - lam_i c_i)/s_i are r1 ... r7."""
+        c1, c2, c3, c4, c5, c6, c7 = c
+        l1, l2, l3, l4, l5, l6, l7 = lam
+        s1, s2, s3, s4, s5, s6, s7 = s
+        v1, v2, v3, v4, v5, v6, v7 = l1 / s1, l2 / s2, l3 / s3, l4 / s4, l5 / s5, l6 / s6, l7 / s7
+        r1, r2, r3 = (1.0 - l1 * c1) / s1, (1.0 - l2 * c2) / s2, (1.0 - l3 * c3) / s3
+        r4, r5 = (1.0 - l4 * c4) / s4, (1.0 - l5 * c5) / s5
+        r6, r7 = (1.0 - l6 * c6) / s6, (1.0 - l7 * c7) / s7
+        p = partials(x0, x1, x2)
+        dz = newton(x0, x1, t, p, l1, l2, l3, eight((v1, v2, v3, v4, v5, v6, v7, 0.0)),
+                    eight((l1 + r1, l2 + r2, l3 + r3, l4 + r4, l5 + r5, l6 + r6, l7 + r7, 0.0)))[1]
         if dz is None:
             return None
         # The slacks' derivatives along dz, in the order of c.
         f1, _, f2_0, f2_2, _, _, _, g, _ = p
         dz0, dz1, dz2, dz3 = dz
-        dc = [f1 * dz1 - dz3, f2_0 * dz0 + f2_2 * dz2 - dz3, g * dz0 - dz2,
-              dz0, -dz0, dz1, dz2, -dz3]
-        del dc[missing]
-        return (dz, [ci - si + di for ci, si, di in zip(c, s, dc)],
-                [x - vi * di for x, vi, di in zip(rho, v, dc)])
+        d1, d2, d3, d4, d5, d6, d7 = seven((f1 * dz1 - dz3, f2_0 * dz0 + f2_2 * dz2 - dz3,
+                                            g * dz0 - dz2, dz0, -dz0, dz1, dz2, -dz3))
+        return (dz,
+                (c1 - s1 + d1, c2 - s2 + d2, c3 - s3 + d3, c4 - s4 + d4, c5 - s5 + d5,
+                 c6 - s6 + d6, c7 - s7 + d7),
+                (r1 - v1 * d1, r2 - v2 * d2, r3 - v3 * d3, r4 - v4 * d4, r5 - v5 * d5,
+                 r6 - v6 * d6, r7 - v7 * d7))
 
-    return _Program(eval_full, eval_value, step, slack_values, objective)
+    def step(z, t, lam, s):
+        x0, x1, x2, _ = z
+        return direction(x0, x1, x2, slack_values(z), t, lam, s)
 
+    def warm_point(z, s, t):
+        """A point near the center at t by infeasible-start primal-dual
+        steps from z with slack variables s and duals 1/s, or None when
+        _PD_MAX_STEPS steps do not reach one (see _PD_CENTERED), a pivot
+        is not positive, or the block's functions are undefined at an
+        iterate."""
+        x0, x1, x2, y = z
+        s1, s2, s3, s4, s5, s6, s7 = s
+        l1, l2, l3, l4, l5, l6, l7 = (1.0 / s1, 1.0 / s2, 1.0 / s3, 1.0 / s4, 1.0 / s5, 1.0 / s6,
+                                      1.0 / s7)
+        lo, hi = 1.0 - _PD_CENTERED, 1.0 + _PD_CENTERED
+        for k in range(_PD_MAX_STEPS + 1):
+            c = slack_values(z)
+            # A slack that is -inf or a leading NaN: outside the domain of the
+            # block's functions, where the partials are undefined.
+            if not min(c) > -inf:
+                return None
+            # |lam_i c_i - 1| < _PD_CENTERED; lam stays positive, so every
+            # slack is then positive too.
+            c1, c2, c3, c4, c5, c6, c7 = c
+            lc = (l1 * c1, l2 * c2, l3 * c3, l4 * c4, l5 * c5, l6 * c6, l7 * c7)
+            if lo < min(lc) and max(lc) < hi:
+                return z
+            if k == _PD_MAX_STEPS:
+                return None
+            out = direction(x0, x1, x2, c, t, (l1, l2, l3, l4, l5, l6, l7),
+                            (s1, s2, s3, s4, s5, s6, s7))
+            if out is None:
+                return None
+            (dz0, dz1, dz2, dz3), (d1, d2, d3, d4, d5, d6, d7), (e1, e2, e3, e4, e5, e6, e7) = out
+            # The longest step that keeps s and lam positive, cut back.
+            room = inf
+            for x, dx in ((s1, d1), (s2, d2), (s3, d3), (s4, d4), (s5, d5), (s6, d6), (s7, d7),
+                          (l1, e1), (l2, e2), (l3, e3), (l4, e4), (l5, e5), (l6, e6), (l7, e7)):
+                if dx < 0.0 and -x / dx < room:
+                    room = -x / dx
+            a = min(1.0, _PD_STEP_FRACTION * room)
+            x0, x1, x2, y = x0 + a * dz0, x1 + a * dz1, x2 + a * dz2, y + a * dz3
+            z = (x0, x1, x2, y)
+            s1, s2, s3, s4, s5, s6, s7 = (s1 + a * d1, s2 + a * d2, s3 + a * d3, s4 + a * d4,
+                                          s5 + a * d5, s6 + a * d6, s7 + a * d7)
+            l1, l2, l3, l4, l5, l6, l7 = (l1 + a * e1, l2 + a * e2, l3 + a * e3, l4 + a * e4,
+                                          l5 + a * e5, l6 + a * e6, l7 + a * e7)
 
-def _warm_point(program, z, s, t):
-    """A point near the center at t by infeasible-start primal-dual Newton
-    steps from z with slack variables s and duals 1/s, or None."""
-    step, slacks = program.step, program.slacks
-    lam = [1.0 / si for si in s]
-    for k in range(_PD_MAX_STEPS + 1):
-        c = slacks(z)
-        # A slack that is -inf or a leading NaN: outside the domain of the
-        # block's functions, where the partials are undefined.
-        if not min(c) > -math.inf:
-            return None
-        # |lam_i c_i - 1| < _PD_CENTERED; lam stays positive, so every slack
-        # is then positive too.
-        lc = [li * ci for li, ci in zip(lam, c)]
-        if 1.0 - _PD_CENTERED < min(lc) and max(lc) < 1.0 + _PD_CENTERED:
-            return z
-        if k == _PD_MAX_STEPS:
-            return None
-        out = step(z, t, lam, s)
-        if out is None:
-            return None
-        dz, ds, dlam = out
-        # The longest step that keeps s and lam positive, cut back.
-        room = min([-x / dx for x, dx in zip((*s, *lam), (*ds, *dlam)) if dx < 0.0],
-                   default=math.inf)
-        a = min(1.0, _PD_STEP_FRACTION * room)
-        z = [zi + a * di for zi, di in zip(z, dz)]
-        s = [si + a * di for si, di in zip(s, ds)]
-        lam = [li + a * di for li, di in zip(lam, dlam)]
+    return _Program(eval_full, eval_value, step, warm_point, slack_values, objective)
 
 
 def _solve(slacks, partials, bounds, w, hat, start, names, R0, warm) -> SubproblemSolution:
@@ -293,17 +341,21 @@ def _solve(slacks, partials, bounds, w, hat, start, names, R0, warm) -> Subprobl
     warm is the `SubproblemSolution.warm` of the block's previous solve:
     its final point z and slacks s. From z, with slack variables s and
     duals 1/s, a few primal-dual steps aim at this problem's center at
-    t_final, and the barrier centers there from the point they reach
-    (`barrier.maximize`). Without a warm state, or when the steps fail,
-    the barrier starts cold from (*start, y0), with y0 a margin below
-    min(F1, F2, ETA_CAP_FACTOR) at the block's start = (x0, x1, x2).
+    t_final (`_Program.warm_point`), and the barrier centers there from the
+    point they reach (`barrier.maximize`). Without a warm state, or when
+    the steps or that centering fail, the barrier starts cold from
+    (*start(), y0), with y0 a margin below min(F1, F2, ETA_CAP_FACTOR) at
+    the block's start (x0, x1, x2) = start(); start is called only then.
     """
     program = _program(slacks, partials, bounds, w, hat)
     m = 7  # slacks: the block's six and the cap
-    x_warm = _warm_point(program, *warm, m / TOL_SUB) if warm else None
-    y0 = _interior(min(*slacks(*start, 0.0)[:2], ETA_CAP_FACTOR), -ETA_CAP_FACTOR)
-    z, ok = barrier.maximize(program.eval_full, program.eval_value, (*start, y0), m, TOL_SUB,
-                             x_warm)
+
+    def cold():
+        x = start()
+        return (*x, _interior(min(*slacks(*x, 0.0)[:2], ETA_CAP_FACTOR), -ETA_CAP_FACTOR))
+
+    x_warm = program.warm_point(*warm, m / TOL_SUB) if warm else None
+    z, ok = barrier.maximize(program.eval_full, program.eval_value, cold, m, TOL_SUB, x_warm)
     point = dict(zip(names, z))
     point["eta"] = z[-1] * R0
     objective = program.objective(*z) * R0
@@ -373,15 +425,16 @@ def solve_placement(
         return (f1_c * d_ru * base ** hb1, f1_c * base ** hb2 * (bm1 * d_ru * d_ru + H2),
                 0.0, f2_2, 0.0, 0.0, m_c1 * f2_2, g_00 * d_br, g_00)
 
-    # Strictly feasible start from the incumbent; a slack taken at zero of
-    # the variable it bounds is that variable's upper limit.
-    margin_d = DIST_MARGIN_FRAC * p.D
-    d_br0 = min(max(lp.d_br, margin_d), 0.999 * math.sqrt((cap_peak - gamma_min) / q3))
-    d_ru0 = max(lp.d_ru, margin_d)
-    gamma0 = _interior(slacks(d_br0, d_ru0, 0.0, 0.0)[2], gamma_min)
+    def start():
+        # Strictly feasible, from the incumbent; a slack taken at zero of the
+        # variable it bounds is that variable's upper limit.
+        margin_d = DIST_MARGIN_FRAC * p.D
+        d_br0 = min(max(lp.d_br, margin_d), 0.999 * math.sqrt((cap_peak - gamma_min) / q3))
+        d_ru0 = max(lp.d_ru, margin_d)
+        return d_br0, d_ru0, _interior(slacks(d_br0, d_ru0, 0.0, 0.0)[2], gamma_min)
 
     return _solve(slacks, partials, (0.0, math.inf, 0.0, gamma_min), nu / (2.0 * lam * R0), aux,
-                  (d_br0, d_ru0, gamma0), ("d_br", "d_ru", "gamma_br_db"), R0, warm)
+                  start, ("d_br", "d_ru", "gamma_br_db"), R0, warm)
 
 
 def solve_bandwidth(
@@ -445,17 +498,18 @@ def solve_bandwidth(
         return (wr * (math.log1p(c_ru / a_ru) - c_ru / ac) / _LN2, f1_11c / (a_ru * ac * ac * _LN2),
                 q2 * (sq_x - d2), q2 * (sq_x + d2), f2_00, -f2_00, f2_00, g, g_2c * g)
 
-    # Strictly feasible start; a slack taken at zero of the variable it
-    # bounds is that variable's upper limit. The incumbent alpha_ru is not
-    # part of the expansion point, so the auxiliary copy seeds that
-    # coordinate.
-    a_br0 = min(max(lp.alpha_br, 2.0 * alpha_floor), alpha_floor + 0.999 * (a_max - alpha_floor))
-    a_ru0 = max(2.0 * alpha_floor, aux[1])
-    S0 = slacks(a_br0, a_ru0, 0.0, 0.0)[2] - max(1e-9, _REL_MARGIN * fit.a2)
+    def start():
+        # Strictly feasible; a slack taken at zero of the variable it bounds
+        # is that variable's upper limit. The incumbent alpha_ru is not part
+        # of the expansion point, so the auxiliary copy seeds that
+        # coordinate.
+        a_br0 = min(max(lp.alpha_br, 2.0 * alpha_floor),
+                    alpha_floor + 0.999 * (a_max - alpha_floor))
+        a_ru0 = max(2.0 * alpha_floor, aux[1])
+        return a_br0, a_ru0, slacks(a_br0, a_ru0, 0.0, 0.0)[2] - max(1e-9, _REL_MARGIN * fit.a2)
 
     return _solve(slacks, partials, (alpha_floor, a_max, alpha_floor, -math.inf),
-                  1.0 / (2.0 * lam * R0), aux,
-                  (a_br0, a_ru0, S0), ("alpha_br", "alpha_ru", "S"), R0, warm)
+                  1.0 / (2.0 * lam * R0), aux, start, ("alpha_br", "alpha_ru", "S"), R0, warm)
 
 
 def solve_auxiliary(

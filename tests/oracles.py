@@ -203,3 +203,69 @@ def projection_pair_oracle(x1, x2, total):
     den = (vm - vl) * (fm - fr) - (vm - vr) * (fm - fl)
     v_star = vm - 0.5 * num / den
     return float(v_star), float(total - v_star)
+
+
+def primal_dual_warm_point(slacks, partials, bounds, w, hat, cap, z, s, t,
+                           max_steps=8, fraction=0.99, centered=0.5):
+    """Infeasible-start primal-dual Newton steps for the block program
+    (Boyd & Vandenberghe, *Convex Optimization*, §11.7): maximize
+    f(z) = y - w*((x0 - h0)^2 + (x1 - h1)^2) over z = (x0, x1, x2, y)
+    subject to c(z) > 0, with the slacks c of `slacks` and the cap - y
+    after them. Each step linearizes t grad f + J^T lam = 0, c - s = 0 and
+    lam_i s_i = 1 and solves the reduced system for dz by a dense Cholesky
+    factorization, built from the gradient and Hessian of every slack.
+
+    bounds = (lo0, hi0, lo1, lo2), one of them infinite, as in the
+    solver's block program; partials gives (F1', F1'', F2_0, F2_2, F2_00,
+    F2_02, F2_22, G', G'') at (x0, x1, x2). From slack variables s and
+    duals 1/s, each step is `fraction` of the longest that keeps s and lam
+    positive, capped at 1, until max |lam_i c_i - 1| < centered. Returns
+    (z, steps), or (None, steps) when a step has no positive definite
+    system, a slack is -inf, or max_steps steps do not get there.
+    """
+    h0, h1 = hat
+    e = np.eye(4)
+    bound_grads = [e[0], -e[0], e[1], e[2]]
+    kept = [g for g, b in zip(bound_grads, bounds) if np.isfinite(b)]
+    hess_f = np.diag([-2.0 * w, -2.0 * w, 0.0, 0.0])
+    z, s = np.array(z, dtype=float), np.array(s, dtype=float)
+    lam = 1.0 / s
+    for k in range(max_steps + 1):
+        c = np.array([*slacks(*z), cap - z[3]])
+        if not np.all(c > -np.inf):
+            return None, k
+        if np.all(np.abs(lam * c - 1.0) < centered):
+            return z, k
+        if k == max_steps:
+            return None, k
+        f1, f1_11, f2_0, f2_2, f2_00, f2_02, f2_22, g, g_00 = partials(*z[:3])
+        jac = np.array([[0.0, f1, 0.0, -1.0], [f2_0, 0.0, f2_2, -1.0], [g, 0.0, -1.0, 0.0],
+                        *kept, -e[3]])
+        hess_c = np.zeros((7, 4, 4))
+        hess_c[0, 1, 1] = f1_11
+        hess_c[1][np.ix_([0, 2], [0, 2])] = [[f2_00, f2_02], [f2_02, f2_22]]
+        hess_c[2, 0, 0] = g_00
+        grad_f = np.array([-2.0 * w * (z[0] - h0), -2.0 * w * (z[1] - h1), 0.0, 1.0])
+        v = lam / s
+        rho = (1.0 - lam * c) / s
+        a = -t * hess_f - np.einsum("i,ijk->jk", lam, hess_c) + jac.T @ (v[:, None] * jac)
+        r = t * grad_f + jac.T @ (lam + rho)
+        # Symmetric diagonal scaling first: the duals of nearly active
+        # slacks make the diagonal span many decades.
+        diag = np.diag(a)
+        if not np.all(diag > 0.0):
+            return None, k
+        scale = 1.0 / np.sqrt(diag)
+        try:
+            chol = np.linalg.cholesky(scale[:, None] * a * scale[None, :])
+        except np.linalg.LinAlgError:
+            return None, k
+        dz = scale * np.linalg.solve(chol.T, np.linalg.solve(chol, scale * r))
+        dc = jac @ dz
+        ds = c - s + dc
+        dlam = rho - v * dc
+        x, dx = np.concatenate([s, lam]), np.concatenate([ds, dlam])
+        shrinking = dx < 0.0
+        room = np.min(-x[shrinking] / dx[shrinking]) if shrinking.any() else np.inf
+        step = min(1.0, fraction * room)
+        z, s, lam = z + step * dz, s + step * ds, lam + step * dlam

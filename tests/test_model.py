@@ -300,6 +300,22 @@ class TestScalarPath:
                 array = fn(*args)[0]
             assert scalar == array == expected, i
 
+    def test_underflowing_link_budget_is_unbounded(self, fit):
+        # At d_br = 1e-155 with H = 0 and beta = 2 the path factor is 1e-310,
+        # not 0, but the SNR's denominator underflows to 0: the SNR is +inf
+        # on floats as on arrays, and the point has the semantic hop's
+        # ceiling or the relay->user rate, whichever is lower.
+        p = SystemParams(H=0.0, beta=2.0)
+        d = 1e-155
+        scalars = (snr_br_db(p, d, 0.5), max_semantic_bandwidth(p, fit, d))
+        with np.errstate(divide="ignore"):
+            arrays = (snr_br_db(p, _one(d), _one(0.5))[0],
+                      max_semantic_bandwidth(p, fit, _one(d))[0])
+        assert scalars == arrays == (math.inf, math.inf)
+        pt = DesignPoint(d, 100.0 - d, 0.5, 0.5, 0.0, 0.0)
+        assert effective_rate(p, fit, pt) == min(
+            semantic_bit_rate(p, fit, 0.5, fit.a1 + fit.a2), bit_rate_ru(p, pt.d_ru, 0.5))
+
     @pytest.mark.parametrize("alpha", [0.0, -0.0, -1e-300, -1.0, 1e-12, 0.5, 2.0])
     def test_snr_raises_where_the_array_branch_raises(self, params, alpha):
         for a in (alpha, _one(alpha)):

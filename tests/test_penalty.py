@@ -94,6 +94,63 @@ class TestRunDefaults:
         assert 0 < barrier_evals.value <= barrier_evals.full, (barrier_evals.value, barrier_evals.full)
 
 
+def _standard_cases():
+    """The 20 standard cases: the default system at W = 1e5, 1e6 and 1e7
+    and at H = 0, and systems 0-15 of the rng 7 draw (the random-systems
+    workload of the benchmark)."""
+    cases = {f"W=1e{k}": (SystemParams(W=10.0 ** k), SigmoidFit()) for k in (5, 6, 7)}
+    cases["H=0"] = (SystemParams(H=0.0), SigmoidFit())
+    rng = np.random.default_rng(7)
+    for i in range(16):
+        cases[f"rng7-{i}"] = (random_params(rng), random_fit(rng))
+    return cases
+
+
+# Status, outer_iters, inner_iters, max_iter_blocks and best.eta of `run`
+# on each standard case, as the solver gives them today. A change that
+# leaves the algorithm alone leaves this table alone; one that changes the
+# algorithm on purpose updates it and says so.
+STANDARD_CASES = {
+    "W=1e5": ("converged", 368, 513, 0, 611421.1686549812),
+    "W=1e6": ("converged", 393, 1176, 0, 4969518.889605296),
+    "W=1e7": ("converged", 411, 1877, 0, 23037582.729823496),
+    "H=0": ("converged", 395, 2587, 1, 5094195.9001632575),
+    "rng7-0": ("converged", 418, 570, 0, 114004383.69396345),
+    "rng7-1": ("converged", 384, 613, 0, 3069331.4018459194),
+    "rng7-2": ("converged", 341, 540, 0, 35384.27558835749),
+    "rng7-3": ("converged", 339, 549, 0, 28161.951274514766),
+    "rng7-4": ("converged", 356, 511, 0, 169468.01566401165),
+    "rng7-5": ("converged", 360, 1507, 0, 993627.1992749434),
+    "rng7-6": ("converged", 368, 582, 0, 572976.6733822954),
+    "rng7-7": ("converged", 361, 510, 0, 291785.68349329487),
+    "rng7-8": ("converged", 376, 535, 0, 1402565.6062008454),
+    "rng7-9": ("infeasible", 1, 0, 0, None),
+    "rng7-10": ("converged", 375, 562, 0, 1289500.1999555167),
+    "rng7-11": ("converged", 389, 605, 0, 5418574.884674848),
+    "rng7-12": ("converged", 338, 570, 0, 22784.52389115),
+    "rng7-13": ("infeasible", 1, 0, 0, None),
+    "rng7-14": ("infeasible", 1, 0, 0, None),
+    "rng7-15": ("infeasible", 1, 0, 0, None),
+}
+
+
+class TestStandardCases:
+    def test_cases_are_the_standard_twenty(self):
+        assert list(_standard_cases()) == list(STANDARD_CASES)
+
+    @pytest.mark.parametrize("name", list(STANDARD_CASES))
+    def test_run_gives_the_pinned_answer(self, name, cfg):
+        p, f = _standard_cases()[name]
+        status, outer, inner, max_iter, eta = STANDARD_CASES[name]
+        report = run(p, f, cfg)
+        assert (report.status, report.outer_iters, report.inner_iters,
+                report.max_iter_blocks) == (status, outer, inner, max_iter)
+        if eta is None:
+            assert report.best is None
+        else:
+            assert report.best.eta == pytest.approx(eta, rel=1e-9, abs=0.0)
+
+
 class TestDefaultSweepRidge:
     def test_ridge_rows_keep_their_floor(self, params, fit, cfg):
         """Six rows of the default sweep, W = 1.624e5 ... 5.456e5, stop on

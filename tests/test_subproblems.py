@@ -29,6 +29,7 @@ from semrelay.subproblems import (
 from oracles import (
     bandwidth_grid_oracle,
     placement_grid_oracle,
+    primal_dual_warm_point,
     projection_pair_oracle,
     random_fit,
     random_params,
@@ -254,7 +255,8 @@ class TestBlockDerivatives:
     def _record(monkeypatch):
         """Patch subproblems._program and barrier.maximize to log
         [program, x0, x] of every block solve into the returned list: its
-        `_Program`, the barrier's cold start and the solution."""
+        `_Program`, the barrier's cold start x0 = start() and the
+        solution."""
         calls = []
         program, maximize = subproblems._program, barrier.maximize
 
@@ -262,9 +264,9 @@ class TestBlockDerivatives:
             calls.append([program(*args)])
             return calls[-1][0]
 
-        def recording_maximize(eval_full, eval_value, x0, *args):
-            out = maximize(eval_full, eval_value, x0, *args)
-            calls[-1] += [np.asarray(x0, dtype=float), np.asarray(out[0])]
+        def recording_maximize(eval_full, eval_value, start, *args):
+            out = maximize(eval_full, eval_value, start, *args)
+            calls[-1] += [np.asarray(start(), dtype=float), np.asarray(out[0])]
             return out
 
         monkeypatch.setattr(subproblems, "_program", recording_program)
@@ -446,7 +448,7 @@ class TestBlockProgram:
             return (1.0 - 2.0 * c * x1, -2.0 * c, 0.5 - d, 1.0 + d, -2.0 * c, 2.0 * c, -2.0 * c,
                     -1.0 - 2.0 * c * x0, -2.0 * c)
 
-        return _solve(slacks, partials, (0.0, 0.3, 0.0, -math.inf), 1.0, cls.HAT, cls.Z0,
+        return _solve(slacks, partials, (0.0, 0.3, 0.0, -math.inf), 1.0, cls.HAT, lambda: cls.Z0,
                       ("x0", "x1", "x2"), R0, warm)
 
     def test_affine_instance_reaches_its_vertex(self):
@@ -597,6 +599,28 @@ class TestWarmStart:
         assert warm.status == "optimal"
         assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
 
+    def test_cold_start_is_built_only_for_a_cold_solve(self, params, fit, monkeypatch):
+        # The barrier asks for the cold start once in a solve without a
+        # warm state, and not at all in one that centers from its warm
+        # point.
+        built = []
+        maximize = barrier.maximize
+
+        def counting(eval_full, eval_value, start, *args):
+            def counted_start():
+                built.append(start())
+                return built[-1]
+
+            return maximize(eval_full, eval_value, counted_start, *args)
+
+        monkeypatch.setattr(barrier, "maximize", counting)
+        for solve in self._blocks(params, fit, (50.0, 50.0), (0.3, 0.7)):
+            cold = solve()
+            assert len(built) == 1
+            built.clear()
+            assert solve(cold.warm).status == "optimal"
+            assert built == []
+
     def test_path_is_not_mutated(self, params, fit):
         for solve in self._blocks(params, fit, (50.0, 50.0), (0.3, 0.7)):
             z, s = solve().warm
@@ -605,6 +629,143 @@ class TestWarmStart:
             warm = solve(state)
             assert [list(x) for x in state] == before
             assert warm.warm[0] is not state[0] and warm.warm[1] is not state[1]
+
+
+class TestPrimalDualLoop:
+    """`_Program.warm_point`, the fused primal-dual loop, against
+    `oracles.primal_dual_warm_point`, a dense numpy transcription of the
+    same method. Each block starts from a point of one program with that
+    program's slacks as slack variables, and steps towards the center of
+    a moved program: both real blocks after a move of the incumbent, and
+    the synthetic block of TestBlockProgram after a move of its hat, once
+    with each of its four bounds missing.
+
+    Points agree within 1e-12 at t = 10, where the steps move away from
+    the boundary. At t_final = 7e9 the active slacks of a warm state are
+    about 1e-10, their weights lam_i/s_i reach 1e20, and the reduced
+    system loses digits in rounding: the two solves, and an exact rational
+    solve of the same floats, then differ by up to 3e-7 in a coordinate,
+    so there the points need only agree within 1e-6."""
+
+    T_FINAL = 7 / TOL_SUB
+
+    @staticmethod
+    def _compare(args, program, z, s, t, rel=1e-12):
+        """warm_point of program at (z, s, t) and the transcription of the
+        program built from args: both None, or points within rel."""
+        got = program.warm_point(z, s, t)
+        want, steps = primal_dual_warm_point(*args, ETA_CAP_FACTOR, z, s, t)
+        assert (got is None) == (want is None), (got, want, steps)
+        if got is not None:
+            assert np.all(np.abs(np.subtract(got, want)) <= rel * np.abs(want)), (got, want)
+        return got, steps
+
+    @staticmethod
+    def _moved_programs(monkeypatch, p, f, d, alpha, shift=0.1):
+        """For each real block: the program at the incumbent (d, alpha),
+        its final point, and the (args, program) of `_program` after d_br
+        moves by shift*D towards the user and alpha_br by shift of itself
+        towards alpha_ru."""
+        made = []
+        program = subproblems._program
+
+        def recording(*args):
+            made.append((args, program(*args)))
+            return made[-1][1]
+
+        monkeypatch.setattr(subproblems, "_program", recording)
+        lp = _incumbent_lp(p, f, d, alpha)
+        moved = _incumbent_lp(p, f, (d[0] + shift * p.D, d[1] - shift * p.D),
+                              (alpha[0] * (1.0 - shift), alpha[1] + shift * alpha[0]))
+        out = []
+        for solve in (lambda l: solve_placement(p, f, l, alpha[1], d, 1000.0, 1e-4),
+                      lambda l: solve_bandwidth(p, f, l, alpha, 1000.0)):
+            made.clear()
+            x = solve(lp).warm[0]
+            solve(moved)
+            (_, old), new = made
+            out.append((old, list(x), new))
+        monkeypatch.setattr(subproblems, "_program", program)
+        return out
+
+    def test_real_blocks_match_the_transcription(self, params, fit, monkeypatch):
+        outcomes = []
+        for p, f, d, alpha in [(params, fit, (50.0, 50.0), (0.3, 0.7)), *_random_cases(n=8)]:
+            for old, x, (args, new) in self._moved_programs(monkeypatch, p, f, d, alpha):
+                # Below the old solution's rate, so that the rate slacks are
+                # not near 0, with the old program's slacks there.
+                z = [*x[:3], x[3] - 0.05]
+                got, steps = self._compare(args, new, z, old.slacks(z), 10.0)
+                outcomes.append((got is not None, steps))
+                # The solver's own case: the old solution and its slacks, at
+                # t_final.
+                self._compare(args, new, x, old.slacks(x), self.T_FINAL, rel=1e-6)
+        # Both ways out are taken: a center after several steps, and no
+        # center after the last step.
+        assert (True, 3) <= max(outcomes) and (False, subproblems._PD_MAX_STEPS) in outcomes
+
+    @staticmethod
+    def _synthetic(missing, curve):
+        """(slacks, partials, bounds) of TestBlockProgram's instance with
+        curvature curve and the bounds 0 < x0 < 0.3, x1 > 0 and x2 > 0, of
+        which the one at index missing is left out."""
+        bounds = [0.0, 0.3, 0.0, 0.0]
+        bounds[missing] = math.inf if missing == 1 else -math.inf
+
+        def slacks(x0, x1, x2, y):
+            d = x0 - x2
+            kept = [x0, 0.3 - x0, x1, x2]
+            del kept[missing]
+            return (x1 - curve * x1 * x1 - y, x2 + 0.5 * x0 - curve * d * d - y,
+                    1.0 - x0 - curve * x0 * x0 - x2, *kept)
+
+        def partials(x0, x1, x2):
+            d = 2.0 * curve * (x0 - x2)
+            return (1.0 - 2.0 * curve * x1, -2.0 * curve, 0.5 - d, 1.0 + d, -2.0 * curve,
+                    2.0 * curve, -2.0 * curve, -1.0 - 2.0 * curve * x0, -2.0 * curve)
+
+        return slacks, partials, tuple(bounds)
+
+    @pytest.mark.parametrize("missing", range(4))
+    def test_synthetic_block_with_each_bound_missing(self, missing):
+        # From halfway between the start and the solution of the instance
+        # at curvature 1, with its slacks there, towards the center of the
+        # instance at curvature 0.8 with another hat.
+        slacks, partials, bounds = self._synthetic(missing, 1.0)
+        start = (0.1, 0.3, 0.2)
+        sol = _solve(slacks, partials, bounds, 1.0, (0.9, 0.5), lambda: start,
+                     ("x0", "x1", "x2"), 1.0, ())
+        assert sol.status == "optimal"
+        x = sol.warm[0]
+        z = [*(0.5 * (a + b) for a, b in zip(x, start)), x[3] - 0.05]
+        args = (*self._synthetic(missing, 0.8), 1.0, (0.6, 0.8))
+        s = subproblems._program(slacks, partials, bounds, 1.0, (0.9, 0.5)).slacks(z)
+        got, steps = self._compare(args, subproblems._program(*args), z, s, 10.0)
+        assert got is not None and steps >= 2, steps
+
+    def test_negative_slacks_are_repaired(self, params, fit, monkeypatch):
+        # d_br = -1 lies outside the placement block's domain, but inside
+        # that of its functions: the steps must bring every slack above 0.
+        for old, x, (args, new) in self._moved_programs(monkeypatch, params, fit, (50.0, 50.0),
+                                                        (0.3, 0.7))[:1]:
+            z = [-1.0, *x[1:3], x[3] - 0.05]
+            s = [abs(c) for c in old.slacks(z)]
+            assert min(new.slacks(z)) < 0.0
+            got, steps = self._compare(args, new, z, s, 10.0)
+            assert got is not None and steps >= 1 and min(new.slacks(got)) > 0.0
+
+    def test_failed_steps_return_none(self, params, fit, monkeypatch):
+        place, band = self._moved_programs(monkeypatch, params, fit, (50.0, 50.0), (0.3, 0.7))
+        # Far below the center at t_final, 8 steps do not get there.
+        for old, x, (args, new) in (place, band):
+            z = [*x[:3], x[3] - 0.05]
+            got, steps = self._compare(args, new, z, old.slacks(z), self.T_FINAL)
+            assert got is None and steps == subproblems._PD_MAX_STEPS
+        # alpha_ru < 0: outside the domain of the bandwidth block's functions.
+        old, x, (args, new) = band
+        z = [x[0], -0.1, *x[2:]]
+        got, steps = self._compare(args, new, z, old.slacks(x), 10.0)
+        assert got is None and steps == 0
 
 
 def _log_barrier_1d():
