@@ -1,26 +1,17 @@
-"""Log-barrier Newton solver for the small convex block subproblems.
+"""Log-barrier Newton centering for the small convex block subproblems.
 
-Each block program has four variables and seven smooth constraints, so a
-path-following method on the primal barrier is enough: maximize
-t*f(x) + sum(log(-g_i(x))) by damped Newton, then grow t by one fixed
-factor, _GROWTH, until the duality measure m/t drops below the requested
-gap (Boyd & Vandenberghe, *Convex Optimization*, §11.3). The Newton
-system is sparse, and `subproblems._program` solves it in closed form.
-Everything is deterministic; no randomness, no iteration-order ambiguity.
-
-A solve of a nearby problem may skip the path: given a warm point, one
-near the center at t_final = m/gap, it centers there straight away, and
-starts cold at t = _T0 from its strictly feasible start only when that
-centering does not converge. The block programs find such a point with a
-few primal-dual steps from the final point of the block's previous solve
-(`warm_point` of `subproblems._program`). The cold start comes as a
-function, which the solve calls only when it starts cold, so a solve that
-centers from its warm point never builds it.
+`maximize` takes one point and centers there once: it maximizes
+t*f(x) + sum(log(-g_i(x))) at the single barrier parameter t = m/gap by
+damped Newton, so that the duality measure m/t of the returned center
+meets the requested gap (Boyd & Vandenberghe, *Convex Optimization*,
+§11.3). It follows no path. The block programs reach a point near that
+center first, by primal-dual steps along the central path
+(`warm_point` of `subproblems._program`), and solve its Newton system,
+whose sparsity they know, in closed form. Everything is deterministic;
+no randomness, no iteration-order ambiguity.
 
 Problems plug in through a single fused callback so the per-step cost stays
-a few microseconds. Points are sequences of plain floats, and the problem
-solves its Newton system, whose sparsity it knows; both block programs do
-so in `subproblems._program`:
+a few microseconds. Points are sequences of plain floats:
 
     eval_full(x, t)  -> (phi, grad, dx), where dx solves -H dx = grad at x,
                         H the Hessian of phi (None when a pivot is not
@@ -49,14 +40,19 @@ _MAX_NEWTON = 60
 _BACKTRACK_SLOPE = 0.25
 _BACKTRACK_SHRINK = 0.5
 _MAX_BACKTRACK = 60
-# Barrier parameter of the first centering of a cold start, and its growth
-# per stage.
-_T0 = 10.0
-_GROWTH = 100.0
 
 
-def _newton(eval_full, eval_value, x, t):
-    """Center at fixed t. Returns (x, converged)."""
+def maximize(eval_full, eval_value, x, n_constraints, gap):
+    """Center at t = n_constraints/gap by damped Newton from x, which is
+    not modified.
+
+    Returns (x, converged): x a list of floats, the last iterate;
+    converged means the Newton decrement met its target within
+    _MAX_NEWTON steps. An iterate outside the domain, or without positive
+    pivots, ends the centering there unconverged, so a start outside the
+    domain comes back unchanged.
+    """
+    t, x = n_constraints / gap, list(x)
     for _ in range(_MAX_NEWTON):
         phi, grad, dx = eval_full(x, t)
         # Outside the domain the line search cannot tell better from worse,
@@ -78,33 +74,3 @@ def _newton(eval_full, eval_value, x, t):
             return x, False
         x = cand
     return x, False
-
-
-def maximize(eval_full, eval_value, start, n_constraints, gap, warm=None):
-    """Follow the central path until the duality measure meets `gap`.
-
-    warm, when given, is a point near the center at t_final = m/gap, such
-    as the final point of a nearby problem's solve moved towards this one;
-    the solve centers at t_final from it. Without it, or when that
-    centering does not converge, the solve starts cold at (start(), _T0)
-    and grows t by the one factor _GROWTH per stage up to t_final; start
-    is called only then. Its point must be strictly feasible; one outside
-    the domain comes back unchanged, unconverged. Neither start is
-    modified.
-
-    Returns (x, converged): x a list of floats; converged means every
-    centering of the returned solve succeeded and m/t_final <= gap.
-    """
-    t_final = n_constraints / gap
-    if warm is not None:
-        x, ok = _newton(eval_full, eval_value, list(warm), t_final)
-        if ok:
-            return x, True
-    t, x = min(_T0, t_final), [float(v) for v in start()]
-    ok_all = True
-    while True:
-        x, ok = _newton(eval_full, eval_value, x, t)
-        ok_all = ok_all and ok
-        if t >= t_final:
-            return x, ok_all
-        t = min(t * _GROWTH, t_final)

@@ -3,11 +3,12 @@
 Three blocks are optimized in turn: relay placement, bandwidth allocation,
 and the auxiliary copies that carry the two sum equality constraints. The
 placement and bandwidth blocks are two instances of one small convex
-program, stated in `_program` and solved in `_solve` by the log-barrier
-Newton method in `barrier`, warm-started by primal-dual steps from the
-block's previous solve; each block supplies its surrogates, built from the
-tangents in `bounds`, and a function that builds its cold start, which
-runs only when a solve starts cold. `_program` runs the barrier's
+program, stated in `_program` and solved in `_solve` by one primal-dual
+path-following loop and one log-barrier Newton centering at its end
+(`barrier`): the loop starts warm at t_final from the block's previous
+solve, or cold at t = _T0 from the block's strictly feasible start, which
+it builds only then. Each block supplies its surrogates, built from the
+tangents in `bounds`, and that start. `_program` runs the barrier's
 callbacks and the primal-dual steps as scalar code on plain floats, in
 one fixed order over the seven slacks. The auxiliary block is a
 closed-form Euclidean projection.
@@ -58,13 +59,21 @@ TOL_SUB = 1e-9
 # with the present barrier), and 4,958 of the 11,098 block solves at
 # W = 1e5 did not converge.
 ETA_CAP_FACTOR = 1.5
-# The warm start of a block solve (`_Program.warm_point`): at most this many
-# primal-dual steps, each the fraction _PD_STEP_FRACTION of the longest step
-# that keeps the slack variables and duals positive (capped at 1), until
-# every slack is positive and max |lam_i c_i - 1| < _PD_CENTERED.
+# The primal-dual steps of a block solve (`_Program.warm_point`): each is
+# the fraction _PD_STEP_FRACTION of the longest step that keeps the slack
+# variables and duals positive (capped at 1), until every slack is positive
+# and max |lam_i c_i - 1| < _PD_CENTERED at t_final. A warm start takes at
+# most _PD_MAX_STEPS of them at t_final. A cold start begins at _T0, grows t
+# by _GROWTH each time it passes that test below t_final, and takes at most
+# _PD_COLD_STEPS in all: 23 in the median of 1,217 cold solves on 68
+# systems, 43 at most. Its duals 1/c pass the test at once, so it must not
+# begin at t_final, where its centering would start from the start itself.
 _PD_MAX_STEPS = 8
+_PD_COLD_STEPS = 200
 _PD_STEP_FRACTION = 0.99
 _PD_CENTERED = 0.5
+_T0 = 10.0
+_GROWTH = 100.0
 # Strict-interior margins used to push the incumbent off the boundary.
 DIST_MARGIN_FRAC = 1e-3  # of D, for distances
 _REL_MARGIN = 0.05  # fraction of the available slack for gamma, S, eta
@@ -142,7 +151,7 @@ class _Program(NamedTuple):
     eval_full: Callable  # (z, t) -> (phi, grad, dx), as `barrier` expects
     eval_value: Callable  # (z, t) -> phi
     step: Callable  # (z, t, lam, s) -> (dz, ds, dlam), or None
-    warm_point: Callable  # (z, s, t) -> a point near the center at t, or None
+    warm_point: Callable  # (z, s, t, t_final, max_steps) -> near-center point at t_final, or None
     slacks: Callable  # z -> the seven slacks at z
     objective: Callable  # (x0, x1, x2, y) -> y - w*((x0 - h0)^2 + (x1 - h1)^2)
 
@@ -176,8 +185,9 @@ def _program(slacks, partials, bounds, w, hat) -> _Program:
     and the step returns dz with ds_i = c_i - s_i + grad c_i . dz and
     dlam_i = (1 - lam_i c_i - lam_i grad c_i . dz)/s_i. At lam_i = 1/c_i
     and s_i = c_i, A is -H and r the gradient of the barrier objective:
-    that is eval_full. warm_point(z, s, t) takes such steps from z, with
-    duals 1/s, until it reaches a point near the center at t.
+    that is eval_full. warm_point(z, s, t, t_final, max_steps) takes such
+    steps from z, with duals 1/s, along the central path from t until it
+    reaches a point near the center at t_final.
 
     Everything runs on plain floats in a fixed order over the seven slacks;
     the missing bound's place, whose weights are 0, is resolved once here.
@@ -287,18 +297,20 @@ def _program(slacks, partials, bounds, w, hat) -> _Program:
         x0, x1, x2, _ = z
         return direction(x0, x1, x2, slack_values(z), t, lam, s)
 
-    def warm_point(z, s, t):
-        """A point near the center at t by infeasible-start primal-dual
-        steps from z with slack variables s and duals 1/s, or None when
-        _PD_MAX_STEPS steps do not reach one (see _PD_CENTERED), a pivot
-        is not positive, or the block's functions are undefined at an
-        iterate."""
+    def warm_point(z, s, t, t_final, max_steps):
+        """A point near the center at t_final by infeasible-start
+        primal-dual steps from z with slack variables s and duals 1/s,
+        starting at t: each time an iterate passes the center test (see
+        _PD_CENTERED) below t_final, t grows by _GROWTH, up to t_final,
+        and the steps go on. None when max_steps steps do not get there,
+        a pivot is not positive, or the block's functions are undefined at
+        an iterate."""
         x0, x1, x2, y = z
         s1, s2, s3, s4, s5, s6, s7 = s
         l1, l2, l3, l4, l5, l6, l7 = (1.0 / s1, 1.0 / s2, 1.0 / s3, 1.0 / s4, 1.0 / s5, 1.0 / s6,
                                       1.0 / s7)
         lo, hi = 1.0 - _PD_CENTERED, 1.0 + _PD_CENTERED
-        for k in range(_PD_MAX_STEPS + 1):
+        for k in range(max_steps + 1):
             c = slack_values(z)
             # A slack that is -inf or a leading NaN: outside the domain of the
             # block's functions, where the partials are undefined.
@@ -308,10 +320,13 @@ def _program(slacks, partials, bounds, w, hat) -> _Program:
             # slack is then positive too.
             c1, c2, c3, c4, c5, c6, c7 = c
             lc = (l1 * c1, l2 * c2, l3 * c3, l4 * c4, l5 * c5, l6 * c6, l7 * c7)
-            if lo < min(lc) and max(lc) < hi:
+            centered = lo < min(lc) and max(lc) < hi
+            if centered and t == t_final:
                 return z
-            if k == _PD_MAX_STEPS:
+            if k == max_steps:
                 return None
+            if centered:  # below t_final: on to the next t of the path
+                t = min(t * _GROWTH, t_final)
             out = direction(x0, x1, x2, c, t, (l1, l2, l3, l4, l5, l6, l7),
                             (s1, s2, s3, s4, s5, s6, s7))
             if out is None:
@@ -338,24 +353,32 @@ def _solve(slacks, partials, bounds, w, hat, start, names, R0, warm) -> Subprobl
     """Solve the block program of `_program`; y is the rate in units of R0,
     and names label (x0, x1, x2) in the returned point.
 
-    warm is the `SubproblemSolution.warm` of the block's previous solve:
-    its final point z and slacks s. From z, with slack variables s and
-    duals 1/s, a few primal-dual steps aim at this problem's center at
-    t_final (`_Program.warm_point`), and the barrier centers there from the
-    point they reach (`barrier.maximize`). Without a warm state, or when
-    the steps or that centering fail, the barrier starts cold from
-    (*start(), y0), with y0 a margin below min(F1, F2, ETA_CAP_FACTOR) at
-    the block's start (x0, x1, x2) = start(); start is called only then.
+    Primal-dual steps (`_Program.warm_point`) reach a point near the center
+    at t_final = m/TOL_SUB, and the barrier centers there from it
+    (`barrier.maximize`). warm is the `SubproblemSolution.warm` of the
+    block's previous solve: its final point z and slacks s, from which the
+    steps start at t_final. Without a warm state, or when the warm steps or
+    that centering fail, the steps start cold at t = _T0 from
+    z0 = (*start(), y0), with y0 a margin below min(F1, F2, ETA_CAP_FACTOR)
+    at the block's start (x0, x1, x2) = start() and the slacks at z0 as
+    slack variables; start is called only then. When the cold steps fail
+    too, the solve returns z0 unmoved, as "max-iter".
     """
     program = _program(slacks, partials, bounds, w, hat)
     m = 7  # slacks: the block's six and the cap
-
-    def cold():
+    t_final = m / TOL_SUB
+    z = program.warm_point(*warm, t_final, t_final, _PD_MAX_STEPS) if warm else None
+    if z is not None:
+        z, ok = barrier.maximize(program.eval_full, program.eval_value, z, m, TOL_SUB)
+    if z is None or not ok:
         x = start()
-        return (*x, _interior(min(*slacks(*x, 0.0)[:2], ETA_CAP_FACTOR), -ETA_CAP_FACTOR))
-
-    x_warm = program.warm_point(*warm, m / TOL_SUB) if warm else None
-    z, ok = barrier.maximize(program.eval_full, program.eval_value, cold, m, TOL_SUB, x_warm)
+        z = (*x, _interior(min(*slacks(*x, 0.0)[:2], ETA_CAP_FACTOR), -ETA_CAP_FACTOR))
+        c = program.slacks(z)
+        # Duals 1/c need every slack positive; outside the domain the start
+        # comes back unmoved.
+        z_pd = program.warm_point(z, c, _T0, t_final, _PD_COLD_STEPS) if min(c) > 0.0 else None
+        z, ok = (z, False) if z_pd is None else barrier.maximize(
+            program.eval_full, program.eval_value, z_pd, m, TOL_SUB)
     point = dict(zip(names, z))
     point["eta"] = z[-1] * R0
     objective = program.objective(*z) * R0

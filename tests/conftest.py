@@ -35,15 +35,13 @@ def wide_report(fit, cfg):
 
 class BarrierEvals:
     """Counts of the barrier callbacks: `full` and `value` are the numbers
-    of eval_full and eval_value calls, `t` the barrier parameter of each
-    eval_full call in order."""
+    of eval_full and eval_value calls."""
 
     def __init__(self):
         self.reset()
 
     def reset(self):
         self.full = self.value = 0
-        self.t = []
 
 
 @pytest.fixture
@@ -56,7 +54,6 @@ def barrier_evals(monkeypatch):
     def counting(eval_full, eval_value, *args, **kwargs):
         def full(x, t):
             evals.full += 1
-            evals.t.append(t)
             return eval_full(x, t)
 
         def value(x, t):

@@ -9,6 +9,8 @@ solver internals beyond the plain model formulas.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from semrelay.model import (
@@ -205,24 +207,50 @@ def projection_pair_oracle(x1, x2, total):
     return float(v_star), float(total - v_star)
 
 
-def primal_dual_warm_point(slacks, partials, bounds, w, hat, cap, z, s, t,
-                           max_steps=8, fraction=0.99, centered=0.5):
+def _exact_definite_solve(a, r):
+    """Solve a x = r for the floats in a and r in exact rational arithmetic,
+    by Gaussian elimination without pivoting, rounding x to floats once at
+    the end; None when a pivot is not positive, that is, when the symmetric
+    a is not positive definite."""
+    n = len(r)
+    m = [[*map(Fraction, map(float, row)), Fraction(float(b))] for row, b in zip(a, r)]
+    for k in range(n):
+        if m[k][k] <= 0:
+            return None
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            for j in range(k, n + 1):
+                m[i][j] -= f * m[k][j]
+    x = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        x[i] = (m[i][n] - sum(m[i][j] * x[j] for j in range(i + 1, n))) / m[i][i]
+    return np.array([float(v) for v in x])
+
+
+def primal_dual_warm_point(slacks, partials, bounds, w, hat, cap, z, s, t, t_final=None,
+                           max_steps=8, fraction=0.99, centered=0.5, growth=100.0):
     """Infeasible-start primal-dual Newton steps for the block program
     (Boyd & Vandenberghe, *Convex Optimization*, §11.7): maximize
     f(z) = y - w*((x0 - h0)^2 + (x1 - h1)^2) over z = (x0, x1, x2, y)
     subject to c(z) > 0, with the slacks c of `slacks` and the cap - y
     after them. Each step linearizes t grad f + J^T lam = 0, c - s = 0 and
-    lam_i s_i = 1 and solves the reduced system for dz by a dense Cholesky
-    factorization, built from the gradient and Hessian of every slack.
+    lam_i s_i = 1 and solves the reduced system for dz, built densely from
+    the gradient and Hessian of every slack, exactly in rational arithmetic
+    (`_exact_definite_solve`).
 
     bounds = (lo0, hi0, lo1, lo2), one of them infinite, as in the
     solver's block program; partials gives (F1', F1'', F2_0, F2_2, F2_00,
     F2_02, F2_22, G', G'') at (x0, x1, x2). From slack variables s and
     duals 1/s, each step is `fraction` of the longest that keeps s and lam
-    positive, capped at 1, until max |lam_i c_i - 1| < centered. Returns
-    (z, steps), or (None, steps) when a step has no positive definite
-    system, a slack is -inf, or max_steps steps do not get there.
+    positive, capped at 1, until max |lam_i c_i - 1| < centered at
+    t_final (t when None); an iterate that passes that test at a lower t
+    multiplies t by growth, up to t_final, and the steps go on. Returns
+    (z, ts), with ts the t of each step taken, or (None, ts) when a step
+    has no positive definite system, a slack is -inf, or max_steps steps
+    do not get there.
     """
+    t_final = t if t_final is None else t_final
+    ts = []
     h0, h1 = hat
     e = np.eye(4)
     bound_grads = [e[0], -e[0], e[1], e[2]]
@@ -233,11 +261,15 @@ def primal_dual_warm_point(slacks, partials, bounds, w, hat, cap, z, s, t,
     for k in range(max_steps + 1):
         c = np.array([*slacks(*z), cap - z[3]])
         if not np.all(c > -np.inf):
-            return None, k
-        if np.all(np.abs(lam * c - 1.0) < centered):
-            return z, k
+            return None, ts
+        near = np.all(np.abs(lam * c - 1.0) < centered)
+        if near and t >= t_final:
+            return z, ts
         if k == max_steps:
-            return None, k
+            return None, ts
+        if near:
+            t = min(t * growth, t_final)
+        ts.append(t)
         f1, f1_11, f2_0, f2_2, f2_00, f2_02, f2_22, g, g_00 = partials(*z[:3])
         jac = np.array([[0.0, f1, 0.0, -1.0], [f2_0, 0.0, f2_2, -1.0], [g, 0.0, -1.0, 0.0],
                         *kept, -e[3]])
@@ -250,17 +282,9 @@ def primal_dual_warm_point(slacks, partials, bounds, w, hat, cap, z, s, t,
         rho = (1.0 - lam * c) / s
         a = -t * hess_f - np.einsum("i,ijk->jk", lam, hess_c) + jac.T @ (v[:, None] * jac)
         r = t * grad_f + jac.T @ (lam + rho)
-        # Symmetric diagonal scaling first: the duals of nearly active
-        # slacks make the diagonal span many decades.
-        diag = np.diag(a)
-        if not np.all(diag > 0.0):
-            return None, k
-        scale = 1.0 / np.sqrt(diag)
-        try:
-            chol = np.linalg.cholesky(scale[:, None] * a * scale[None, :])
-        except np.linalg.LinAlgError:
-            return None, k
-        dz = scale * np.linalg.solve(chol.T, np.linalg.solve(chol, scale * r))
+        dz = _exact_definite_solve(a, r)
+        if dz is None:
+            return None, ts
         dc = jac @ dz
         ds = c - s + dc
         dlam = rho - v * dc

@@ -89,7 +89,7 @@ class TestRunDefaults:
         # Most Newton steps are accepted at full length, so a run evaluates
         # fewer trial points (eval_value) than Newton points (eval_full),
         # even though every trial outside the domain is evaluated and
-        # halved; at this W it evaluates 0.94 per Newton point.
+        # halved; at this W it evaluates 0.48 per Newton point.
         run(SystemParams(W=1e5), fit, cfg)
         assert 0 < barrier_evals.value <= barrier_evals.full, (barrier_evals.value, barrier_evals.full)
 
@@ -116,9 +116,9 @@ STANDARD_CASES = {
     "W=1e7": ("converged", 411, 1877, 0, 23037582.729823496),
     "H=0": ("converged", 395, 2587, 1, 5094195.9001632575),
     "rng7-0": ("converged", 418, 570, 0, 114004383.69396345),
-    "rng7-1": ("converged", 384, 613, 0, 3069331.4018459194),
+    "rng7-1": ("converged", 384, 613, 0, 3069351.1967971437),
     "rng7-2": ("converged", 341, 540, 0, 35384.27558835749),
-    "rng7-3": ("converged", 339, 549, 0, 28161.951274514766),
+    "rng7-3": ("converged", 339, 549, 0, 28161.557869226643),
     "rng7-4": ("converged", 356, 511, 0, 169468.01566401165),
     "rng7-5": ("converged", 360, 1507, 0, 993627.1992749434),
     "rng7-6": ("converged", 368, 582, 0, 572976.6733822954),
@@ -127,7 +127,7 @@ STANDARD_CASES = {
     "rng7-9": ("infeasible", 1, 0, 0, None),
     "rng7-10": ("converged", 375, 562, 0, 1289500.1999555167),
     "rng7-11": ("converged", 389, 605, 0, 5418574.884674848),
-    "rng7-12": ("converged", 338, 570, 0, 22784.52389115),
+    "rng7-12": ("converged", 338, 570, 0, 22784.517567980754),
     "rng7-13": ("infeasible", 1, 0, 0, None),
     "rng7-14": ("infeasible", 1, 0, 0, None),
     "rng7-15": ("infeasible", 1, 0, 0, None),
@@ -196,8 +196,10 @@ class TestRunEdges:
         for init in (None, DesignPoint(p.D, 0.0, 0.5, 0.5, 0.0, 0.0),
                      DesignPoint(0.0, p.D, 0.5, 0.5, 0.0, 0.0)):
             assert run(p, fit, one_phase, init=init).status == "iteration-cap", init
-        # the full default schedule: some placement blocks start outside
-        # their domain there and must come back unmoved, not diverge
+        # the full default schedule: one placement block there has an
+        # incumbent with d_ru = 4e-50, whose relay->user tangent leaves F1
+        # undefined at any start; it must come back unmoved, not diverge
+        # (test_subproblems' test_degenerate_relay_user_tangent_returns_the_start)
         report = run(p, fit, cfg)
         assert report.status == "converged"
         assert is_feasible(p, fit, report.best)
@@ -277,13 +279,16 @@ class TestFinalize:
 class TestRandomSystems:
     def test_status_and_point_are_honest(self, cfg):
         # A seeded draw of valid systems beyond the benchmark's: no
-        # exception, a point exactly when the status is not infeasible, and
-        # every converged point meets the similarity floor with its own rate.
+        # exception, every block solve optimal or infeasible (none ends
+        # "max-iter", cold starts included), a point exactly when the status
+        # is not infeasible, and every converged point meets the similarity
+        # floor with its own rate.
         for seed, draws in ((11, 32), (3, 16)):
             rng = np.random.default_rng(seed)
             for i in range(draws):
                 p, f = random_params(rng), random_fit(rng)
                 report = run(p, f, cfg)
+                assert report.max_iter_blocks == 0, (seed, i)
                 assert (report.best is None) == (report.status == "infeasible"), (seed, i)
                 if report.status == "converged":
                     assert is_feasible(p, f, report.best), (seed, i)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from semrelay import barrier, subproblems
-from semrelay.bounds import LocalPoint
+from semrelay.bounds import LocalPoint, rate_ru_coeffs
 from semrelay.model import (
     DEFAULT_ALPHA_FLOOR,
     SigmoidFit,
@@ -17,6 +17,7 @@ from semrelay.model import (
     snr_br_db,
 )
 from semrelay.subproblems import (
+    DIST_MARGIN_FRAC,
     ETA_CAP_FACTOR,
     TOL_SUB,
     _newton_dx,
@@ -95,6 +96,23 @@ class TestSolvePlacement:
         lp = LocalPoint(50.0, 50.0, alpha[0], gamma, float(semantic_similarity(fit, gamma)))
         sol = solve_placement(p, fit, lp, alpha[1], (50.0, 50.0), 1000.0, 1e-4)
         assert sol.status == "infeasible"
+
+    def test_degenerate_relay_user_tangent_returns_the_start(self, fit):
+        # At H = 0 the default run reaches an incumbent with d_ru = 4e-50.
+        # The relay->user tangent there has u_t = 6e-149 and a slope of
+        # -2e148, or -inf at a small alpha_ru, so F1 is about -1e150, -inf
+        # or NaN at every d_ru of the block's start: no start is inside the
+        # domain, and the solve returns its start unmoved, d_ru clamped to
+        # the margin, as "max-iter".
+        p = SystemParams(H=0.0)
+        d = (p.D / 2.0, 4e-50)
+        for alpha in ((0.3, 0.7), (0.3, 2e-6)):
+            lp = _incumbent_lp(p, fit, d, alpha)
+            assert rate_ru_coeffs(p, lp, alpha[1]).slope < -1e148
+            sol = solve_placement(p, fit, lp, alpha[1], d, 1000.0, 1e-4)
+            assert sol.status == "max-iter" and sol.warm == (), alpha
+            assert sol.point["d_ru"] == DIST_MARGIN_FRAC * p.D, alpha
+            assert sol.point["d_br"] == d[0], alpha
 
 
 class TestSolveBandwidth:
@@ -183,6 +201,32 @@ class TestNewtonDx:
         assert self._solve(a, np.ones(4)) is not None
 
 
+def _cold_calls(monkeypatch, p, f, d, alpha):
+    """For each real block solved cold at the incumbent (d, alpha), as in
+    TestBlockDerivatives: the args and the `_Program` of its program, and
+    the arguments (z, s, t, t_final, max_steps) of its one primal-dual
+    call, the cold one."""
+    made = []
+    program = subproblems._program
+
+    def recording(*args):
+        made_program = program(*args)
+
+        def warm_point(*call):
+            made.append((args, made_program, *call))
+            return made_program.warm_point(*call)
+
+        return made_program._replace(warm_point=warm_point)
+
+    with monkeypatch.context() as m:
+        m.setattr(subproblems, "_program", recording)
+        lp = _incumbent_lp(p, f, d, alpha)
+        assert solve_placement(p, f, lp, alpha[1], d, 1000.0, 1e-4).status == "optimal"
+        assert solve_bandwidth(p, f, lp, alpha, 1000.0).status == "optimal"
+    assert len(made) == 2
+    return made
+
+
 class TestBlockDerivatives:
     """The gradient and the Newton direction that each block's eval_full
     computes by hand, against central differences of its eval_value and of
@@ -255,18 +299,26 @@ class TestBlockDerivatives:
     def _record(monkeypatch):
         """Patch subproblems._program and barrier.maximize to log
         [program, x0, x] of every block solve into the returned list: its
-        `_Program`, the barrier's cold start x0 = start() and the
-        solution."""
+        `_Program`, the point x0 its first primal-dual steps start from
+        (the block's strictly feasible cold start in a solve without a warm
+        state) and the solution x, where the last centering ends."""
         calls = []
         program, maximize = subproblems._program, barrier.maximize
 
         def recording_program(*args):
-            calls.append([program(*args)])
+            made = program(*args)
+
+            def recording_warm_point(z, *rest):
+                if len(calls[-1]) == 1:
+                    calls[-1].append(np.asarray(z, dtype=float))
+                return made.warm_point(z, *rest)
+
+            calls.append([made._replace(warm_point=recording_warm_point)])
             return calls[-1][0]
 
-        def recording_maximize(eval_full, eval_value, start, *args):
-            out = maximize(eval_full, eval_value, start, *args)
-            calls[-1] += [np.asarray(start(), dtype=float), np.asarray(out[0])]
+        def recording_maximize(*args):
+            out = maximize(*args)
+            calls[-1][2:] = [np.asarray(out[0])]
             return out
 
         monkeypatch.setattr(subproblems, "_program", recording_program)
@@ -324,8 +376,11 @@ class TestBlockDerivatives:
             lam = 2.0 / s
             dz, ds, dlam = map(np.asarray, program.step(z.tolist(), t, lam.tolist(), s.tolist()))
             # Long steps: the second differences below nest two central
-            # differences, whose rounding grows as the steps shrink.
-            h = 1e-4 * (np.abs(z) + 1e-3)
+            # differences, whose rounding grows as the steps shrink. The
+            # floor 1e-2 keeps them long for coordinates near 0, such as a
+            # rate of 4e-4 R0, where steps on a floor of 1e-3 left a
+            # rounding error of 2e-4 in a row whose terms sum to 16.
+            h = 1e-4 * (np.abs(z) + 1e-2)
 
             def grad_fd(fn, v):
                 out = np.zeros(4)
@@ -335,7 +390,7 @@ class TestBlockDerivatives:
                     out[i] = (fn(v + e) - fn(v - e)) / (2.0 * h[i])
                 return out
 
-            eps = 1e-3 / max(1.0, np.abs(dz / (np.abs(z) + 1e-3)).max())
+            eps = 1e-3 / max(1.0, np.abs(dz / (np.abs(z) + 1e-2)).max())
             terms = [
                 grad_fd(lagrangian, z),
                 (grad_fd(lagrangian, z + eps * dz) - grad_fd(lagrangian, z - eps * dz)) / (2 * eps),
@@ -435,7 +490,7 @@ class TestBlockProgram:
     HAT = (0.9, 0.5)
 
     @classmethod
-    def _run(cls, curved, R0=1.0, warm=()):
+    def _run(cls, curved, R0=1.0, warm=(), z0=Z0):
         c = 1.0 if curved else 0.0
 
         def slacks(x0, x1, x2, y):
@@ -448,7 +503,7 @@ class TestBlockProgram:
             return (1.0 - 2.0 * c * x1, -2.0 * c, 0.5 - d, 1.0 + d, -2.0 * c, 2.0 * c, -2.0 * c,
                     -1.0 - 2.0 * c * x0, -2.0 * c)
 
-        return _solve(slacks, partials, (0.0, 0.3, 0.0, -math.inf), 1.0, cls.HAT, lambda: cls.Z0,
+        return _solve(slacks, partials, (0.0, 0.3, 0.0, -math.inf), 1.0, cls.HAT, lambda: z0,
                       ("x0", "x1", "x2"), R0, warm)
 
     def test_affine_instance_reaches_its_vertex(self):
@@ -465,6 +520,15 @@ class TestBlockProgram:
         objective = 0.85 - (0.3 - 0.9) ** 2 - (0.85 - 0.5) ** 2
         assert sol.objective == pytest.approx(2.0 * objective, abs=1e-8)
         assert self._run(curved=False, R0=2.0, warm=sol.warm).point == pytest.approx(sol.point, abs=1e-9)
+
+    @pytest.mark.parametrize("x0", [0.0, -0.1])
+    def test_cold_start_off_the_interior_comes_back_unmoved(self, x0):
+        # A start with a slack of 0 (x0 on its bound) or below 0 has no
+        # duals 1/c for the primal-dual steps: the solve returns it
+        # unmoved, as "max-iter", and raises nothing.
+        sol = self._run(curved=True, z0=(x0, *self.Z0[1:]))
+        assert sol.status == "max-iter" and sol.warm == ()
+        assert [sol.point[k] for k in ("x0", "x1", "x2")] == [x0, *self.Z0[1:]]
 
     @pytest.mark.parametrize("curved", [False, True])
     def test_eval_full_matches_finite_differences(self, curved, monkeypatch):
@@ -541,35 +605,72 @@ class TestWarmStart:
             lambda warm=(): solve_bandwidth(p, f, lp, alpha, 1000.0, DEFAULT_ALPHA_FLOOR, warm),
         )
 
-    def test_resolve_from_own_path_matches_cold_with_fewer_steps(self, params, fit, barrier_evals):
+    def test_resolve_from_own_path_matches_cold_with_fewer_steps(self, params, fit, barrier_evals,
+                                                                 monkeypatch):
+        # The work of a solve: its Newton systems, one per primal-dual step
+        # and one per barrier Newton point (`_newton_dx`), and its barrier
+        # evaluations.
+        systems = []
+        newton_dx = subproblems._newton_dx
+
+        def counting(*args):
+            systems.append(None)
+            return newton_dx(*args)
+
+        monkeypatch.setattr(subproblems, "_newton_dx", counting)
+
+        def work():
+            return len(systems) + barrier_evals.full + barrier_evals.value
+
         for i, (p, f, d, alpha) in enumerate(
                 [(params, fit, (50.0, 50.0), (0.3, 0.7)), *_random_cases(n=8)]):
             for solve in self._blocks(p, f, d, alpha):
                 barrier_evals.reset()
+                systems.clear()
                 cold = solve()
-                cold_calls = barrier_evals.full
+                cold_work = work()
                 barrier_evals.reset()
+                systems.clear()
                 warm = solve(cold.warm)
                 assert cold.status == warm.status == "optimal", i
                 assert cold.warm, i
-                assert barrier_evals.full < cold_calls, i
+                assert work() < cold_work, i
                 assert warm.objective == pytest.approx(cold.objective, rel=1e-9), i
                 for name, v in cold.point.items():
                     assert warm.point[name] == pytest.approx(v, rel=1e-9), (i, name)
 
-    def test_cold_solve_grows_t_by_one_factor(self, params, fit, barrier_evals):
+    def test_cold_solve_grows_t_by_one_factor(self, params, fit, monkeypatch):
+        # A cold solve's primal-dual loop starts at t = _T0 from the block's
+        # start with duals 1/c, which pass the center test at once, so its
+        # steps run at the later t of the path, each t _GROWTH times the
+        # last, up to t_final: the transcription of the loop takes its steps
+        # at those t in that order, and the loop takes as many steps
+        # (`_newton_dx` solves one system per step) to a point within 1e-6
+        # of the transcription's.
         t_final = 7 / TOL_SUB  # seven slacks
-        want, t = [], barrier._T0
+        want, t = [], subproblems._T0
         while t < t_final:
             want.append(t)
-            t *= barrier._GROWTH
+            t *= subproblems._GROWTH
         want.append(t_final)
         for p, f, d, alpha in [(params, fit, (50.0, 50.0), (0.3, 0.7)), *_random_cases()]:
-            for solve in self._blocks(p, f, d, alpha):
-                barrier_evals.reset()
-                assert solve().status == "optimal"
-                ts = barrier_evals.t
-                assert [t for i, t in enumerate(ts) if i == 0 or t != ts[i - 1]] == want
+            for args, program, z, s, t0, t_end, cap in _cold_calls(monkeypatch, p, f, d, alpha):
+                assert (t0, t_end, cap) == (want[0], t_final, subproblems._PD_COLD_STEPS)
+                steps = []
+                newton_dx = subproblems._newton_dx
+
+                def counting(*a):
+                    steps.append(None)
+                    return newton_dx(*a)
+
+                with monkeypatch.context() as m:
+                    m.setattr(subproblems, "_newton_dx", counting)
+                    got = program.warm_point(z, s, t0, t_end, cap)
+                ref, ts = primal_dual_warm_point(*args, ETA_CAP_FACTOR, z, s, t0, t_end,
+                                                 max_steps=cap)
+                assert [t for i, t in enumerate(ts) if i == 0 or t != ts[i - 1]] == want[1:]
+                assert len(steps) == len(ts)
+                assert np.all(np.abs(np.subtract(got, ref)) <= 1e-6 * np.abs(ref)), (got, ref)
 
     def test_empty_or_outside_path_gives_cold_solution(self, params, fit, monkeypatch):
         place, band = self._blocks(params, fit, (50.0, 50.0), (0.3, 0.7))
@@ -600,20 +701,20 @@ class TestWarmStart:
         assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
 
     def test_cold_start_is_built_only_for_a_cold_solve(self, params, fit, monkeypatch):
-        # The barrier asks for the cold start once in a solve without a
+        # `_solve` asks for the block's start once in a solve without a
         # warm state, and not at all in one that centers from its warm
         # point.
         built = []
-        maximize = barrier.maximize
+        solve_ = subproblems._solve
 
-        def counting(eval_full, eval_value, start, *args):
+        def counting(slacks, partials, bounds, w, hat, start, *args):
             def counted_start():
                 built.append(start())
                 return built[-1]
 
-            return maximize(eval_full, eval_value, counted_start, *args)
+            return solve_(slacks, partials, bounds, w, hat, counted_start, *args)
 
-        monkeypatch.setattr(barrier, "maximize", counting)
+        monkeypatch.setattr(subproblems, "_solve", counting)
         for solve in self._blocks(params, fit, (50.0, 50.0), (0.3, 0.7)):
             cold = solve()
             assert len(built) == 1
@@ -643,22 +744,29 @@ class TestPrimalDualLoop:
     Points agree within 1e-12 at t = 10, where the steps move away from
     the boundary. At t_final = 7e9 the active slacks of a warm state are
     about 1e-10, their weights lam_i/s_i reach 1e20, and the reduced
-    system loses digits in rounding: the two solves, and an exact rational
-    solve of the same floats, then differ by up to 3e-7 in a coordinate,
-    so there the points need only agree within 1e-6."""
+    system loses digits in rounding: the loop's closed-form solve and the
+    transcription's exact rational one then differ by up to 3e-7 in a
+    coordinate, so there the points need only agree within 1e-6, also at
+    the end of a cold call, which follows the path from t = 10 to
+    t_final."""
 
     T_FINAL = 7 / TOL_SUB
 
     @staticmethod
-    def _compare(args, program, z, s, t, rel=1e-12):
-        """warm_point of program at (z, s, t) and the transcription of the
-        program built from args: both None, or points within rel."""
-        got = program.warm_point(z, s, t)
-        want, steps = primal_dual_warm_point(*args, ETA_CAP_FACTOR, z, s, t)
-        assert (got is None) == (want is None), (got, want, steps)
+    def _compare(args, program, z, s, t, rel=1e-12, t_final=None,
+                 max_steps=subproblems._PD_MAX_STEPS):
+        """warm_point of program from (z, s) at t, growing t to t_final
+        (t when None), and the transcription of the program built from
+        args: both None, or points within rel. Returns the point and the
+        transcription's number of steps."""
+        t_final = t if t_final is None else t_final
+        got = program.warm_point(z, s, t, t_final, max_steps)
+        want, ts = primal_dual_warm_point(*args, ETA_CAP_FACTOR, z, s, t, t_final,
+                                          max_steps=max_steps)
+        assert (got is None) == (want is None), (got, want, ts)
         if got is not None:
             assert np.all(np.abs(np.subtract(got, want)) <= rel * np.abs(want)), (got, want)
-        return got, steps
+        return got, len(ts)
 
     @staticmethod
     def _moved_programs(monkeypatch, p, f, d, alpha, shift=0.1):
@@ -703,6 +811,14 @@ class TestPrimalDualLoop:
         # Both ways out are taken: a center after several steps, and no
         # center after the last step.
         assert (True, 3) <= max(outcomes) and (False, subproblems._PD_MAX_STEPS) in outcomes
+
+    def test_cold_calls_match_the_transcription(self, params, fit, monkeypatch):
+        # Each block's cold call, from its start at t = 10 to t_final.
+        for p, f, d, alpha in [(params, fit, (50.0, 50.0), (0.3, 0.7)), *_random_cases(n=8)]:
+            for args, program, z, s, t, t_final, cap in _cold_calls(monkeypatch, p, f, d, alpha):
+                assert t < t_final == self.T_FINAL
+                got, steps = self._compare(args, program, z, s, t, 1e-6, t_final, cap)
+                assert got is not None and steps >= 5, steps
 
     @staticmethod
     def _synthetic(missing, curve):
@@ -801,7 +917,7 @@ class TestLineSearch:
             points.append(x[0])
             return eval_full(x, t)
 
-        x, ok = barrier._newton(full, value, [0.0], 10.0)
+        x, ok = barrier.maximize(full, value, [0.0], 1, 0.1)  # t = 1/0.1 = 10
         assert trials[:4] == [(9.0, -math.inf), (4.5, -math.inf), (2.25, -math.inf),
                               (1.125, -math.inf)]
         assert trials[4][0] == 0.5625 and math.isfinite(trials[4][1])

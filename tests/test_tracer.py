@@ -50,6 +50,8 @@ def test_traced_solve_and_sweep_match_the_reports(tmp_path, monkeypatch):
                  "barrier.linesearch_evals", "model.scalar_calls"):
         assert metrics[name] > 0, name
     assert metrics["cli.rows"] == 2 and metrics["baselines.oracle.calls"] == 2
+    # Each barrier.maximize call centers once, at t_final.
+    assert metrics["barrier.centerings"] == metrics["barrier.solves"] > 0
     for module, names in zip(modules, before):
         moved = [k for k, v in names.items() if vars(module).get(k) is not v]
         assert moved == [], (module.__name__, moved)
