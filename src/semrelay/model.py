@@ -198,8 +198,9 @@ def shannon_rate(p: SystemParams, power, d, alpha):
             return 0.0
         return alpha * p.W * math.log1p(snr_lin(p, power, d, alpha)) / _LN2
     alpha = np.asarray(alpha, dtype=float)
-    snr = snr_lin(p, power, d, np.where(alpha > 0, alpha, 1.0))
-    out = np.where(alpha > 0, alpha * p.W * np.log1p(snr) / _LN2, 0.0)
+    out = alpha * p.W * np.log1p(snr_lin(p, power, d, np.where(alpha > 0, alpha, 1.0))) / _LN2
+    # With every alpha > 0, as on the grids, np.where would return out as it is.
+    out = out if np.all(alpha > 0) else np.where(alpha > 0, out, 0.0)
     return float(out) if np.ndim(out) == 0 else out
 
 

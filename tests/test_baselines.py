@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import random_fit, random_params
+from semrelay import baselines
 from semrelay.baselines import (
     GridSpec,
     df_relay_rate,
@@ -19,6 +21,8 @@ from semrelay.model import (
     bit_rate_ru,
     effective_rate,
     max_semantic_bandwidth,
+    min_snr_threshold_db,
+    semantic_bit_rate,
     semantic_similarity,
     snr_br_db,
     DesignPoint,
@@ -198,3 +202,63 @@ class TestZeroAltitude:
             ]
         for pt in points:
             assert pt is not None and pt.eta > 0.0
+
+
+def _whole_grid_point(p, d, a, eta):
+    """np.argmax of a rate grid evaluated at once, as the searches return
+    it: the first maximum, d_br-major, or None when every rate is -inf."""
+    i, j = np.unravel_index(np.argmax(eta), eta.shape)
+    if eta[i, j] == -np.inf:
+        return None
+    return DesignPoint(float(d[i]), float(p.D - d[i]), float(a[j]), float(1.0 - a[j]),
+                       float(snr_br_db(p, d[i], a[j])), float(eta[i, j]))
+
+
+def _whole_grid_search(p, fit, d, a):
+    """The effective rate's grid search over d x a on whole-grid arrays."""
+    d_col, a_row = d[:, None], a[None, :]
+    with np.errstate(divide="ignore"):
+        gamma = snr_br_db(p, d_col, a_row)
+        eta = np.minimum(semantic_bit_rate(p, fit, a_row, semantic_similarity(fit, gamma)),
+                         bit_rate_ru(p, p.D - d_col, 1.0 - a_row))
+        return _whole_grid_point(p, d, a, np.where(gamma >= min_snr_threshold_db(fit), eta,
+                                                   -np.inf))
+
+
+class TestBlockedSearches:
+    """The searches evaluate their grid a block of rows at a time. Each must
+    return, bit for bit, the point of one evaluation of the whole grid with
+    the model's functions."""
+
+    @pytest.mark.parametrize("block", [1, 100, baselines._BLOCK])
+    def test_blocks_give_the_whole_grid_point(self, monkeypatch, block):
+        monkeypatch.setattr(baselines, "_BLOCK", block)
+        rng = np.random.default_rng(7)
+        cases = [(random_params(rng), random_fit(rng)) for _ in range(8)]
+        # Infinite SNRs at H = 0, and a system with no feasible point.
+        cases += [(SystemParams(H=0.0), SigmoidFit()),
+                  (SystemParams(P_b=1e-9, W=1e8), SigmoidFit())]
+        g = GridSpec(37, 53)
+        for p, f in cases:
+            d = np.linspace(0.0, p.D, g.n_d)
+            a = np.linspace(g.alpha_floor, 1.0 - g.alpha_floor, g.n_alpha)
+            with np.errstate(divide="ignore"):
+                df = _whole_grid_point(p, d, a, df_relay_rate(p, d[:, None], a[None, :]))
+            assert repr(oracle_search(p, f, g)) == repr(_whole_grid_search(p, f, d, a))
+            assert repr(df_search(p, g)) == repr(df)
+            assert (repr(equal_bandwidth_search(p, f, g))
+                    == repr(_whole_grid_search(p, f, d, np.array([0.5]))))
+            assert (repr(fixed_placement_search(p, f, g))
+                    == repr(_whole_grid_search(p, f, np.array([p.D / 2.0]), a)))
+
+    def test_first_maximum_wins_across_blocks(self, monkeypatch, params):
+        monkeypatch.setattr(baselines, "_BLOCK", 6)  # two rows of three
+        d, a = np.arange(5.0), np.array([0.2, 0.5, 0.8])
+        grid = np.full((5, 3), -np.inf)
+        assert baselines._first_max(params, d, a, lambda rows: grid[rows]) is None
+        grid[1, 2] = grid[3, 0] = grid[4, 1] = 7.0
+        best = baselines._first_max(params, d, a, lambda rows: grid[rows])
+        assert (best.d_br, best.alpha_br, best.eta) == (1.0, 0.8, 7.0)
+        grid[2, 1] = np.nan  # np.argmax stops at the first NaN; no point has it
+        with pytest.raises(ValueError, match="eta must be finite"):
+            baselines._first_max(params, d, a, lambda rows: grid[rows])
