@@ -5,7 +5,7 @@ t*f(x) + sum(log(-g_i(x))) at the single barrier parameter t = m/gap by
 damped Newton, so that the duality measure m/t of the returned center
 meets the requested gap (Boyd & Vandenberghe, *Convex Optimization*,
 §11.3). It follows no path. The block programs reach a point near that
-center first, by primal-dual steps along the central path
+center first, by infeasible-start primal-dual steps at the same t
 (`warm_point` of `subproblems._program`), and solve its Newton system,
 whose sparsity they know, in closed form. Everything is deterministic;
 no randomness, no iteration-order ambiguity.

@@ -198,9 +198,13 @@ def shannon_rate(p: SystemParams, power, d, alpha):
             return 0.0
         return alpha * p.W * math.log1p(snr_lin(p, power, d, alpha)) / _LN2
     alpha = np.asarray(alpha, dtype=float)
-    out = alpha * p.W * np.log1p(snr_lin(p, power, d, np.where(alpha > 0, alpha, 1.0))) / _LN2
-    # With every alpha > 0, as on the grids, np.where would return out as it is.
-    out = out if np.all(alpha > 0) else np.where(alpha > 0, out, 0.0)
+    # With every alpha > 0, as on the grids, np.where would return alpha and
+    # out as they are. Elsewhere a positive alpha stands in for the others,
+    # so that 0 * inf (alpha = 0 where the SNR is infinite) is not formed.
+    starved = not np.all(alpha > 0)
+    a = np.where(alpha > 0, alpha, 1.0) if starved else alpha
+    out = a * p.W * np.log1p(snr_lin(p, power, d, a)) / _LN2
+    out = np.where(alpha > 0, out, 0.0) if starved else out
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -3,14 +3,13 @@
 Three blocks are optimized in turn: relay placement, bandwidth allocation,
 and the auxiliary copies that carry the two sum equality constraints. The
 placement and bandwidth blocks are two instances of one small convex
-program, stated in `_program` and solved in `_solve` by one primal-dual
-path-following loop and one log-barrier Newton centering at its end
-(`barrier`): the loop starts warm at t_final from the block's previous
-solve, or cold at t = _T0 from the block's strictly feasible start, which
-it builds only then. Each block supplies its surrogates, built from the
-tangents in `bounds`, and that start. `_program` runs the barrier's
-callbacks and the primal-dual steps as scalar code on plain floats, in
-one fixed order over the seven slacks. The auxiliary block is a
+program, stated in `_program` and solved in `_solve` by infeasible-start
+primal-dual steps at t_final and one log-barrier Newton centering there
+(`barrier`): the steps start warm from the block's previous solve, or
+cold from the incumbent. Each block supplies its surrogates, built from
+the tangents in `bounds`, and that incumbent point. `_program` runs the
+barrier's callbacks and the primal-dual steps as scalar code on plain
+floats, in one fixed order over the seven slacks. The auxiliary block is a
 closed-form Euclidean projection.
 
 Internally the rate variable is normalized by the semantic-hop ceiling
@@ -21,7 +20,7 @@ and SNR in dB. TOL_SUB below is relative to that rate scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
@@ -63,20 +62,23 @@ ETA_CAP_FACTOR = 1.5
 # the fraction _PD_STEP_FRACTION of the longest step that keeps the slack
 # variables and duals positive (capped at 1), until every slack is positive
 # and max |lam_i c_i - 1| < _PD_CENTERED at t_final. A warm start takes at
-# most _PD_MAX_STEPS of them at t_final. A cold start begins at _T0, grows t
-# by _GROWTH each time it passes that test below t_final, and takes at most
-# _PD_COLD_STEPS in all: 23 in the median of 1,217 cold solves on 68
-# systems, 43 at most. Its duals 1/c pass the test at once, so it must not
-# begin at t_final, where its centering would start from the start itself.
+# most _PD_MAX_STEPS of them, a cold start at most _PD_COLD_STEPS: 15 in the
+# median of 1,221 cold solves on 68 systems, 44 at most.
 _PD_MAX_STEPS = 8
 _PD_COLD_STEPS = 200
 _PD_STEP_FRACTION = 0.99
 _PD_CENTERED = 0.5
-_T0 = 10.0
-_GROWTH = 100.0
-# Strict-interior margins used to push the incumbent off the boundary.
-DIST_MARGIN_FRAC = 1e-3  # of D, for distances
-_REL_MARGIN = 0.05  # fraction of the available slack for gamma, S, eta
+# A cold start's slack variables are its slacks, raised to at least
+# _S_FLOOR: its rate lies on min(F1, F2, cap), so one slack is 0 there, and
+# so are those that the incumbent holds active. Over the about 1,220 cold
+# solves of 68 systems every floor from 1e-6 to 0.1 failed none, while 1
+# failed one, 10 five and 100 thirty-two; 1/t_final failed an affine block
+# with a vertex optimum from 5 of 10 random starts.
+_S_FLOOR = 1e-3
+# The cold start keeps d_ru this fraction of D off 0, where the relay->user
+# partials divide by zero at H = 0, and `penalty.run` keeps its start off
+# both ends by the same margin.
+DIST_MARGIN_FRAC = 1e-3
 
 
 @dataclass(frozen=True)
@@ -92,12 +94,6 @@ class SubproblemSolution:
 def rate_scale(p: SystemParams, fit: SigmoidFit) -> float:
     """Ceiling of the semantic hop at full bandwidth, used as rate unit."""
     return semantic_bit_rate(p, fit, 1.0, fit.a1 + fit.a2)
-
-
-def _interior(hi: float, lo: float) -> float:
-    """A point strictly inside (lo, hi), _REL_MARGIN of the width below hi."""
-    x = hi - max(1e-9, _REL_MARGIN * (hi - lo))
-    return x if x > lo else 0.5 * (hi + lo)
 
 
 def _log_sum(s) -> float:
@@ -151,7 +147,7 @@ class _Program(NamedTuple):
     eval_full: Callable  # (z, t) -> (phi, grad, dx), as `barrier` expects
     eval_value: Callable  # (z, t) -> phi
     step: Callable  # (z, t, lam, s) -> (dz, ds, dlam), or None
-    warm_point: Callable  # (z, s, t, t_final, max_steps) -> near-center point at t_final, or None
+    warm_point: Callable  # (z, s, t, max_steps) -> near-center point at t, or None
     slacks: Callable  # z -> the seven slacks at z
     objective: Callable  # (x0, x1, x2, y) -> y - w*((x0 - h0)^2 + (x1 - h1)^2)
 
@@ -185,9 +181,8 @@ def _program(slacks, partials, bounds, w, hat) -> _Program:
     and the step returns dz with ds_i = c_i - s_i + grad c_i . dz and
     dlam_i = (1 - lam_i c_i - lam_i grad c_i . dz)/s_i. At lam_i = 1/c_i
     and s_i = c_i, A is -H and r the gradient of the barrier objective:
-    that is eval_full. warm_point(z, s, t, t_final, max_steps) takes such
-    steps from z, with duals 1/s, along the central path from t until it
-    reaches a point near the center at t_final.
+    that is eval_full. warm_point(z, s, t, max_steps) takes such steps
+    from z, with duals 1/s, until it reaches a point near the center at t.
 
     Everything runs on plain floats in a fixed order over the seven slacks;
     the missing bound's place, whose weights are 0, is resolved once here.
@@ -297,14 +292,12 @@ def _program(slacks, partials, bounds, w, hat) -> _Program:
         x0, x1, x2, _ = z
         return direction(x0, x1, x2, slack_values(z), t, lam, s)
 
-    def warm_point(z, s, t, t_final, max_steps):
-        """A point near the center at t_final by infeasible-start
-        primal-dual steps from z with slack variables s and duals 1/s,
-        starting at t: each time an iterate passes the center test (see
-        _PD_CENTERED) below t_final, t grows by _GROWTH, up to t_final,
-        and the steps go on. None when max_steps steps do not get there,
-        a pivot is not positive, or the block's functions are undefined at
-        an iterate."""
+    def warm_point(z, s, t, max_steps):
+        """A point that passes the center test at t (see _PD_CENTERED), by
+        infeasible-start primal-dual steps at t from z with slack
+        variables s and duals 1/s. None when max_steps steps do not get
+        there, a pivot is not positive, or the block's functions are
+        undefined at an iterate."""
         x0, x1, x2, y = z
         s1, s2, s3, s4, s5, s6, s7 = s
         l1, l2, l3, l4, l5, l6, l7 = (1.0 / s1, 1.0 / s2, 1.0 / s3, 1.0 / s4, 1.0 / s5, 1.0 / s6,
@@ -320,13 +313,10 @@ def _program(slacks, partials, bounds, w, hat) -> _Program:
             # slack is then positive too.
             c1, c2, c3, c4, c5, c6, c7 = c
             lc = (l1 * c1, l2 * c2, l3 * c3, l4 * c4, l5 * c5, l6 * c6, l7 * c7)
-            centered = lo < min(lc) and max(lc) < hi
-            if centered and t == t_final:
+            if lo < min(lc) and max(lc) < hi:
                 return z
             if k == max_steps:
                 return None
-            if centered:  # below t_final: on to the next t of the path
-                t = min(t * _GROWTH, t_final)
             out = direction(x0, x1, x2, c, t, (l1, l2, l3, l4, l5, l6, l7),
                             (s1, s2, s3, s4, s5, s6, s7))
             if out is None:
@@ -353,30 +343,27 @@ def _solve(slacks, partials, bounds, w, hat, start, names, R0, warm) -> Subprobl
     """Solve the block program of `_program`; y is the rate in units of R0,
     and names label (x0, x1, x2) in the returned point.
 
-    Primal-dual steps (`_Program.warm_point`) reach a point near the center
-    at t_final = m/TOL_SUB, and the barrier centers there from it
+    Primal-dual steps (`_Program.warm_point`) at t_final = m/TOL_SUB reach
+    a point near the center there, and the barrier centers from it
     (`barrier.maximize`). warm is the `SubproblemSolution.warm` of the
     block's previous solve: its final point z and slacks s, from which the
-    steps start at t_final. Without a warm state, or when the warm steps or
-    that centering fail, the steps start cold at t = _T0 from
-    z0 = (*start(), y0), with y0 a margin below min(F1, F2, ETA_CAP_FACTOR)
-    at the block's start (x0, x1, x2) = start() and the slacks at z0 as
-    slack variables; start is called only then. When the cold steps fail
-    too, the solve returns z0 unmoved, as "max-iter".
+    steps start. Without a warm state, or when the warm steps or that
+    centering fail, the steps start cold from z0 = (*start, y0), with
+    start = (x0, x1, x2) the block's incumbent and y0 = min(F1, F2,
+    ETA_CAP_FACTOR) there, and with the slacks at z0, each raised to at
+    least _S_FLOOR, as slack variables. When the cold steps fail too, the
+    solve returns z0 unmoved, as "max-iter".
     """
     program = _program(slacks, partials, bounds, w, hat)
     m = 7  # slacks: the block's six and the cap
     t_final = m / TOL_SUB
-    z = program.warm_point(*warm, t_final, t_final, _PD_MAX_STEPS) if warm else None
+    z = program.warm_point(*warm, t_final, _PD_MAX_STEPS) if warm else None
     if z is not None:
         z, ok = barrier.maximize(program.eval_full, program.eval_value, z, m, TOL_SUB)
     if z is None or not ok:
-        x = start()
-        z = (*x, _interior(min(*slacks(*x, 0.0)[:2], ETA_CAP_FACTOR), -ETA_CAP_FACTOR))
-        c = program.slacks(z)
-        # Duals 1/c need every slack positive; outside the domain the start
-        # comes back unmoved.
-        z_pd = program.warm_point(z, c, _T0, t_final, _PD_COLD_STEPS) if min(c) > 0.0 else None
+        z = (*start, min(*slacks(*start, 0.0)[:2], ETA_CAP_FACTOR))
+        s = [max(c, _S_FLOOR) for c in program.slacks(z)]
+        z_pd = program.warm_point(z, s, t_final, _PD_COLD_STEPS)
         z, ok = (z, False) if z_pd is None else barrier.maximize(
             program.eval_full, program.eval_value, z_pd, m, TOL_SUB)
     point = dict(zip(names, z))
@@ -416,6 +403,11 @@ def solve_placement(
     gamma_min = min_snr_threshold_db(fit)
 
     u_t, r_t, r_u = rate_ru_coeffs(p, lp, alpha_ru)
+    if not math.isfinite(r_u):
+        # At H = 0 an incumbent d_ru near 0 leaves u_t near 0 and the slope
+        # -inf. The tangent at the cold start's d_ru is finite, and as a
+        # tangent of a function convex in u it is still a global minorant.
+        u_t, r_t, r_u = rate_ru_coeffs(p, replace(lp, d_ru=DIST_MARGIN_FRAC * p.D), alpha_ru)
     v_t, sig_t, sig_v = logistic_coeffs(fit, lp)
     y_t, _, l_y = log_path_coeffs(lp, p.H)
     a1c = alpha_ru * p.W / R0
@@ -448,14 +440,7 @@ def solve_placement(
         return (f1_c * d_ru * base ** hb1, f1_c * base ** hb2 * (bm1 * d_ru * d_ru + H2),
                 0.0, f2_2, 0.0, 0.0, m_c1 * f2_2, g_00 * d_br, g_00)
 
-    def start():
-        # Strictly feasible, from the incumbent; a slack taken at zero of the
-        # variable it bounds is that variable's upper limit.
-        margin_d = DIST_MARGIN_FRAC * p.D
-        d_br0 = min(max(lp.d_br, margin_d), 0.999 * math.sqrt((cap_peak - gamma_min) / q3))
-        d_ru0 = max(lp.d_ru, margin_d)
-        return d_br0, d_ru0, _interior(slacks(d_br0, d_ru0, 0.0, 0.0)[2], gamma_min)
-
+    start = (lp.d_br, max(lp.d_ru, DIST_MARGIN_FRAC * p.D), lp.gamma_br_db)
     return _solve(slacks, partials, (0.0, math.inf, 0.0, gamma_min), nu / (2.0 * lam * R0), aux,
                   start, ("d_br", "d_ru", "gamma_br_db"), R0, warm)
 
@@ -521,16 +506,9 @@ def solve_bandwidth(
         return (wr * (math.log1p(c_ru / a_ru) - c_ru / ac) / _LN2, f1_11c / (a_ru * ac * ac * _LN2),
                 q2 * (sq_x - d2), q2 * (sq_x + d2), f2_00, -f2_00, f2_00, g, g_2c * g)
 
-    def start():
-        # Strictly feasible; a slack taken at zero of the variable it bounds
-        # is that variable's upper limit. The incumbent alpha_ru is not part
-        # of the expansion point, so the auxiliary copy seeds that
-        # coordinate.
-        a_br0 = min(max(lp.alpha_br, 2.0 * alpha_floor),
-                    alpha_floor + 0.999 * (a_max - alpha_floor))
-        a_ru0 = max(2.0 * alpha_floor, aux[1])
-        return a_br0, a_ru0, slacks(a_br0, a_ru0, 0.0, 0.0)[2] - max(1e-9, _REL_MARGIN * fit.a2)
-
+    # The incumbent alpha_ru is not part of the expansion point, so the
+    # auxiliary copy seeds that coordinate.
+    start = (lp.alpha_br, max(aux[1], 2.0 * alpha_floor), lp.similarity)
     return _solve(slacks, partials, (alpha_floor, a_max, alpha_floor, -math.inf),
                   1.0 / (2.0 * lam * R0), aux, start, ("alpha_br", "alpha_ru", "S"), R0, warm)
 

@@ -227,8 +227,8 @@ def _exact_definite_solve(a, r):
     return np.array([float(v) for v in x])
 
 
-def primal_dual_warm_point(slacks, partials, bounds, w, hat, cap, z, s, t, t_final=None,
-                           max_steps=8, fraction=0.99, centered=0.5, growth=100.0):
+def primal_dual_warm_point(slacks, partials, bounds, w, hat, cap, z, s, t, max_steps=8,
+                           fraction=0.99, centered=0.5):
     """Infeasible-start primal-dual Newton steps for the block program
     (Boyd & Vandenberghe, *Convex Optimization*, §11.7): maximize
     f(z) = y - w*((x0 - h0)^2 + (x1 - h1)^2) over z = (x0, x1, x2, y)
@@ -242,15 +242,11 @@ def primal_dual_warm_point(slacks, partials, bounds, w, hat, cap, z, s, t, t_fin
     solver's block program; partials gives (F1', F1'', F2_0, F2_2, F2_00,
     F2_02, F2_22, G', G'') at (x0, x1, x2). From slack variables s and
     duals 1/s, each step is `fraction` of the longest that keeps s and lam
-    positive, capped at 1, until max |lam_i c_i - 1| < centered at
-    t_final (t when None); an iterate that passes that test at a lower t
-    multiplies t by growth, up to t_final, and the steps go on. Returns
-    (z, ts), with ts the t of each step taken, or (None, ts) when a step
-    has no positive definite system, a slack is -inf, or max_steps steps
-    do not get there.
+    positive, capped at 1, until max |lam_i c_i - 1| < centered. Returns
+    (z, steps), with steps the number of steps taken, or (None, steps)
+    when a step has no positive definite system, a slack is -inf, or
+    max_steps steps do not get there.
     """
-    t_final = t if t_final is None else t_final
-    ts = []
     h0, h1 = hat
     e = np.eye(4)
     bound_grads = [e[0], -e[0], e[1], e[2]]
@@ -261,15 +257,11 @@ def primal_dual_warm_point(slacks, partials, bounds, w, hat, cap, z, s, t, t_fin
     for k in range(max_steps + 1):
         c = np.array([*slacks(*z), cap - z[3]])
         if not np.all(c > -np.inf):
-            return None, ts
-        near = np.all(np.abs(lam * c - 1.0) < centered)
-        if near and t >= t_final:
-            return z, ts
+            return None, k
+        if np.all(np.abs(lam * c - 1.0) < centered):
+            return z, k
         if k == max_steps:
-            return None, ts
-        if near:
-            t = min(t * growth, t_final)
-        ts.append(t)
+            return None, k
         f1, f1_11, f2_0, f2_2, f2_00, f2_02, f2_22, g, g_00 = partials(*z[:3])
         jac = np.array([[0.0, f1, 0.0, -1.0], [f2_0, 0.0, f2_2, -1.0], [g, 0.0, -1.0, 0.0],
                         *kept, -e[3]])
@@ -284,7 +276,7 @@ def primal_dual_warm_point(slacks, partials, bounds, w, hat, cap, z, s, t, t_fin
         r = t * grad_f + jac.T @ (lam + rho)
         dz = _exact_definite_solve(a, r)
         if dz is None:
-            return None, ts
+            return None, k
         dc = jac @ dz
         ds = c - s + dc
         dlam = rho - v * dc

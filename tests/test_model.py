@@ -131,11 +131,11 @@ class TestRates:
     def test_bit_rate_ru_array_zeroes_only_the_starved_entries(self):
         # A grid with alpha <= 0 somewhere takes np.where; one without skips
         # it. Each entry must be the same either way, +inf included (d = 0
-        # at H = 0). There alpha = 0 meets the infinite SNR as 0 * inf before
-        # np.where replaces it, which numpy reports as an invalid value.
+        # at H = 0, where the SNR divides by zero). alpha = 0 must not meet
+        # that infinite SNR as 0 * inf, an invalid value.
         flat = SystemParams(H=0.0)
         d, a = np.array([[0.0], [50.0]]), np.array([0.0, 0.25, -0.1, 0.5])
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore"):
             rates = bit_rate_ru(flat, d, a)
             alone = [[bit_rate_ru(flat, d[i], a[[j]])[0] for j in (1, 3)] for i in (0, 1)]
         assert rates.shape == (2, 4) and np.all(rates[:, [0, 2]] == 0.0)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -97,22 +98,32 @@ class TestSolvePlacement:
         sol = solve_placement(p, fit, lp, alpha[1], (50.0, 50.0), 1000.0, 1e-4)
         assert sol.status == "infeasible"
 
-    def test_degenerate_relay_user_tangent_returns_the_start(self, fit):
-        # At H = 0 the default run reaches an incumbent with d_ru = 4e-50.
-        # The relay->user tangent there has u_t = 6e-149 and a slope of
-        # -2e148, or -inf at a small alpha_ru, so F1 is about -1e150, -inf
-        # or NaN at every d_ru of the block's start: no start is inside the
-        # domain, and the solve returns its start unmoved, d_ru clamped to
-        # the margin, as "max-iter".
+    def test_degenerate_relay_user_tangent_is_taken_at_the_margin(self, fit):
+        # At H = 0 the default run reaches an incumbent with d_ru = 4e-50 at
+        # alpha_ru = 2e-6. The relay->user tangent there has u_t = 6e-149
+        # and slope -inf, so F1 would be -inf or NaN at every d_ru. The
+        # block takes the tangent at the cold start's d_ru, DIST_MARGIN_FRAC
+        # * D, instead, and is solved: its rate stays below the exact
+        # relay->user rate, which that tangent bounds from below.
         p = SystemParams(H=0.0)
-        d = (p.D / 2.0, 4e-50)
-        for alpha in ((0.3, 0.7), (0.3, 2e-6)):
-            lp = _incumbent_lp(p, fit, d, alpha)
-            assert rate_ru_coeffs(p, lp, alpha[1]).slope < -1e148
-            sol = solve_placement(p, fit, lp, alpha[1], d, 1000.0, 1e-4)
-            assert sol.status == "max-iter" and sol.warm == (), alpha
-            assert sol.point["d_ru"] == DIST_MARGIN_FRAC * p.D, alpha
-            assert sol.point["d_br"] == d[0], alpha
+        d, alpha = (p.D / 2.0, 4e-50), (0.3, 2e-6)
+        lp = _incumbent_lp(p, fit, d, alpha)
+        assert math.isinf(rate_ru_coeffs(p, lp, alpha[1]).slope)
+        margin = replace(lp, d_ru=DIST_MARGIN_FRAC * p.D)
+        assert math.isfinite(rate_ru_coeffs(p, margin, alpha[1]).slope)
+        sol = solve_placement(p, fit, lp, alpha[1], d, 1000.0, 1e-4)
+        assert sol.status == "optimal" and sol.warm
+        assert 0.0 < sol.point["d_ru"] < p.D
+        assert sol.point["eta"] <= float(bit_rate_ru(p, sol.point["d_ru"], alpha[1])) * (1 + 1e-9)
+        # At alpha_ru = 0.7 the slope there is finite, -2e148, and the block
+        # keeps that tangent. F1 falls by about 1e150 from d_ru = 4e-50 to
+        # the start's d_ru, and the steps do not reach the center: the solve
+        # returns the start unmoved, d_ru at the margin, as "max-iter".
+        lp = _incumbent_lp(p, fit, d, (0.3, 0.7))
+        assert -math.inf < rate_ru_coeffs(p, lp, 0.7).slope < -1e148
+        sol = solve_placement(p, fit, lp, 0.7, d, 1000.0, 1e-4)
+        assert sol.status == "max-iter" and sol.warm == ()
+        assert (sol.point["d_br"], sol.point["d_ru"]) == (d[0], DIST_MARGIN_FRAC * p.D)
 
 
 class TestSolveBandwidth:
@@ -204,8 +215,8 @@ class TestNewtonDx:
 def _cold_calls(monkeypatch, p, f, d, alpha):
     """For each real block solved cold at the incumbent (d, alpha), as in
     TestBlockDerivatives: the args and the `_Program` of its program, and
-    the arguments (z, s, t, t_final, max_steps) of its one primal-dual
-    call, the cold one."""
+    the arguments (z, s, t, max_steps) of its one primal-dual call, the
+    cold one."""
     made = []
     program = subproblems._program
 
@@ -238,10 +249,10 @@ class TestBlockDerivatives:
 
     @classmethod
     def _check_points(cls, program, x0, x):
-        """_check at the barrier's start x0, halfway to its solution x and
-        near x, at t = 10, 1e4 and t_final = 7e9. At t_final the Newton
-        step from a point far from the center is long, and differences
-        resolve its system only near the center."""
+        """_check at a strictly feasible point x0, halfway to the solution
+        x and near x, at t = 10, 1e4 and t_final = 7e9. At t_final the
+        Newton step from a point far from the center is long, and
+        differences resolve its system only near the center."""
         near = 0.99 * x + 0.01 * x0
         for z in (x0, 0.5 * (x0 + x), near):
             for t in (10.0, 1e4, 7e9):
@@ -299,19 +310,28 @@ class TestBlockDerivatives:
     def _record(monkeypatch):
         """Patch subproblems._program and barrier.maximize to log
         [program, x0, x] of every block solve into the returned list: its
-        `_Program`, the point x0 its first primal-dual steps start from
-        (the block's strictly feasible cold start in a solve without a warm
-        state) and the solution x, where the last centering ends."""
+        `_Program`, a strictly feasible point x0 away from the solution and
+        not centered, and the solution x, where the last centering ends.
+        From the start z of the solve's first primal-dual call (the
+        incumbent, with one slack 0, in a solve without a warm state), x0
+        lies 5% of the way to the center at t = 1 that primal-dual steps
+        reach from z: the slacks are concave, so a slack that is 0 at z is
+        positive there, and every other slack keeps most of its value.
+        Finite differences resolve the checks of _check_points at such
+        points; at 2% or 20% of the way, or towards the center at t = 10,
+        they lose the gradient in x2 at t = 1e4 or the Hessian near x at
+        t_final to rounding or truncation on one block or another."""
         calls = []
         program, maximize = subproblems._program, barrier.maximize
 
         def recording_program(*args):
             made = program(*args)
 
-            def recording_warm_point(z, *rest):
+            def recording_warm_point(z, s, *rest):
                 if len(calls[-1]) == 1:
-                    calls[-1].append(np.asarray(z, dtype=float))
-                return made.warm_point(z, *rest)
+                    center = made.warm_point(z, s, 1.0, subproblems._PD_COLD_STEPS)
+                    calls[-1].append(np.add(z, 0.05 * np.subtract(center, z)))
+                return made.warm_point(z, s, *rest)
 
             calls.append([made._replace(warm_point=recording_warm_point)])
             return calls[-1][0]
@@ -437,9 +457,9 @@ class TestBlockDerivatives:
 
     def test_rate_far_below_the_cap_is_inside_domain(self, params, fit, monkeypatch):
         # The rate variable has no lower bound: it is maximized and F1 and
-        # F2 bound it from above. At each block's start with the rate at
-        # -10 times the cap, the barrier is finite and its Newton step
-        # raises the rate.
+        # F2 bound it from above. At each block's strictly feasible point
+        # with the rate at -10 times the cap, the barrier is finite and its
+        # Newton step raises the rate.
         calls = self._record(monkeypatch)
         lp = _incumbent_lp(params, fit, (50.0, 50.0), (0.3, 0.7))
         solve_placement(params, fit, lp, 0.7, (50.0, 50.0), 1000.0, 1e-4)
@@ -503,7 +523,7 @@ class TestBlockProgram:
             return (1.0 - 2.0 * c * x1, -2.0 * c, 0.5 - d, 1.0 + d, -2.0 * c, 2.0 * c, -2.0 * c,
                     -1.0 - 2.0 * c * x0, -2.0 * c)
 
-        return _solve(slacks, partials, (0.0, 0.3, 0.0, -math.inf), 1.0, cls.HAT, lambda: z0,
+        return _solve(slacks, partials, (0.0, 0.3, 0.0, -math.inf), 1.0, cls.HAT, z0,
                       ("x0", "x1", "x2"), R0, warm)
 
     def test_affine_instance_reaches_its_vertex(self):
@@ -522,13 +542,21 @@ class TestBlockProgram:
         assert self._run(curved=False, R0=2.0, warm=sol.warm).point == pytest.approx(sol.point, abs=1e-9)
 
     @pytest.mark.parametrize("x0", [0.0, -0.1])
-    def test_cold_start_off_the_interior_comes_back_unmoved(self, x0):
-        # A start with a slack of 0 (x0 on its bound) or below 0 has no
-        # duals 1/c for the primal-dual steps: the solve returns it
-        # unmoved, as "max-iter", and raises nothing.
+    def test_cold_start_on_or_off_a_bound_reaches_the_optimum(self, x0):
+        # A start with a slack of 0 (x0 on its bound) or below 0 takes
+        # slack variables of at least _S_FLOOR there, and the primal-dual
+        # steps reach the optimum of the start inside the bounds. x2 enters
+        # only the slacks of F2 and G, which are not active there, so the
+        # optimum leaves it free and the barrier's center fixes it only to
+        # the tolerance of the centering, within 0.01 at this curvature.
+        want = self._run(curved=True)
         sol = self._run(curved=True, z0=(x0, *self.Z0[1:]))
-        assert sol.status == "max-iter" and sol.warm == ()
-        assert [sol.point[k] for k in ("x0", "x1", "x2")] == [x0, *self.Z0[1:]]
+        assert want.status == sol.status == "optimal"
+        assert sol.objective == pytest.approx(want.objective, rel=1e-12)
+        for name in ("x0", "x1", "eta"):
+            assert sol.point[name] == pytest.approx(want.point[name], rel=1e-9), name
+        assert min(sol.warm[1][1:3]) > 0.1
+        assert sol.point["x2"] == pytest.approx(want.point["x2"], abs=0.01)
 
     @pytest.mark.parametrize("curved", [False, True])
     def test_eval_full_matches_finite_differences(self, curved, monkeypatch):
@@ -639,23 +667,20 @@ class TestWarmStart:
                 for name, v in cold.point.items():
                     assert warm.point[name] == pytest.approx(v, rel=1e-9), (i, name)
 
-    def test_cold_solve_grows_t_by_one_factor(self, params, fit, monkeypatch):
-        # A cold solve's primal-dual loop starts at t = _T0 from the block's
-        # start with duals 1/c, which pass the center test at once, so its
-        # steps run at the later t of the path, each t _GROWTH times the
-        # last, up to t_final: the transcription of the loop takes its steps
-        # at those t in that order, and the loop takes as many steps
-        # (`_newton_dx` solves one system per step) to a point within 1e-6
-        # of the transcription's.
+    def test_cold_steps_run_only_at_t_final(self, params, fit, monkeypatch):
+        # A cold solve's primal-dual loop starts at the incumbent with the
+        # rate on min(F1, F2, cap), so that one slack is 0 there, and with
+        # the slacks raised to _S_FLOOR as slack variables. It takes all its
+        # steps at t_final: the transcription of the loop at t_final takes
+        # as many steps (`_newton_dx` solves one system per step) to a point
+        # within 1e-6 of the loop's.
         t_final = 7 / TOL_SUB  # seven slacks
-        want, t = [], subproblems._T0
-        while t < t_final:
-            want.append(t)
-            t *= subproblems._GROWTH
-        want.append(t_final)
         for p, f, d, alpha in [(params, fit, (50.0, 50.0), (0.3, 0.7)), *_random_cases()]:
-            for args, program, z, s, t0, t_end, cap in _cold_calls(monkeypatch, p, f, d, alpha):
-                assert (t0, t_end, cap) == (want[0], t_final, subproblems._PD_COLD_STEPS)
+            for args, program, z, s, t, cap in _cold_calls(monkeypatch, p, f, d, alpha):
+                assert (t, cap) == (t_final, subproblems._PD_COLD_STEPS)
+                c = program.slacks(z)
+                assert min(c) <= 0.0 < min(s)
+                assert list(s) == [max(ci, subproblems._S_FLOOR) for ci in c]
                 steps = []
                 newton_dx = subproblems._newton_dx
 
@@ -665,11 +690,10 @@ class TestWarmStart:
 
                 with monkeypatch.context() as m:
                     m.setattr(subproblems, "_newton_dx", counting)
-                    got = program.warm_point(z, s, t0, t_end, cap)
-                ref, ts = primal_dual_warm_point(*args, ETA_CAP_FACTOR, z, s, t0, t_end,
-                                                 max_steps=cap)
-                assert [t for i, t in enumerate(ts) if i == 0 or t != ts[i - 1]] == want[1:]
-                assert len(steps) == len(ts)
+                    got = program.warm_point(z, s, t, cap)
+                ref, ref_steps = primal_dual_warm_point(*args, ETA_CAP_FACTOR, z, s, t,
+                                                        max_steps=cap)
+                assert len(steps) == ref_steps
                 assert np.all(np.abs(np.subtract(got, ref)) <= 1e-6 * np.abs(ref)), (got, ref)
 
     def test_empty_or_outside_path_gives_cold_solution(self, params, fit, monkeypatch):
@@ -700,28 +724,6 @@ class TestWarmStart:
         assert warm.status == "optimal"
         assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
 
-    def test_cold_start_is_built_only_for_a_cold_solve(self, params, fit, monkeypatch):
-        # `_solve` asks for the block's start once in a solve without a
-        # warm state, and not at all in one that centers from its warm
-        # point.
-        built = []
-        solve_ = subproblems._solve
-
-        def counting(slacks, partials, bounds, w, hat, start, *args):
-            def counted_start():
-                built.append(start())
-                return built[-1]
-
-            return solve_(slacks, partials, bounds, w, hat, counted_start, *args)
-
-        monkeypatch.setattr(subproblems, "_solve", counting)
-        for solve in self._blocks(params, fit, (50.0, 50.0), (0.3, 0.7)):
-            cold = solve()
-            assert len(built) == 1
-            built.clear()
-            assert solve(cold.warm).status == "optimal"
-            assert built == []
-
     def test_path_is_not_mutated(self, params, fit):
         for solve in self._blocks(params, fit, (50.0, 50.0), (0.3, 0.7)):
             z, s = solve().warm
@@ -736,10 +738,11 @@ class TestPrimalDualLoop:
     """`_Program.warm_point`, the fused primal-dual loop, against
     `oracles.primal_dual_warm_point`, a dense numpy transcription of the
     same method. Each block starts from a point of one program with that
-    program's slacks as slack variables, and steps towards the center of
-    a moved program: both real blocks after a move of the incumbent, and
-    the synthetic block of TestBlockProgram after a move of its hat, once
-    with each of its four bounds missing.
+    program's slacks as slack variables (at t = 10 on the real blocks,
+    raised to _S_FLOOR), and steps towards the center of a moved program:
+    both real blocks after a move of the incumbent, and the synthetic
+    block of TestBlockProgram after a move of its hat, once with each of
+    its four bounds missing.
 
     Points agree within 1e-12 at t = 10, where the steps move away from
     the boundary. At t_final = 7e9 the active slacks of a warm state are
@@ -747,26 +750,21 @@ class TestPrimalDualLoop:
     system loses digits in rounding: the loop's closed-form solve and the
     transcription's exact rational one then differ by up to 3e-7 in a
     coordinate, so there the points need only agree within 1e-6, also at
-    the end of a cold call, which follows the path from t = 10 to
-    t_final."""
+    the end of a cold call."""
 
     T_FINAL = 7 / TOL_SUB
 
     @staticmethod
-    def _compare(args, program, z, s, t, rel=1e-12, t_final=None,
-                 max_steps=subproblems._PD_MAX_STEPS):
-        """warm_point of program from (z, s) at t, growing t to t_final
-        (t when None), and the transcription of the program built from
-        args: both None, or points within rel. Returns the point and the
-        transcription's number of steps."""
-        t_final = t if t_final is None else t_final
-        got = program.warm_point(z, s, t, t_final, max_steps)
-        want, ts = primal_dual_warm_point(*args, ETA_CAP_FACTOR, z, s, t, t_final,
-                                          max_steps=max_steps)
-        assert (got is None) == (want is None), (got, want, ts)
+    def _compare(args, program, z, s, t, rel=1e-12, max_steps=subproblems._PD_MAX_STEPS):
+        """warm_point of program from (z, s) at t, and the transcription of
+        the program built from args: both None, or points within rel.
+        Returns the point and the transcription's number of steps."""
+        got = program.warm_point(z, s, t, max_steps)
+        want, steps = primal_dual_warm_point(*args, ETA_CAP_FACTOR, z, s, t, max_steps=max_steps)
+        assert (got is None) == (want is None), (got, want, steps)
         if got is not None:
             assert np.all(np.abs(np.subtract(got, want)) <= rel * np.abs(want)), (got, want)
-        return got, len(ts)
+        return got, steps
 
     @staticmethod
     def _moved_programs(monkeypatch, p, f, d, alpha, shift=0.1):
@@ -801,9 +799,14 @@ class TestPrimalDualLoop:
         for p, f, d, alpha in [(params, fit, (50.0, 50.0), (0.3, 0.7)), *_random_cases(n=8)]:
             for old, x, (args, new) in self._moved_programs(monkeypatch, p, f, d, alpha):
                 # Below the old solution's rate, so that the rate slacks are
-                # not near 0, with the old program's slacks there.
+                # not near 0, with the old program's slacks there raised to
+                # _S_FLOOR, as in a cold start: slacks active at the old
+                # solution, such as the SNR ceiling's at 3e-6, would weigh
+                # the first steps' systems by 1e11 and leave rounding of
+                # 1e-11 in their iterates.
                 z = [*x[:3], x[3] - 0.05]
-                got, steps = self._compare(args, new, z, old.slacks(z), 10.0)
+                s = [max(c, subproblems._S_FLOOR) for c in old.slacks(z)]
+                got, steps = self._compare(args, new, z, s, 10.0)
                 outcomes.append((got is not None, steps))
                 # The solver's own case: the old solution and its slacks, at
                 # t_final.
@@ -813,11 +816,11 @@ class TestPrimalDualLoop:
         assert (True, 3) <= max(outcomes) and (False, subproblems._PD_MAX_STEPS) in outcomes
 
     def test_cold_calls_match_the_transcription(self, params, fit, monkeypatch):
-        # Each block's cold call, from its start at t = 10 to t_final.
+        # Each block's cold call, from the incumbent at t_final.
         for p, f, d, alpha in [(params, fit, (50.0, 50.0), (0.3, 0.7)), *_random_cases(n=8)]:
-            for args, program, z, s, t, t_final, cap in _cold_calls(monkeypatch, p, f, d, alpha):
-                assert t < t_final == self.T_FINAL
-                got, steps = self._compare(args, program, z, s, t, 1e-6, t_final, cap)
+            for args, program, z, s, t, cap in _cold_calls(monkeypatch, p, f, d, alpha):
+                assert t == self.T_FINAL
+                got, steps = self._compare(args, program, z, s, t, 1e-6, cap)
                 assert got is not None and steps >= 5, steps
 
     @staticmethod
@@ -849,8 +852,7 @@ class TestPrimalDualLoop:
         # instance at curvature 0.8 with another hat.
         slacks, partials, bounds = self._synthetic(missing, 1.0)
         start = (0.1, 0.3, 0.2)
-        sol = _solve(slacks, partials, bounds, 1.0, (0.9, 0.5), lambda: start,
-                     ("x0", "x1", "x2"), 1.0, ())
+        sol = _solve(slacks, partials, bounds, 1.0, (0.9, 0.5), start, ("x0", "x1", "x2"), 1.0, ())
         assert sol.status == "optimal"
         x = sol.warm[0]
         z = [*(0.5 * (a + b) for a, b in zip(x, start)), x[3] - 0.05]
