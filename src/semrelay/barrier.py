@@ -6,8 +6,9 @@ damped Newton, so that the duality measure m/t of the returned center
 meets the requested gap (Boyd & Vandenberghe, *Convex Optimization*,
 §11.3). It follows no path. The block programs reach a point near that
 center first, by infeasible-start primal-dual steps at the same t
-(`warm_point` of `subproblems._program`), and solve its Newton system,
-whose sparsity they know, in closed form. Everything is deterministic;
+(`warm_point` of `subproblems._program`, built once per run and block
+and refreshed for each solve), and solve its Newton system, whose
+sparsity they know, in closed form. Everything is deterministic;
 no randomness, no iteration-order ambiguity.
 
 Problems plug in through a single fused callback so the per-step cost stays

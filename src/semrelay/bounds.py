@@ -8,9 +8,9 @@ them across iterations would break the ascent property of the outer loop.
 
 The `*_coeffs` functions are the only place that derives tangent
 coefficients from a `LocalPoint`. Each returns a `Tangent` in scalar
-`math`; the block programs in `subproblems` build it once per block solve
-and unpack it into their slacks, and the public `*_tangent` evaluators
-below apply it to scalars or arrays.
+`math`; the blocks in `subproblems` take it once per block solve and
+unpack it into the coefficient cells of their slacks, built once per run,
+and the public `*_tangent` evaluators below apply it to scalars or arrays.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ bit.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -101,11 +102,13 @@ class SystemParams:
         if not self.mu > 0:
             raise ValueError("mu must be positive")
 
-    @property
+    # Computed once per instance, on first use; not fields, so ==, hash and
+    # repr ignore them.
+    @functools.cached_property
     def rho0_lin(self) -> float:
         return db_to_lin(self.rho0_db)
 
-    @property
+    @functools.cached_property
     def n0_w_hz(self) -> float:
         return dbm_per_hz_to_w_per_hz(self.N0_dbm_hz)
 

@@ -174,8 +174,10 @@ def run(
     # lp carries the incumbent to the blocks: d, alpha_br, and the SNR and
     # similarity recomputed from them.
     lp, eta = _tighten(p, fit, d, alpha, eta_cap)
-    # Each block's barrier starts from the warm state of its previous solve;
-    # a solve that is not optimal leaves none, so the next starts cold.
+    # Each block's solve starts from the warm state of its previous solve:
+    # its final point and slacks, and the block itself, built at the run's
+    # first solve and refreshed for each later one. A solve that is not
+    # optimal leaves none, so the next rebuilds the block and starts cold.
     pl_warm = bw_warm = ()
 
     lam = cfg.lambda0

@@ -9,7 +9,10 @@ primal-dual steps at t_final and one log-barrier Newton centering there
 cold from the incumbent. Each block supplies its surrogates, built from
 the tangents in `bounds`, and that incumbent point. `_program` runs the
 barrier's callbacks and the primal-dual steps as scalar code on plain
-floats, in one fixed order over the seven slacks. The auxiliary block is a
+floats, in one fixed order over the seven slacks. A run builds each block
+once (`_Block`): its constants, its slack and partial functions and its
+program; each later solve only refreshes the tangent coefficients, the
+penalty weight and the hat that these read. The auxiliary block is a
 closed-form Euclidean projection.
 
 Internally the rate variable is normalized by the semantic-hop ceiling
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from operator import itemgetter
+from operator import is_, itemgetter
 from typing import Callable, NamedTuple
 
 from semrelay import barrier
@@ -88,7 +91,9 @@ class SubproblemSolution:
     point: dict[str, float]
     objective: float  # penalized block objective, bits/s
     status: str  # "optimal" | "max-iter" | "infeasible"
-    warm: tuple = ()  # (final point, its slacks) when optimal, the next solve's warm state
+    # When optimal, the next solve's warm state: (final point, its slacks,
+    # the block), the block built once per run (`_Block`).
+    warm: tuple = ()
 
 
 def rate_scale(p: SystemParams, fit: SigmoidFit) -> float:
@@ -130,17 +135,6 @@ def _newton_dx(g, a00, a11, a22, a33, a02, a03, a13, a23):
     return dx0, (g1 - a13 * dx3) / a11, dx2, dx3
 
 
-# For each place 3..6 of the missing bound among a program's eight slacks:
-# an itemgetter that spreads seven per-slack values, with a 0.0 appended,
-# over the eight places (the 0.0 in the missing place), and one that takes
-# the seven back out of eight.
-_PLACES = {
-    missing: (itemgetter(*range(missing), 7, *range(missing, 7)),
-              itemgetter(*(i for i in range(8) if i != missing)))
-    for missing in range(3, 7)
-}
-
-
 class _Program(NamedTuple):
     """The callbacks of one block program (see `_program`)."""
 
@@ -150,9 +144,10 @@ class _Program(NamedTuple):
     warm_point: Callable  # (z, s, t, max_steps) -> near-center point at t, or None
     slacks: Callable  # z -> the seven slacks at z
     objective: Callable  # (x0, x1, x2, y) -> y - w*((x0 - h0)^2 + (x1 - h1)^2)
+    refresh: Callable  # (w, hat) -> None: the next solve's w and hat
 
 
-def _program(slacks, partials, bounds, w, hat) -> _Program:
+def _program(slacks, partials, missing) -> _Program:
     """The program of both barrier blocks: over z = (x0, x1, x2, y),
     maximize y - w*((x0 - h0)^2 + (x1 - h1)^2), hat = (h0, h1), subject to
 
@@ -160,13 +155,18 @@ def _program(slacks, partials, bounds, w, hat) -> _Program:
         x0 - lo0, hi0 - x0, x1 - lo1, x2 - lo2,
         ETA_CAP_FACTOR - y
 
-    all > 0, with F1, F2 and G concave and bounds = (lo0, hi0, lo1, lo2),
-    of which exactly one is infinite: a bound that is not there. A block
-    supplies slacks(*z), the first six finite slacks in this order, and
-    partials(x0, x1, x2), the partials (F1', F1'', F2_0, F2_2, F2_00,
-    F2_02, F2_22, G', G''); the cap is added here. y needs no lower bound:
-    it is maximized and F1 and F2 bound it from above, so the barrier
-    objective falls to -inf as y -> -inf.
+    all > 0, with F1, F2 and G concave, except the one of the four bounds
+    (lo0, hi0, lo1, lo2) at index missing, which is not there. A block
+    supplies slacks(*z), the first six slacks in this order without the
+    missing one, and partials(x0, x1, x2), the partials (F1', F1'', F2_0,
+    F2_2, F2_00, F2_02, F2_22, G', G''); the cap is added here. y needs no
+    lower bound: it is maximized and F1 and F2 bound it from above, so the
+    barrier objective falls to -inf as y -> -inf.
+
+    A block builds its program once per run (`_Block`). Before each solve
+    it puts that solve's tangent coefficients into the cells that slacks
+    and partials read, and calls refresh(w, hat), which sets w and hat and
+    forgets the last evaluation.
 
     One assembly gives the Newton step of the barrier (eval_full) and of
     the primal-dual system (step): for weights lam_i, v_i and q_i of the
@@ -187,18 +187,28 @@ def _program(slacks, partials, bounds, w, hat) -> _Program:
     Everything runs on plain floats in a fixed order over the seven slacks;
     the missing bound's place, whose weights are 0, is resolved once here.
     """
-    h0, h1 = hat
     cap = ETA_CAP_FACTOR
-    w2, m2w = 2.0 * w, -2.0 * w
     inf, isfinite = math.inf, math.isfinite
-    eight, seven = _PLACES[3 + [isfinite(b) for b in bounds].index(False)]
+    # The missing bound's place among the eight slacks, and itemgetters that
+    # spread seven per-slack values, with a 0.0 appended, over the eight
+    # places (the 0.0 in the missing place) and take the seven back out.
+    place = 3 + missing
+    eight = itemgetter(*range(place), 7, *range(place, 7))
+    seven = itemgetter(*(i for i in range(8) if i != place))
+    h0 = h1 = w = w2 = m2w = math.nan  # set by refresh
     # The point and slacks of the last evaluation, and their log-sum once an
     # evaluation needed it: the accepted trial of a line search comes back
     # as the next Newton step's point, a centered point as the next
     # centering's start, and the point the primal-dual steps reach as the
     # centering's start. The key is a copy, so a point changed in place is
-    # evaluated afresh.
+    # evaluated afresh; refresh drops it, since the slacks at a point change
+    # with the coefficients.
     last_z = last_s = last_log = None
+
+    def refresh(weight, hat):
+        nonlocal h0, h1, w, w2, m2w, last_z
+        (h0, h1), w, last_z = hat, weight, None
+        w2, m2w = 2.0 * w, -2.0 * w
 
     def slack_values(z):
         nonlocal last_z, last_s, last_log
@@ -336,42 +346,127 @@ def _program(slacks, partials, bounds, w, hat) -> _Program:
             l1, l2, l3, l4, l5, l6, l7 = (l1 + a * e1, l2 + a * e2, l3 + a * e3, l4 + a * e4,
                                           l5 + a * e5, l6 + a * e6, l7 + a * e7)
 
-    return _Program(eval_full, eval_value, step, warm_point, slack_values, objective)
+    return _Program(eval_full, eval_value, step, warm_point, slack_values, objective, refresh)
 
 
-def _solve(slacks, partials, bounds, w, hat, start, names, R0, warm) -> SubproblemSolution:
-    """Solve the block program of `_program`; y is the rate in units of R0,
-    and names label (x0, x1, x2) in the returned point.
+class _Block(NamedTuple):
+    """A barrier block of one run: its program, built at the run's first
+    solve of the block, and refresh(...), which puts one solve's tangent
+    coefficients, w and hat into it and returns the solve's start (see
+    `_solve`), or None when the block is infeasible at the incumbent."""
+
+    program: _Program
+    refresh: Callable
+    names: tuple  # labels of (x0, x1, x2) in a solution's point
+    R0: float  # the rate unit, `rate_scale`
+    made_for: tuple = ()  # (builder, p, fit, ...), set by `_block`
+
+
+def _block(warm, build, *made_for) -> _Block:
+    """The block of the warm state warm when build made it for the same
+    objects made_for (p, fit, ...), compared by identity; else a new one,
+    build(*made_for)."""
+    key = (build, *made_for)
+    if warm and all(map(is_, warm[2].made_for, key)):
+        return warm[2]
+    return build(*made_for)._replace(made_for=key)
+
+
+def _solve(block, warm, *incumbent) -> SubproblemSolution:
+    """Refresh block at the incumbent and solve its program, or report it
+    infeasible there; y is the rate in units of block.R0, and block.names
+    label (x0, x1, x2) in the returned point.
 
     Primal-dual steps (`_Program.warm_point`) at t_final = m/TOL_SUB reach
     a point near the center there, and the barrier centers from it
     (`barrier.maximize`). warm is the `SubproblemSolution.warm` of the
     block's previous solve: its final point z and slacks s, from which the
-    steps start. Without a warm state, or when the warm steps or that
-    centering fail, the steps start cold from z0 = (*start, y0), with
-    start = (x0, x1, x2) the block's incumbent and y0 = min(F1, F2,
+    steps start (its block is the caller's choice, `_block`). Without a
+    warm state, or when the warm steps or that centering fail, the steps
+    start cold from z0 = (*start, y0), with start = (x0, x1, x2) the
+    block's incumbent, as refresh returns it, and y0 = min(F1, F2,
     ETA_CAP_FACTOR) there, and with the slacks at z0, each raised to at
     least _S_FLOOR, as slack variables. When the cold steps fail too, the
     solve returns z0 unmoved, as "max-iter".
     """
-    program = _program(slacks, partials, bounds, w, hat)
+    start = block.refresh(*incumbent)
+    if start is None:
+        return SubproblemSolution({}, -math.inf, "infeasible")
+    program = block.program
     m = 7  # slacks: the block's six and the cap
     t_final = m / TOL_SUB
-    z = program.warm_point(*warm, t_final, _PD_MAX_STEPS) if warm else None
+    z = program.warm_point(warm[0], warm[1], t_final, _PD_MAX_STEPS) if warm else None
     if z is not None:
         z, ok = barrier.maximize(program.eval_full, program.eval_value, z, m, TOL_SUB)
     if z is None or not ok:
-        z = (*start, min(*slacks(*start, 0.0)[:2], ETA_CAP_FACTOR))
+        z = (*start, min(*program.slacks((*start, 0.0))[:2], ETA_CAP_FACTOR))
         s = [max(c, _S_FLOOR) for c in program.slacks(z)]
         z_pd = program.warm_point(z, s, t_final, _PD_COLD_STEPS)
         z, ok = (z, False) if z_pd is None else barrier.maximize(
             program.eval_full, program.eval_value, z_pd, m, TOL_SUB)
-    point = dict(zip(names, z))
-    point["eta"] = z[-1] * R0
-    objective = program.objective(*z) * R0
+    point = dict(zip(block.names, z))
+    point["eta"] = z[-1] * block.R0
+    objective = program.objective(*z) * block.R0
     if not ok:
         return SubproblemSolution(point, objective, "max-iter")
-    return SubproblemSolution(point, objective, "optimal", (tuple(z), program.slacks(z)))
+    return SubproblemSolution(point, objective, "optimal", (tuple(z), program.slacks(z), block))
+
+
+def _placement_block(p: SystemParams, fit: SigmoidFit) -> _Block:
+    """The placement block of a run on (p, fit); see `solve_placement`."""
+    R0 = rate_scale(p, fit)
+    H2 = p.H * p.H
+    half_beta = p.beta / 2.0
+    gamma_min = min_snr_threshold_db(fit)
+    hb1, hb2, bm1, m_c1 = half_beta - 1.0, half_beta - 2.0, p.beta - 1.0, -fit.c1
+    margin = DIST_MARGIN_FRAC * p.D
+    # The tangent coefficients of the solve at hand, set by refresh.
+    u_t = r_t = r_u = v_t = sig_t = sig_v = a1c = b2 = q3 = cap_peak = f1_c = f2_c = g_00 = 0.0
+
+    def slacks(d_br, d_ru, gamma, y):
+        return (
+            a1c * (r_t + r_u * ((d_ru * d_ru + H2) ** half_beta - u_t)) - y,
+            b2 * (fit.a1 + fit.a2 * (sig_t + sig_v * (logistic_v(fit, gamma) - v_t))) - y,
+            cap_peak - q3 * d_br * d_br - gamma,
+            d_br,
+            d_ru,
+            gamma - gamma_min,
+        )
+
+    # F1 = a1c * (r_t + r_u * (u(d_ru) - u_t)) with u = (d_ru^2 + H^2)^(beta/2),
+    # F2 = b2 * (a1 + a2 * logistic tangent(gamma)), G = cap_peak - q3 * d_br^2.
+    def partials(d_br, d_ru, gamma):
+        base = d_ru * d_ru + H2
+        f2_2 = f2_c * logistic_v(fit, gamma)
+        return (f1_c * d_ru * base ** hb1, f1_c * base ** hb2 * (bm1 * d_ru * d_ru + H2),
+                0.0, f2_2, 0.0, 0.0, m_c1 * f2_2, g_00 * d_br, g_00)
+
+    program = _program(slacks, partials, 1)  # no upper bound on d_br
+
+    def refresh(lp, alpha_ru, aux, lam, nu):
+        nonlocal u_t, r_t, r_u, v_t, sig_t, sig_v, a1c, b2, q3, cap_peak, f1_c, f2_c, g_00
+        u_t, r_t, r_u = rate_ru_coeffs(p, lp, alpha_ru)
+        if not math.isfinite(r_u):
+            # At H = 0 an incumbent d_ru near 0 leaves u_t near 0 and the
+            # slope -inf. The tangent at the cold start's d_ru is finite, and
+            # as a tangent of a function convex in u it is still a global
+            # minorant.
+            u_t, r_t, r_u = rate_ru_coeffs(p, replace(lp, d_ru=margin), alpha_ru)
+        v_t, sig_t, sig_v = logistic_coeffs(fit, lp)
+        y_t, _, l_y = log_path_coeffs(lp, p.H)
+        a1c = alpha_ru * p.W / R0
+        b2 = lp.alpha_br * p.W * p.mu / (fit.K * R0)
+        # With the log-path tangent the SNR ceiling is a downward parabola in
+        # d_br, cap_peak - q3 * d_br^2, equal to lp.gamma_br_db at lp.d_br.
+        q3 = 5.0 * p.beta * l_y
+        cap_peak = lp.gamma_br_db + q3 * y_t
+        if cap_peak <= gamma_min + 1e-12:
+            return None
+        f1_c, f2_c, g_00 = a1c * r_u * p.beta, -b2 * fit.a2 * sig_v * fit.c1, -2.0 * q3
+        program.refresh(nu / (2.0 * lam * R0), aux)
+        return lp.d_br, max(lp.d_ru, margin), lp.gamma_br_db
+
+    return _Block(program, refresh, ("d_br", "d_ru", "gamma_br_db"), R0)
 
 
 def solve_placement(
@@ -394,55 +489,65 @@ def solve_placement(
     d_br admits the threshold at the fixed split, which signals that the
     bandwidth block must move first.
     warm is the `SubproblemSolution.warm` of the block's previous solve,
-    from which the solve starts when it can (`_solve`); the default solves
-    cold.
+    from which the solve starts when it can (`_solve`), and whose block it
+    refreshes when that was built for this p and fit (`_block`); the
+    default builds the block and solves cold.
     """
+    return _solve(_block(warm, _placement_block, p, fit), warm, lp, alpha_ru, aux, lam, nu)
+
+
+def _bandwidth_block(p: SystemParams, fit: SigmoidFit, alpha_floor: float) -> _Block:
+    """The bandwidth block of a run on (p, fit, alpha_floor); see
+    `solve_bandwidth`."""
     R0 = rate_scale(p, fit)
-    H2 = p.H * p.H
-    half_beta = p.beta / 2.0
     gamma_min = min_snr_threshold_db(fit)
+    wr = p.W / R0
+    q2 = p.W * p.mu / (4.0 * fit.K * R0)
+    f2_00, m_wr, m_a2, m_c1 = -2.0 * q2, -wr, -fit.a2, -fit.c1
+    # The tangent coefficients of the solve at hand, set by refresh.
+    c_ru = x_t = sq_t = sq_x = v_t = sig_t = sig_v = a_t = cap_a = g_t = a_max = 0.0
+    f1_11c = g_c = g_2c = 0.0
 
-    u_t, r_t, r_u = rate_ru_coeffs(p, lp, alpha_ru)
-    if not math.isfinite(r_u):
-        # At H = 0 an incumbent d_ru near 0 leaves u_t near 0 and the slope
-        # -inf. The tangent at the cold start's d_ru is finite, and as a
-        # tangent of a function convex in u it is still a global minorant.
-        u_t, r_t, r_u = rate_ru_coeffs(p, replace(lp, d_ru=DIST_MARGIN_FRAC * p.D), alpha_ru)
-    v_t, sig_t, sig_v = logistic_coeffs(fit, lp)
-    y_t, _, l_y = log_path_coeffs(lp, p.H)
-    a1c = alpha_ru * p.W / R0
-    b2 = lp.alpha_br * p.W * p.mu / (fit.K * R0)
-    # With the log-path tangent the SNR ceiling is a downward parabola in
-    # d_br, cap_peak - q3 * d_br^2, equal to lp.gamma_br_db at lp.d_br.
-    q3 = 5.0 * p.beta * l_y
-    cap_peak = lp.gamma_br_db + q3 * y_t
-    if cap_peak <= gamma_min + 1e-12:
-        return SubproblemSolution({}, -math.inf, "infeasible")
-
-    def slacks(d_br, d_ru, gamma, y):
+    def slacks(a_br, a_ru, S, y):
+        v = logistic_v(fit, g_t + cap_a * (a_br - a_t))  # at the SNR ceiling
         return (
-            a1c * (r_t + r_u * ((d_ru * d_ru + H2) ** half_beta - u_t)) - y,
-            b2 * (fit.a1 + fit.a2 * (sig_t + sig_v * (logistic_v(fit, gamma) - v_t))) - y,
-            cap_peak - q3 * d_br * d_br - gamma,
-            d_br,
-            d_ru,
-            gamma - gamma_min,
+            wr * a_ru * math.log1p(c_ru / a_ru) / _LN2 - y if a_ru > 0.0 else -math.inf,
+            q2 * (sq_t + sq_x * (a_br + S - x_t) - (a_br - S) * (a_br - S)) - y,
+            fit.a1 + fit.a2 * (sig_t + sig_v * (v - v_t)) - S,
+            a_br - alpha_floor,
+            a_max - a_br,
+            a_ru - alpha_floor,
         )
 
-    # F1 = a1c * (r_t + r_u * (u(d_ru) - u_t)) with u = (d_ru^2 + H^2)^(beta/2),
-    # F2 = b2 * (a1 + a2 * logistic tangent(gamma)), G = cap_peak - q3 * d_br^2.
-    f1_c, f2_c, g_00 = a1c * r_u * p.beta, -b2 * fit.a2 * sig_v * fit.c1, -2.0 * q3
-    hb1, hb2, bm1, m_c1 = half_beta - 1.0, half_beta - 2.0, p.beta - 1.0, -fit.c1
+    # F1 = wr * a_ru * log2(1 + c_ru/a_ru), F2 = q2 * (square tangent(a_br + S)
+    # - (a_br - S)^2), G = a1 + a2 * logistic tangent(SNR ceiling(a_br)), whose
+    # G'' = -c1 * cap_a * G'.
+    def partials(a_br, a_ru, S):
+        ac, d2 = a_ru + c_ru, 2.0 * (a_br - S)
+        g = g_c * logistic_v(fit, g_t + cap_a * (a_br - a_t))
+        return (wr * (math.log1p(c_ru / a_ru) - c_ru / ac) / _LN2, f1_11c / (a_ru * ac * ac * _LN2),
+                q2 * (sq_x - d2), q2 * (sq_x + d2), f2_00, -f2_00, f2_00, g, g_2c * g)
 
-    def partials(d_br, d_ru, gamma):
-        base = d_ru * d_ru + H2
-        f2_2 = f2_c * logistic_v(fit, gamma)
-        return (f1_c * d_ru * base ** hb1, f1_c * base ** hb2 * (bm1 * d_ru * d_ru + H2),
-                0.0, f2_2, 0.0, 0.0, m_c1 * f2_2, g_00 * d_br, g_00)
+    program = _program(slacks, partials, 3)  # no lower bound on S
 
-    start = (lp.d_br, max(lp.d_ru, DIST_MARGIN_FRAC * p.D), lp.gamma_br_db)
-    return _solve(slacks, partials, (0.0, math.inf, 0.0, gamma_min), nu / (2.0 * lam * R0), aux,
-                  start, ("d_br", "d_ru", "gamma_br_db"), R0, warm)
+    def refresh(lp, aux, lam):
+        nonlocal c_ru, x_t, sq_t, sq_x, v_t, sig_t, sig_v, a_t, cap_a, g_t, a_max, f1_11c, g_c, g_2c
+        c_ru = snr_lin(p, p.P_r, lp.d_ru, 1.0)  # SNR times alpha_ru
+        x_t, sq_t, sq_x = square_coeffs(lp)
+        v_t, sig_t, sig_v = logistic_coeffs(fit, lp)
+        a_t, _, cap_a = snr_cap_coeffs(lp)
+        g_t = lp.gamma_br_db
+        # SNR ceiling, affine in alpha_br: g_t + cap_a * (alpha_br - a_t).
+        a_max = a_t + (gamma_min - g_t) / cap_a  # the ceiling meets gamma_min
+        if a_max <= alpha_floor:
+            return None
+        f1_11c, g_c, g_2c = m_wr * c_ru * c_ru, m_a2 * sig_v * fit.c1 * cap_a, m_c1 * cap_a
+        program.refresh(1.0 / (2.0 * lam * R0), aux)
+        # The incumbent alpha_ru is not part of the expansion point, so the
+        # auxiliary copy seeds that coordinate.
+        return lp.alpha_br, max(aux[1], 2.0 * alpha_floor), lp.similarity
+
+    return _Block(program, refresh, ("alpha_br", "alpha_ru", "S"), R0)
 
 
 def solve_bandwidth(
@@ -466,51 +571,10 @@ def solve_bandwidth(
     optimum and needs no variable of its own; the threshold becomes
     alpha_br < a_max, where the ceiling meets it. Infeasible when a_max is
     at or below the floor.
-    warm is as in `solve_placement`.
+    warm is as in `solve_placement`; its block is refreshed when it was
+    built for this p, fit and alpha_floor.
     """
-    R0 = rate_scale(p, fit)
-    gamma_min = min_snr_threshold_db(fit)
-
-    c_ru = snr_lin(p, p.P_r, lp.d_ru, 1.0)  # SNR times alpha_ru
-    wr = p.W / R0
-    q2 = p.W * p.mu / (4.0 * fit.K * R0)
-    x_t, sq_t, sq_x = square_coeffs(lp)
-    v_t, sig_t, sig_v = logistic_coeffs(fit, lp)
-    a_t, _, cap_a = snr_cap_coeffs(lp)
-    g_t = lp.gamma_br_db
-    # SNR ceiling, affine in alpha_br: g_t + cap_a * (alpha_br - a_t).
-    a_max = a_t + (gamma_min - g_t) / cap_a  # the ceiling meets gamma_min
-    if a_max <= alpha_floor:
-        return SubproblemSolution({}, -math.inf, "infeasible")
-
-    def slacks(a_br, a_ru, S, y):
-        v = logistic_v(fit, g_t + cap_a * (a_br - a_t))  # at the SNR ceiling
-        return (
-            wr * a_ru * math.log1p(c_ru / a_ru) / _LN2 - y if a_ru > 0.0 else -math.inf,
-            q2 * (sq_t + sq_x * (a_br + S - x_t) - (a_br - S) * (a_br - S)) - y,
-            fit.a1 + fit.a2 * (sig_t + sig_v * (v - v_t)) - S,
-            a_br - alpha_floor,
-            a_max - a_br,
-            a_ru - alpha_floor,
-        )
-
-    # F1 = wr * a_ru * log2(1 + c_ru/a_ru), F2 = q2 * (square tangent(a_br + S)
-    # - (a_br - S)^2), G = a1 + a2 * logistic tangent(SNR ceiling(a_br)), whose
-    # G'' = -c1 * cap_a * G'.
-    f1_11c, f2_00, g_c = -wr * c_ru * c_ru, -2.0 * q2, -fit.a2 * sig_v * fit.c1 * cap_a
-    g_2c = -fit.c1 * cap_a
-
-    def partials(a_br, a_ru, S):
-        ac, d2 = a_ru + c_ru, 2.0 * (a_br - S)
-        g = g_c * logistic_v(fit, g_t + cap_a * (a_br - a_t))
-        return (wr * (math.log1p(c_ru / a_ru) - c_ru / ac) / _LN2, f1_11c / (a_ru * ac * ac * _LN2),
-                q2 * (sq_x - d2), q2 * (sq_x + d2), f2_00, -f2_00, f2_00, g, g_2c * g)
-
-    # The incumbent alpha_ru is not part of the expansion point, so the
-    # auxiliary copy seeds that coordinate.
-    start = (lp.alpha_br, max(aux[1], 2.0 * alpha_floor), lp.similarity)
-    return _solve(slacks, partials, (alpha_floor, a_max, alpha_floor, -math.inf),
-                  1.0 / (2.0 * lam * R0), aux, start, ("alpha_br", "alpha_ru", "S"), R0, warm)
+    return _solve(_block(warm, _bandwidth_block, p, fit, alpha_floor), warm, lp, aux, lam)
 
 
 def solve_auxiliary(

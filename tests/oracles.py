@@ -227,7 +227,7 @@ def _exact_definite_solve(a, r):
     return np.array([float(v) for v in x])
 
 
-def primal_dual_warm_point(slacks, partials, bounds, w, hat, cap, z, s, t, max_steps=8,
+def primal_dual_warm_point(slacks, partials, missing, w, hat, cap, z, s, t, max_steps=8,
                            fraction=0.99, centered=0.5):
     """Infeasible-start primal-dual Newton steps for the block program
     (Boyd & Vandenberghe, *Convex Optimization*, §11.7): maximize
@@ -238,11 +238,12 @@ def primal_dual_warm_point(slacks, partials, bounds, w, hat, cap, z, s, t, max_s
     the gradient and Hessian of every slack, exactly in rational arithmetic
     (`_exact_definite_solve`).
 
-    bounds = (lo0, hi0, lo1, lo2), one of them infinite, as in the
-    solver's block program; partials gives (F1', F1'', F2_0, F2_2, F2_00,
-    F2_02, F2_22, G', G'') at (x0, x1, x2). From slack variables s and
-    duals 1/s, each step is `fraction` of the longest that keeps s and lam
-    positive, capped at 1, until max |lam_i c_i - 1| < centered. Returns
+    missing is the index of the bound among (lo0, hi0, lo1, lo2) that the
+    program lacks, as in the solver's block program; partials gives (F1',
+    F1'', F2_0, F2_2, F2_00, F2_02, F2_22, G', G'') at (x0, x1, x2). From
+    slack variables s and duals 1/s, each step is `fraction` of the
+    longest that keeps s and lam positive, capped at 1, until
+    max |lam_i c_i - 1| < centered. Returns
     (z, steps), with steps the number of steps taken, or (None, steps)
     when a step has no positive definite system, a slack is -inf, or
     max_steps steps do not get there.
@@ -250,7 +251,7 @@ def primal_dual_warm_point(slacks, partials, bounds, w, hat, cap, z, s, t, max_s
     h0, h1 = hat
     e = np.eye(4)
     bound_grads = [e[0], -e[0], e[1], e[2]]
-    kept = [g for g, b in zip(bound_grads, bounds) if np.isfinite(b)]
+    kept = [g for i, g in enumerate(bound_grads) if i != missing]
     hess_f = np.diag([-2.0 * w, -2.0 * w, 0.0, 0.0])
     z, s = np.array(z, dtype=float), np.array(s, dtype=float)
     lam = 1.0 / s

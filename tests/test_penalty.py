@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from semrelay import penalty
+from semrelay import penalty, subproblems
 from semrelay.baselines import GridSpec, oracle_search
 from semrelay.cli import sweep_bandwidths
 from semrelay.model import (
@@ -85,6 +85,26 @@ class TestRunDefaults:
         first = run(p, fit, cfg)
         run(SystemParams(W=1e7, D=50.0), fit, PenaltyConfig(max_outer=20))
         assert run(p, fit, cfg) == first
+
+    def test_each_block_is_built_once_per_run(self, fit, cfg, monkeypatch):
+        # A block builds its program at its first solve of the run and
+        # refreshes it for every later one; a solve that returns no warm
+        # state makes the block's next solve build it anew (none does here).
+        builds, solves = [], {}
+        program = subproblems._program
+        monkeypatch.setattr(subproblems, "_program",
+                            lambda *args: builds.append(args) or program(*args))
+        for name in ("solve_placement", "solve_bandwidth"):
+            def recording(*args, solve=getattr(penalty, name), out=solves.setdefault(name, [])):
+                out.append(solve(*args))
+                return out[-1]
+
+            monkeypatch.setattr(penalty, name, recording)
+        report = run(SystemParams(W=1e5), fit, cfg)
+        assert [len(out) for out in solves.values()] == [report.inner_iters] * 2
+        rebuilds = sum(not sol.warm for out in solves.values() for sol in out[:-1])
+        assert len(builds) == 2 + rebuilds
+        assert rebuilds == 0
 
     def test_at_most_one_trial_point_per_barrier_evaluation(self, fit, cfg, barrier_evals):
         # Most Newton steps are accepted at full length, so a run evaluates

@@ -1,4 +1,5 @@
 import math
+import operator
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from semrelay.subproblems import (
     DIST_MARGIN_FRAC,
     ETA_CAP_FACTOR,
     TOL_SUB,
+    _Block,
     _newton_dx,
     _solve,
     rate_scale,
@@ -52,6 +54,57 @@ def _random_cases(n=3, seed=3):
         p, fit = random_params(rng), random_fit(rng)
         a_br = min(0.5, 0.5 * float(max_semantic_bandwidth(p, fit, p.D / 2.0)) / p.W)
         yield p, fit, (p.D / 2.0, p.D / 2.0), (a_br, 1.0 - a_br)
+
+
+def _hex(sol):
+    """Every field of a block solution, each float as float.hex: the warm
+    state's point and slacks, but not its block, which a solve without a
+    warm state builds anew."""
+    return (sol.status, sol.objective.hex(), {k: v.hex() for k, v in sol.point.items()},
+            [[v.hex() for v in part] for part in sol.warm[:2]])
+
+
+def _built(slacks, partials, missing, w, hat):
+    """The block program of (slacks, partials, missing), refreshed to w and
+    hat; the transcription `primal_dual_warm_point` takes the same
+    arguments."""
+    program = subproblems._program(slacks, partials, missing)
+    program.refresh(w, hat)
+    return program
+
+
+def _synthetic_block(program, start, R0=1.0):
+    """A `_Block` of program, whose refresh leaves the program as it is and
+    returns start, for `_solve(block, warm)`."""
+    return _Block(program, lambda: start, ("x0", "x1", "x2"), R0)
+
+
+def _record_programs(m, on_warm_point=lambda record, call: None):
+    """Patch subproblems._program, through the monkeypatch m, to log each
+    program that a block builds as a record [args, program] in the returned
+    list, with args the arguments of `_built` at the program's last
+    refresh. Each warm_point call of the program first calls
+    on_warm_point(record, call), with call its arguments."""
+    made = []
+    build = subproblems._program
+
+    def recording(slacks, partials, missing):
+        program = build(slacks, partials, missing)
+        record = [None, program]
+
+        def refresh(w, hat):
+            record[0] = (slacks, partials, missing, w, hat)
+            program.refresh(w, hat)
+
+        def warm_point(*call):
+            on_warm_point(record, call)
+            return program.warm_point(*call)
+
+        made.append(record)
+        return program._replace(refresh=refresh, warm_point=warm_point)
+
+    m.setattr(subproblems, "_program", recording)
+    return made
 
 
 class TestSolvePlacement:
@@ -214,23 +267,12 @@ class TestNewtonDx:
 
 def _cold_calls(monkeypatch, p, f, d, alpha):
     """For each real block solved cold at the incumbent (d, alpha), as in
-    TestBlockDerivatives: the args and the `_Program` of its program, and
-    the arguments (z, s, t, max_steps) of its one primal-dual call, the
-    cold one."""
+    TestBlockDerivatives: the args (of `_built`) and the `_Program` of its
+    program, and the arguments (z, s, t, max_steps) of its one primal-dual
+    call, the cold one."""
     made = []
-    program = subproblems._program
-
-    def recording(*args):
-        made_program = program(*args)
-
-        def warm_point(*call):
-            made.append((args, made_program, *call))
-            return made_program.warm_point(*call)
-
-        return made_program._replace(warm_point=warm_point)
-
     with monkeypatch.context() as m:
-        m.setattr(subproblems, "_program", recording)
+        _record_programs(m, lambda record, call: made.append((*record, *call)))
         lp = _incumbent_lp(p, f, d, alpha)
         assert solve_placement(p, f, lp, alpha[1], d, 1000.0, 1e-4).status == "optimal"
         assert solve_bandwidth(p, f, lp, alpha, 1000.0).status == "optimal"
@@ -309,39 +351,36 @@ class TestBlockDerivatives:
     @staticmethod
     def _record(monkeypatch):
         """Patch subproblems._program and barrier.maximize to log
-        [program, x0, x] of every block solve into the returned list: its
+        [program, x0, x] of every block program into the returned list: its
         `_Program`, a strictly feasible point x0 away from the solution and
-        not centered, and the solution x, where the last centering ends.
-        From the start z of the solve's first primal-dual call (the
-        incumbent, with one slack 0, in a solve without a warm state), x0
-        lies 5% of the way to the center at t = 1 that primal-dual steps
-        reach from z: the slacks are concave, so a slack that is 0 at z is
-        positive there, and every other slack keeps most of its value.
-        Finite differences resolve the checks of _check_points at such
-        points; at 2% or 20% of the way, or towards the center at t = 10,
-        they lose the gradient in x2 at t = 1e4 or the Hessian near x at
-        t_final to rounding or truncation on one block or another."""
+        not centered, and the solution x, where the program's last
+        centering ends. From the start z of the program's first primal-dual
+        call (the incumbent, with one slack 0, in a solve without a warm
+        state), x0 lies 5% of the way to the center at t = 1 that
+        primal-dual steps reach from z: the slacks are concave, so a slack
+        that is 0 at z is positive there, and every other slack keeps most
+        of its value. Finite differences resolve the checks of
+        _check_points at such points; at 2% or 20% of the way, or towards
+        the center at t = 10, they lose the gradient in x2 at t = 1e4 or the
+        Hessian near x at t_final to rounding or truncation on one block or
+        another."""
         calls = []
-        program, maximize = subproblems._program, barrier.maximize
+        maximize = barrier.maximize
 
-        def recording_program(*args):
-            made = program(*args)
+        def first_call(record, call):
+            program = record[1]
+            if not any(entry[0] is program for entry in calls):
+                z, s = call[:2]
+                center = program.warm_point(z, s, 1.0, subproblems._PD_COLD_STEPS)
+                calls.append([program, np.add(z, 0.05 * np.subtract(center, z))])
 
-            def recording_warm_point(z, s, *rest):
-                if len(calls[-1]) == 1:
-                    center = made.warm_point(z, s, 1.0, subproblems._PD_COLD_STEPS)
-                    calls[-1].append(np.add(z, 0.05 * np.subtract(center, z)))
-                return made.warm_point(z, s, *rest)
-
-            calls.append([made._replace(warm_point=recording_warm_point)])
-            return calls[-1][0]
-
-        def recording_maximize(*args):
-            out = maximize(*args)
-            calls[-1][2:] = [np.asarray(out[0])]
+        def recording_maximize(eval_full, *args):
+            out = maximize(eval_full, *args)
+            entry = next(entry for entry in calls if entry[0].eval_full is eval_full)
+            entry[2:] = [np.asarray(out[0])]
             return out
 
-        monkeypatch.setattr(subproblems, "_program", recording_program)
+        _record_programs(monkeypatch, first_call)
         monkeypatch.setattr(barrier, "maximize", recording_maximize)
         return calls
 
@@ -501,7 +540,7 @@ class TestBlockDerivatives:
 
 
 class TestBlockProgram:
-    """`_solve`, the program that both barrier blocks instantiate, on a
+    """`_solve` of the program that both barrier blocks instantiate, on a
     synthetic instance: F1(x1) = x1, F2(x0, x2) = x2 + x0/2 and
     G(x0) = 1 - x0, each minus a concave quadratic when curved, with the
     bounds 0 < x0 < 0.3 and x1 > 0, and none on x2."""
@@ -523,8 +562,8 @@ class TestBlockProgram:
             return (1.0 - 2.0 * c * x1, -2.0 * c, 0.5 - d, 1.0 + d, -2.0 * c, 2.0 * c, -2.0 * c,
                     -1.0 - 2.0 * c * x0, -2.0 * c)
 
-        return _solve(slacks, partials, (0.0, 0.3, 0.0, -math.inf), 1.0, cls.HAT, z0,
-                      ("x0", "x1", "x2"), R0, warm)
+        program = _built(slacks, partials, 3, 1.0, cls.HAT)  # no bound on x2
+        return _solve(_synthetic_block(program, z0, R0), warm)
 
     def test_affine_instance_reaches_its_vertex(self):
         # y = min(x1, x2 + x0/2) with x2 = 1 - x0 at the optimum; along that
@@ -574,7 +613,8 @@ class TestKeptSlacks:
     def _solve_blocks(params, fit):
         """Both blocks on the default system and `_random_cases()`, as in
         TestBlockDerivatives, each solved cold and then warm from its own
-        warm state at half the penalty coefficient."""
+        warm state at half the penalty coefficient, through the same
+        program."""
         sols = []
         for p, f, d, alpha in [(params, fit, (50.0, 50.0), (0.3, 0.7)), *_random_cases()]:
             lp = _incumbent_lp(p, f, d, alpha)
@@ -700,18 +740,18 @@ class TestWarmStart:
         place, band = self._blocks(params, fit, (50.0, 50.0), (0.3, 0.7))
         for solve in (place, band):
             cold = solve()
-            assert solve(()) == cold
-            z, s = cold.warm
+            assert _hex(solve(())) == _hex(cold)
+            z, s, block = cold.warm
             # Slack variables three times the slacks, so duals a third of
             # 1/c_i: no primal-dual step may be taken, and the start is not
             # centered enough to skip them.
             with monkeypatch.context() as m:
                 m.setattr(subproblems, "_PD_MAX_STEPS", 0)
-                assert solve((z, [3.0 * si for si in s])) == cold
+                assert _hex(solve((z, [3.0 * si for si in s], block))) == _hex(cold)
         # alpha_ru < 0 lies outside the domain of the bandwidth block's
         # exact rate, where its partials are undefined.
-        z, s = band().warm
-        assert band(((z[0], -0.1, *z[2:]), s)) == band()
+        z, s, block = band().warm
+        assert _hex(band(((z[0], -0.1, *z[2:]), s, block))) == _hex(band())
 
     def test_infeasible_start_is_repaired(self, params, fit):
         # d_br < 0 lies outside the placement block's domain, but inside
@@ -719,19 +759,91 @@ class TestWarmStart:
         # primal-dual steps repair.
         place, _ = self._blocks(params, fit, (50.0, 50.0), (0.3, 0.7))
         cold = place()
-        z, s = cold.warm
-        warm = place(((-1.0, *z[1:]), s))
+        z, s, block = cold.warm
+        warm = place(((-1.0, *z[1:]), s, block))
         assert warm.status == "optimal"
         assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
 
     def test_path_is_not_mutated(self, params, fit):
         for solve in self._blocks(params, fit, (50.0, 50.0), (0.3, 0.7)):
-            z, s = solve().warm
-            state = ([*z[:-1], 0.99 * z[-1]], list(s))
-            before = [list(x) for x in state]
+            z, s, block = solve().warm
+            state = ([*z[:-1], 0.99 * z[-1]], list(s), block)
+            before = [list(x) for x in state[:2]]
             warm = solve(state)
-            assert [list(x) for x in state] == before
+            assert [list(x) for x in state[:2]] == before
             assert warm.warm[0] is not state[0] and warm.warm[1] is not state[1]
+
+
+class TestBlockReuse:
+    """A block is built at its run's first solve of it and travels in each
+    warm state (`subproblems._block`). A solve through a reused block
+    equals, bit for bit, a solve through a block newly built for the same
+    system from the same warm point and slacks."""
+
+    @staticmethod
+    def _solvers(p, f, alpha_floor=DEFAULT_ALPHA_FLOOR):
+        """For each block: its solve at the incumbent (d, alpha), with d and
+        alpha also the hat, as a function of (d, alpha, lam, warm), and the
+        builder and system (`_Block.made_for`) of its block."""
+        def place(d, alpha, lam, warm):
+            lp = _incumbent_lp(p, f, d, alpha)
+            return solve_placement(p, f, lp, alpha[1], d, lam, 1e-4, warm)
+
+        def band(d, alpha, lam, warm):
+            lp = _incumbent_lp(p, f, d, alpha)
+            return solve_bandwidth(p, f, lp, alpha, lam, alpha_floor, warm)
+
+        return ((place, (subproblems._placement_block, p, f)),
+                (band, (subproblems._bandwidth_block, p, f, alpha_floor)))
+
+    def test_reused_block_matches_a_new_one(self, params, fit):
+        # Between the two solves the incumbent, lam and the hat move, and
+        # the second solve starts from the first one's final point z: a
+        # block that kept its program's last evaluation, the slacks at z
+        # under the old coefficients, would step from those.
+        for i, (p, f, d, alpha) in enumerate(
+                [(params, fit, (50.0, 50.0), (0.3, 0.7)), *_random_cases(n=8)]):
+            moved_d = (d[0] + 0.01 * p.D, d[1] - 0.01 * p.D)
+            moved_alpha = (0.98 * alpha[0], alpha[1] + 0.02 * alpha[0])
+            for solve, made_for in self._solvers(p, f):
+                first = solve(d, alpha, 1000.0, ())
+                z, s, block = first.warm
+                reused = solve(moved_d, moved_alpha, 900.0, first.warm)
+                assert reused.status == "optimal" and reused.warm[2] is block, i
+                new = subproblems._block((), *made_for)
+                assert new is not block and new.made_for == block.made_for
+                fresh = solve(moved_d, moved_alpha, 900.0, (z, s, new))
+                assert fresh.warm[2] is new, i
+                assert _hex(reused) == _hex(fresh), i
+
+    def test_warm_state_of_another_system_is_not_reused(self, params, fit):
+        # A warm state made for another p, fit or alpha_floor, compared by
+        # identity (an equal copy is another object), does not bring its
+        # block: the solve builds one for its own system, and gives what a
+        # block newly built for that system gives from the same warm point
+        # and slacks.
+        d, alpha = (50.0, 50.0), (0.3, 0.7)
+        warms = [solve(d, alpha, 1000.0, ()).warm for solve, _ in self._solvers(params, fit)]
+        # Each system, (p, fit, alpha_floor), and whether the placement and
+        # the bandwidth warm state bring their block; the placement block is
+        # made for (p, fit) alone.
+        systems = [
+            ((params, fit, DEFAULT_ALPHA_FLOOR), (True, True)),
+            ((SystemParams(W=2e6), fit, DEFAULT_ALPHA_FLOOR), (False, False)),
+            ((replace(params), fit, DEFAULT_ALPHA_FLOOR), (False, False)),
+            ((params, SigmoidFit(eps_bar=0.85), DEFAULT_ALPHA_FLOOR), (False, False)),
+            ((params, replace(fit), DEFAULT_ALPHA_FLOOR), (False, False)),
+            ((params, fit, 2e-6), (True, False)),
+            ((params, fit, float(str(DEFAULT_ALPHA_FLOOR))), (True, False)),
+        ]
+        for k, (system, reuses) in enumerate(systems):
+            for (solve, made_for), warm, reuse in zip(self._solvers(*system), warms, reuses):
+                got = solve(d, alpha, 1000.0, warm)
+                fresh = solve(d, alpha, 1000.0, (*warm[:2], subproblems._block((), *made_for)))
+                assert got.status == "optimal", k
+                assert _hex(got) == _hex(fresh), k
+                assert (got.warm[2] is warm[2]) == reuse, k
+                assert all(map(operator.is_, got.warm[2].made_for, made_for)), k
 
 
 class TestPrimalDualLoop:
@@ -769,29 +881,22 @@ class TestPrimalDualLoop:
     @staticmethod
     def _moved_programs(monkeypatch, p, f, d, alpha, shift=0.1):
         """For each real block: the program at the incumbent (d, alpha),
-        its final point, and the (args, program) of `_program` after d_br
-        moves by shift*D towards the user and alpha_br by shift of itself
-        towards alpha_ru."""
-        made = []
-        program = subproblems._program
-
-        def recording(*args):
-            made.append((args, program(*args)))
-            return made[-1][1]
-
-        monkeypatch.setattr(subproblems, "_program", recording)
+        its final point, and the args (of `_built`) and program of the
+        block built after d_br moves by shift*D towards the user and
+        alpha_br by shift of itself towards alpha_ru."""
         lp = _incumbent_lp(p, f, d, alpha)
         moved = _incumbent_lp(p, f, (d[0] + shift * p.D, d[1] - shift * p.D),
                               (alpha[0] * (1.0 - shift), alpha[1] + shift * alpha[0]))
         out = []
-        for solve in (lambda l: solve_placement(p, f, l, alpha[1], d, 1000.0, 1e-4),
-                      lambda l: solve_bandwidth(p, f, l, alpha, 1000.0)):
-            made.clear()
-            x = solve(lp).warm[0]
-            solve(moved)
-            (_, old), new = made
-            out.append((old, list(x), new))
-        monkeypatch.setattr(subproblems, "_program", program)
+        with monkeypatch.context() as m:
+            made = _record_programs(m)
+            for solve in (lambda l: solve_placement(p, f, l, alpha[1], d, 1000.0, 1e-4),
+                          lambda l: solve_bandwidth(p, f, l, alpha, 1000.0)):
+                made.clear()
+                x = solve(lp).warm[0]
+                solve(moved)
+                (_, old), new = made
+                out.append((old, list(x), new))
         return out
 
     def test_real_blocks_match_the_transcription(self, params, fit, monkeypatch):
@@ -825,12 +930,9 @@ class TestPrimalDualLoop:
 
     @staticmethod
     def _synthetic(missing, curve):
-        """(slacks, partials, bounds) of TestBlockProgram's instance with
+        """(slacks, partials, missing) of TestBlockProgram's instance with
         curvature curve and the bounds 0 < x0 < 0.3, x1 > 0 and x2 > 0, of
         which the one at index missing is left out."""
-        bounds = [0.0, 0.3, 0.0, 0.0]
-        bounds[missing] = math.inf if missing == 1 else -math.inf
-
         def slacks(x0, x1, x2, y):
             d = x0 - x2
             kept = [x0, 0.3 - x0, x1, x2]
@@ -843,22 +945,21 @@ class TestPrimalDualLoop:
             return (1.0 - 2.0 * curve * x1, -2.0 * curve, 0.5 - d, 1.0 + d, -2.0 * curve,
                     2.0 * curve, -2.0 * curve, -1.0 - 2.0 * curve * x0, -2.0 * curve)
 
-        return slacks, partials, tuple(bounds)
+        return slacks, partials, missing
 
     @pytest.mark.parametrize("missing", range(4))
     def test_synthetic_block_with_each_bound_missing(self, missing):
         # From halfway between the start and the solution of the instance
         # at curvature 1, with its slacks there, towards the center of the
         # instance at curvature 0.8 with another hat.
-        slacks, partials, bounds = self._synthetic(missing, 1.0)
+        old = _built(*self._synthetic(missing, 1.0), 1.0, (0.9, 0.5))
         start = (0.1, 0.3, 0.2)
-        sol = _solve(slacks, partials, bounds, 1.0, (0.9, 0.5), start, ("x0", "x1", "x2"), 1.0, ())
+        sol = _solve(_synthetic_block(old, start), ())
         assert sol.status == "optimal"
         x = sol.warm[0]
         z = [*(0.5 * (a + b) for a, b in zip(x, start)), x[3] - 0.05]
         args = (*self._synthetic(missing, 0.8), 1.0, (0.6, 0.8))
-        s = subproblems._program(slacks, partials, bounds, 1.0, (0.9, 0.5)).slacks(z)
-        got, steps = self._compare(args, subproblems._program(*args), z, s, 10.0)
+        got, steps = self._compare(args, _built(*args), z, old.slacks(z), 10.0)
         assert got is not None and steps >= 2, steps
 
     def test_negative_slacks_are_repaired(self, params, fit, monkeypatch):
