@@ -26,7 +26,9 @@ The line search halves the step from s = 1 until the Armijo test passes; a
 trial outside the domain fails it at -inf. It calls eval_value once per
 trial, and the next Newton step calls eval_full at the accepted trial, so a
 problem may keep the work of its last evaluation for the next call,
-provided its results depend on its arguments alone.
+provided its results depend on its arguments alone. The block programs
+keep one point: its slacks, their log-sum, and the subexpressions that
+the slacks share with the partials of eval_full's Newton system.
 """
 
 from __future__ import annotations

@@ -66,7 +66,7 @@ def rate_ru_coeffs(p: SystemParams, lp: LocalPoint, alpha_ru: float) -> Tangent:
     """Spectral efficiency log2(1 + snr) of the relay->user hop in
     u = path_factor(d_ru), where it is convex; tangent at lp.d_ru."""
     u_t = path_factor(p, lp.d_ru)
-    snr_t = snr_lin(p, p.P_r, lp.d_ru, alpha_ru)
+    snr_t = snr_lin(p, p.P_r, lp.d_ru, alpha_ru, u_t)
     return Tangent(u_t, math.log1p(snr_t) * _LOG2E, -(snr_t / u_t) * _LOG2E / (1.0 + snr_t))
 
 

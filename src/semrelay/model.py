@@ -171,16 +171,18 @@ def path_factor(p: SystemParams, d):
     return (d * d + p.H * p.H) ** (p.beta / 2.0)
 
 
-def snr_lin(p: SystemParams, power, d, alpha):
+def snr_lin(p: SystemParams, power, d, alpha, u=None):
     """Linear received SNR of a hop that sends at `power` over horizontal
     distance d in the bandwidth share alpha; the link budget of both hops.
+    u is path_factor(p, d), when the caller has it already.
 
     With H = 0 the path factor vanishes at d = 0 and the SNR is +inf, on
     floats as on arrays (where numpy's division gives the same limit). So
     it is where the denominator underflows to 0 although the path factor
     does not, as at d = 1e-155 with H = 0 and beta = 2.
     """
-    u = path_factor(p, d)
+    if u is None:
+        u = path_factor(p, d)
     if isinstance(u, float) and u == 0.0:
         return math.inf
     den = u * alpha * p.W * p.n0_w_hz

@@ -23,7 +23,7 @@ and SNR in dB. TOL_SUB below is relative to that rate scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from operator import is_, itemgetter
 from typing import Callable, NamedTuple
 
@@ -43,6 +43,7 @@ from semrelay.model import (
     SystemParams,
     logistic_v,
     min_snr_threshold_db,
+    path_factor,
     semantic_bit_rate,
     snr_lin,
 )
@@ -84,8 +85,7 @@ _S_FLOOR = 1e-3
 DIST_MARGIN_FRAC = 1e-3
 
 
-@dataclass(frozen=True)
-class SubproblemSolution:
+class SubproblemSolution(NamedTuple):
     """Result of one convex block solve."""
 
     point: dict[str, float]
@@ -161,7 +161,10 @@ def _program(slacks, partials, missing) -> _Program:
     missing one, and partials(x0, x1, x2), the partials (F1', F1'', F2_0,
     F2_2, F2_00, F2_02, F2_22, G', G''); the cap is added here. y needs no
     lower bound: it is maximized and F1 and F2 bound it from above, so the
-    barrier objective falls to -inf as y -> -inf.
+    barrier objective falls to -inf as y -> -inf. The program calls
+    partials only at the point of its last slacks call, so a block's
+    partials may take the subexpressions they share with its slacks from
+    that call.
 
     A block builds its program once per run (`_Block`). Before each solve
     it puts that solve's tangent coefficients into the cells that slacks
@@ -200,7 +203,8 @@ def _program(slacks, partials, missing) -> _Program:
     # evaluation needed it: the accepted trial of a line search comes back
     # as the next Newton step's point, a centered point as the next
     # centering's start, and the point the primal-dual steps reach as the
-    # centering's start. The key is a copy, so a point changed in place is
+    # centering's start. It is the one point whose slacks the block's
+    # partials can read. The key is a copy, so a point changed in place is
     # evaluated afresh; refresh drops it, since the slacks at a point change
     # with the coefficients.
     last_z = last_s = last_log = None
@@ -272,12 +276,11 @@ def _program(slacks, partials, missing) -> _Program:
         grad, dx = newton(x0, x1, t, partials(x0, x1, x2), i1, i2, i3, v, inv)
         return phi, grad, dx
 
-    def direction(x0, x1, x2, c, t, lam, s):
-        """step at z = (x0, x1, x2, y), with c the slacks there; the rho_i
-        = (1 - lam_i c_i)/s_i are r1 ... r7."""
+    def direction(x0, x1, x2, c, t, l1, l2, l3, l4, l5, l6, l7, s1, s2, s3, s4, s5, s6, s7):
+        """step at z = (x0, x1, x2, y), with c the slacks there, duals l1 ...
+        l7 and slack variables s1 ... s7, as one flat tuple (*dz, *ds,
+        *dlam); the rho_i = (1 - lam_i c_i)/s_i are r1 ... r7."""
         c1, c2, c3, c4, c5, c6, c7 = c
-        l1, l2, l3, l4, l5, l6, l7 = lam
-        s1, s2, s3, s4, s5, s6, s7 = s
         v1, v2, v3, v4, v5, v6, v7 = l1 / s1, l2 / s2, l3 / s3, l4 / s4, l5 / s5, l6 / s6, l7 / s7
         r1, r2, r3 = (1.0 - l1 * c1) / s1, (1.0 - l2 * c2) / s2, (1.0 - l3 * c3) / s3
         r4, r5 = (1.0 - l4 * c4) / s4, (1.0 - l5 * c5) / s5
@@ -292,15 +295,16 @@ def _program(slacks, partials, missing) -> _Program:
         dz0, dz1, dz2, dz3 = dz
         d1, d2, d3, d4, d5, d6, d7 = seven((f1 * dz1 - dz3, f2_0 * dz0 + f2_2 * dz2 - dz3,
                                             g * dz0 - dz2, dz0, -dz0, dz1, dz2, -dz3))
-        return (dz,
-                (c1 - s1 + d1, c2 - s2 + d2, c3 - s3 + d3, c4 - s4 + d4, c5 - s5 + d5,
-                 c6 - s6 + d6, c7 - s7 + d7),
-                (r1 - v1 * d1, r2 - v2 * d2, r3 - v3 * d3, r4 - v4 * d4, r5 - v5 * d5,
-                 r6 - v6 * d6, r7 - v7 * d7))
+        return (dz0, dz1, dz2, dz3,
+                c1 - s1 + d1, c2 - s2 + d2, c3 - s3 + d3, c4 - s4 + d4, c5 - s5 + d5,
+                c6 - s6 + d6, c7 - s7 + d7,
+                r1 - v1 * d1, r2 - v2 * d2, r3 - v3 * d3, r4 - v4 * d4, r5 - v5 * d5,
+                r6 - v6 * d6, r7 - v7 * d7)
 
     def step(z, t, lam, s):
         x0, x1, x2, _ = z
-        return direction(x0, x1, x2, slack_values(z), t, lam, s)
+        out = direction(x0, x1, x2, slack_values(z), t, *lam, *s)
+        return None if out is None else (out[:4], out[4:11], out[11:])
 
     def warm_point(z, s, t, max_steps):
         """A point that passes the center test at t (see _PD_CENTERED), by
@@ -308,13 +312,17 @@ def _program(slacks, partials, missing) -> _Program:
         variables s and duals 1/s. None when max_steps steps do not get
         there, a pivot is not positive, or the block's functions are
         undefined at an iterate."""
+        nonlocal last_z, last_s, last_log
         x0, x1, x2, y = z
         s1, s2, s3, s4, s5, s6, s7 = s
         l1, l2, l3, l4, l5, l6, l7 = (1.0 / s1, 1.0 / s2, 1.0 / s3, 1.0 / s4, 1.0 / s5, 1.0 / s6,
                                       1.0 / s7)
         lo, hi = 1.0 - _PD_CENTERED, 1.0 + _PD_CENTERED
         for k in range(max_steps + 1):
-            c = slack_values(z)
+            # Each iterate is evaluated once, as the program's last evaluation.
+            last_z = z = (x0, x1, x2, y)
+            last_s = c = (*slacks(x0, x1, x2, y), cap - y)
+            last_log = None
             # A slack that is -inf or a leading NaN: outside the domain of the
             # block's functions, where the partials are undefined.
             if not min(c) > -inf:
@@ -322,25 +330,33 @@ def _program(slacks, partials, missing) -> _Program:
             # |lam_i c_i - 1| < _PD_CENTERED; lam stays positive, so every
             # slack is then positive too.
             c1, c2, c3, c4, c5, c6, c7 = c
-            lc = (l1 * c1, l2 * c2, l3 * c3, l4 * c4, l5 * c5, l6 * c6, l7 * c7)
-            if lo < min(lc) and max(lc) < hi:
+            if (lo < l1 * c1 < hi and lo < l2 * c2 < hi and lo < l3 * c3 < hi and lo < l4 * c4 < hi
+                    and lo < l5 * c5 < hi and lo < l6 * c6 < hi and lo < l7 * c7 < hi):
                 return z
             if k == max_steps:
                 return None
-            out = direction(x0, x1, x2, c, t, (l1, l2, l3, l4, l5, l6, l7),
-                            (s1, s2, s3, s4, s5, s6, s7))
+            out = direction(x0, x1, x2, c, t, l1, l2, l3, l4, l5, l6, l7, s1, s2, s3, s4, s5, s6, s7)
             if out is None:
                 return None
-            (dz0, dz1, dz2, dz3), (d1, d2, d3, d4, d5, d6, d7), (e1, e2, e3, e4, e5, e6, e7) = out
+            dz0, dz1, dz2, dz3, d1, d2, d3, d4, d5, d6, d7, e1, e2, e3, e4, e5, e6, e7 = out
             # The longest step that keeps s and lam positive, cut back.
             room = inf
-            for x, dx in ((s1, d1), (s2, d2), (s3, d3), (s4, d4), (s5, d5), (s6, d6), (s7, d7),
-                          (l1, e1), (l2, e2), (l3, e3), (l4, e4), (l5, e5), (l6, e6), (l7, e7)):
-                if dx < 0.0 and -x / dx < room:
-                    room = -x / dx
+            if d1 < 0.0 and -s1 / d1 < room: room = -s1 / d1
+            if d2 < 0.0 and -s2 / d2 < room: room = -s2 / d2
+            if d3 < 0.0 and -s3 / d3 < room: room = -s3 / d3
+            if d4 < 0.0 and -s4 / d4 < room: room = -s4 / d4
+            if d5 < 0.0 and -s5 / d5 < room: room = -s5 / d5
+            if d6 < 0.0 and -s6 / d6 < room: room = -s6 / d6
+            if d7 < 0.0 and -s7 / d7 < room: room = -s7 / d7
+            if e1 < 0.0 and -l1 / e1 < room: room = -l1 / e1
+            if e2 < 0.0 and -l2 / e2 < room: room = -l2 / e2
+            if e3 < 0.0 and -l3 / e3 < room: room = -l3 / e3
+            if e4 < 0.0 and -l4 / e4 < room: room = -l4 / e4
+            if e5 < 0.0 and -l5 / e5 < room: room = -l5 / e5
+            if e6 < 0.0 and -l6 / e6 < room: room = -l6 / e6
+            if e7 < 0.0 and -l7 / e7 < room: room = -l7 / e7
             a = min(1.0, _PD_STEP_FRACTION * room)
             x0, x1, x2, y = x0 + a * dz0, x1 + a * dz1, x2 + a * dz2, y + a * dz3
-            z = (x0, x1, x2, y)
             s1, s2, s3, s4, s5, s6, s7 = (s1 + a * d1, s2 + a * d2, s3 + a * d3, s4 + a * d4,
                                           s5 + a * d5, s6 + a * d6, s7 + a * d7)
             l1, l2, l3, l4, l5, l6, l7 = (l1 + a * e1, l2 + a * e2, l3 + a * e3, l4 + a * e4,
@@ -351,9 +367,10 @@ def _program(slacks, partials, missing) -> _Program:
 
 class _Block(NamedTuple):
     """A barrier block of one run: its program, built at the run's first
-    solve of the block, and refresh(...), which puts one solve's tangent
-    coefficients, w and hat into it and returns the solve's start (see
-    `_solve`), or None when the block is infeasible at the incumbent."""
+    solve of the block, and refresh(cold, ...), which puts one solve's
+    tangent coefficients, w and hat into it and returns the solve's start
+    (see `_solve`), or None when the block is infeasible at the incumbent;
+    cold tells whether the steps start there."""
 
     program: _Program
     refresh: Callable
@@ -362,14 +379,13 @@ class _Block(NamedTuple):
     made_for: tuple = ()  # (builder, p, fit, ...), set by `_block`
 
 
-def _block(warm, build, *made_for) -> _Block:
-    """The block of the warm state warm when build made it for the same
-    objects made_for (p, fit, ...), compared by identity; else a new one,
-    build(*made_for)."""
-    key = (build, *made_for)
-    if warm and all(map(is_, warm[2].made_for, key)):
+def _block(warm, *made_for) -> _Block:
+    """The block of the warm state warm when it was made for made_for =
+    (build, p, fit, ...), compared by identity; else a new one,
+    build(p, fit, ...)."""
+    if warm and all(map(is_, warm[2].made_for, made_for)):
         return warm[2]
-    return build(*made_for)._replace(made_for=key)
+    return made_for[0](*made_for[1:])._replace(made_for=made_for)
 
 
 def _solve(block, warm, *incumbent) -> SubproblemSolution:
@@ -386,10 +402,11 @@ def _solve(block, warm, *incumbent) -> SubproblemSolution:
     start cold from z0 = (*start, y0), with start = (x0, x1, x2) the
     block's incumbent, as refresh returns it, and y0 = min(F1, F2,
     ETA_CAP_FACTOR) there, and with the slacks at z0, each raised to at
-    least _S_FLOOR, as slack variables. When the cold steps fail too, the
-    solve returns z0 unmoved, as "max-iter".
+    least _S_FLOOR, as slack variables; the block is refreshed for a cold
+    start first. When the cold steps fail too, the solve returns z0
+    unmoved, as "max-iter".
     """
-    start = block.refresh(*incumbent)
+    start = block.refresh(not warm, *incumbent)
     if start is None:
         return SubproblemSolution({}, -math.inf, "infeasible")
     program = block.program
@@ -399,14 +416,16 @@ def _solve(block, warm, *incumbent) -> SubproblemSolution:
     if z is not None:
         z, ok = barrier.maximize(program.eval_full, program.eval_value, z, m, TOL_SUB)
     if z is None or not ok:
+        if warm:
+            block.refresh(True, *incumbent)  # the coefficients of a cold start
         z = (*start, min(*program.slacks((*start, 0.0))[:2], ETA_CAP_FACTOR))
         s = [max(c, _S_FLOOR) for c in program.slacks(z)]
         z_pd = program.warm_point(z, s, t_final, _PD_COLD_STEPS)
         z, ok = (z, False) if z_pd is None else barrier.maximize(
             program.eval_full, program.eval_value, z_pd, m, TOL_SUB)
-    point = dict(zip(block.names, z))
-    point["eta"] = z[-1] * block.R0
-    objective = program.objective(*z) * block.R0
+    (n0, n1, n2), (x0, x1, x2, y), R0 = block.names, z, block.R0
+    point = {n0: x0, n1: x1, n2: x2, "eta": y * R0}
+    objective = program.objective(x0, x1, x2, y) * R0
     if not ok:
         return SubproblemSolution(point, objective, "max-iter")
     return SubproblemSolution(point, objective, "optimal", (tuple(z), program.slacks(z), block))
@@ -414,19 +433,22 @@ def _solve(block, warm, *incumbent) -> SubproblemSolution:
 
 def _placement_block(p: SystemParams, fit: SigmoidFit) -> _Block:
     """The placement block of a run on (p, fit); see `solve_placement`."""
-    R0 = rate_scale(p, fit)
-    H2 = p.H * p.H
-    half_beta = p.beta / 2.0
-    gamma_min = min_snr_threshold_db(fit)
-    hb1, hb2, bm1, m_c1 = half_beta - 1.0, half_beta - 2.0, p.beta - 1.0, -fit.c1
-    margin = DIST_MARGIN_FRAC * p.D
-    # The tangent coefficients of the solve at hand, set by refresh.
+    R0, gamma_min = rate_scale(p, fit), min_snr_threshold_db(fit)
+    H, W, mu, beta, a1, a2, c1 = p.H, p.W, p.mu, p.beta, fit.a1, fit.a2, fit.c1
+    H2, half_beta, K_R0, margin = H * H, beta / 2.0, fit.K * R0, DIST_MARGIN_FRAC * p.D
+    hb1, hb2, bm1, m_c1 = half_beta - 1.0, half_beta - 2.0, beta - 1.0, -c1
+    u_margin = path_factor(p, margin)  # u at the cold start's lowest d_ru
+    # The tangent coefficients of the solve at hand, set by refresh, and
+    # what the last slacks call computed for partials (base and v).
     u_t = r_t = r_u = v_t = sig_t = sig_v = a1c = b2 = q3 = cap_peak = f1_c = f2_c = g_00 = 0.0
+    base = v = 0.0
 
     def slacks(d_br, d_ru, gamma, y):
+        nonlocal base, v
+        base, v = d_ru * d_ru + H2, logistic_v(fit, gamma)
         return (
-            a1c * (r_t + r_u * ((d_ru * d_ru + H2) ** half_beta - u_t)) - y,
-            b2 * (fit.a1 + fit.a2 * (sig_t + sig_v * (logistic_v(fit, gamma) - v_t))) - y,
+            a1c * (r_t + r_u * (base ** half_beta - u_t)) - y,
+            b2 * (a1 + a2 * (sig_t + sig_v * (v - v_t))) - y,
             cap_peak - q3 * d_br * d_br - gamma,
             d_br,
             d_ru,
@@ -435,34 +457,38 @@ def _placement_block(p: SystemParams, fit: SigmoidFit) -> _Block:
 
     # F1 = a1c * (r_t + r_u * (u(d_ru) - u_t)) with u = (d_ru^2 + H^2)^(beta/2),
     # F2 = b2 * (a1 + a2 * logistic tangent(gamma)), G = cap_peak - q3 * d_br^2.
+    # The program calls partials at its last slacks point only, so they
+    # take d_ru^2 + H^2 and logistic_v(gamma) from that call.
     def partials(d_br, d_ru, gamma):
-        base = d_ru * d_ru + H2
-        f2_2 = f2_c * logistic_v(fit, gamma)
+        f2_2 = f2_c * v
         return (f1_c * d_ru * base ** hb1, f1_c * base ** hb2 * (bm1 * d_ru * d_ru + H2),
                 0.0, f2_2, 0.0, 0.0, m_c1 * f2_2, g_00 * d_br, g_00)
 
     program = _program(slacks, partials, 1)  # no upper bound on d_br
 
-    def refresh(lp, alpha_ru, aux, lam, nu):
+    def refresh(cold, lp, alpha_ru, aux, lam, nu):
         nonlocal u_t, r_t, r_u, v_t, sig_t, sig_v, a1c, b2, q3, cap_peak, f1_c, f2_c, g_00
         u_t, r_t, r_u = rate_ru_coeffs(p, lp, alpha_ru)
-        if not math.isfinite(r_u):
-            # At H = 0 an incumbent d_ru near 0 leaves u_t near 0 and the
-            # slope -inf. The tangent at the cold start's d_ru is finite, and
-            # as a tangent of a function convex in u it is still a global
-            # minorant.
+        at_margin = r_t + r_u * (u_margin - u_t)
+        if not (math.isfinite(at_margin) and (at_margin >= 0.0 or not cold)):
+            # The spectral efficiency log2(1 + snr) is >= 0, but its tangent
+            # at the incumbent is negative or not finite at the cold start's
+            # lowest d_ru: at H = 0 an incumbent d_ru near 0 leaves u_t near
+            # 0 and the slope -inf or about -1e148. The tangent at that d_ru
+            # is finite, and as a tangent of a function convex in u it is
+            # still a global minorant.
             u_t, r_t, r_u = rate_ru_coeffs(p, replace(lp, d_ru=margin), alpha_ru)
         v_t, sig_t, sig_v = logistic_coeffs(fit, lp)
-        y_t, _, l_y = log_path_coeffs(lp, p.H)
-        a1c = alpha_ru * p.W / R0
-        b2 = lp.alpha_br * p.W * p.mu / (fit.K * R0)
+        y_t, _, l_y = log_path_coeffs(lp, H)
+        a1c = alpha_ru * W / R0
+        b2 = lp.alpha_br * W * mu / K_R0
         # With the log-path tangent the SNR ceiling is a downward parabola in
         # d_br, cap_peak - q3 * d_br^2, equal to lp.gamma_br_db at lp.d_br.
-        q3 = 5.0 * p.beta * l_y
+        q3 = 5.0 * beta * l_y
         cap_peak = lp.gamma_br_db + q3 * y_t
         if cap_peak <= gamma_min + 1e-12:
             return None
-        f1_c, f2_c, g_00 = a1c * r_u * p.beta, -b2 * fit.a2 * sig_v * fit.c1, -2.0 * q3
+        f1_c, f2_c, g_00 = a1c * r_u * beta, -b2 * a2 * sig_v * c1, -2.0 * q3
         program.refresh(nu / (2.0 * lam * R0), aux)
         return lp.d_br, max(lp.d_ru, margin), lp.gamma_br_db
 
@@ -501,19 +527,22 @@ def _bandwidth_block(p: SystemParams, fit: SigmoidFit, alpha_floor: float) -> _B
     `solve_bandwidth`."""
     R0 = rate_scale(p, fit)
     gamma_min = min_snr_threshold_db(fit)
-    wr = p.W / R0
+    wr, a1, a2, c1 = p.W / R0, fit.a1, fit.a2, fit.c1
     q2 = p.W * p.mu / (4.0 * fit.K * R0)
-    f2_00, m_wr, m_a2, m_c1 = -2.0 * q2, -wr, -fit.a2, -fit.c1
-    # The tangent coefficients of the solve at hand, set by refresh.
+    f2_00, m_wr, m_a2, m_c1 = -2.0 * q2, -wr, -a2, -c1
+    # The tangent coefficients of the solve at hand, set by refresh, and
+    # what the last slacks call computed for partials (v and l1p).
     c_ru = x_t = sq_t = sq_x = v_t = sig_t = sig_v = a_t = cap_a = g_t = a_max = 0.0
-    f1_11c = g_c = g_2c = 0.0
+    f1_11c = g_c = g_2c = v = l1p = 0.0
 
     def slacks(a_br, a_ru, S, y):
+        nonlocal v, l1p
         v = logistic_v(fit, g_t + cap_a * (a_br - a_t))  # at the SNR ceiling
+        l1p = math.log1p(c_ru / a_ru) if a_ru > 0.0 else math.nan
         return (
-            wr * a_ru * math.log1p(c_ru / a_ru) / _LN2 - y if a_ru > 0.0 else -math.inf,
+            wr * a_ru * l1p / _LN2 - y if a_ru > 0.0 else -math.inf,
             q2 * (sq_t + sq_x * (a_br + S - x_t) - (a_br - S) * (a_br - S)) - y,
-            fit.a1 + fit.a2 * (sig_t + sig_v * (v - v_t)) - S,
+            a1 + a2 * (sig_t + sig_v * (v - v_t)) - S,
             a_br - alpha_floor,
             a_max - a_br,
             a_ru - alpha_floor,
@@ -521,16 +550,17 @@ def _bandwidth_block(p: SystemParams, fit: SigmoidFit, alpha_floor: float) -> _B
 
     # F1 = wr * a_ru * log2(1 + c_ru/a_ru), F2 = q2 * (square tangent(a_br + S)
     # - (a_br - S)^2), G = a1 + a2 * logistic tangent(SNR ceiling(a_br)), whose
-    # G'' = -c1 * cap_a * G'.
+    # G'' = -c1 * cap_a * G'. The program calls partials at its last slacks
+    # point only, so they take logistic_v and log1p(c_ru/a_ru) from that call.
     def partials(a_br, a_ru, S):
         ac, d2 = a_ru + c_ru, 2.0 * (a_br - S)
-        g = g_c * logistic_v(fit, g_t + cap_a * (a_br - a_t))
-        return (wr * (math.log1p(c_ru / a_ru) - c_ru / ac) / _LN2, f1_11c / (a_ru * ac * ac * _LN2),
+        g = g_c * v
+        return (wr * (l1p - c_ru / ac) / _LN2, f1_11c / (a_ru * ac * ac * _LN2),
                 q2 * (sq_x - d2), q2 * (sq_x + d2), f2_00, -f2_00, f2_00, g, g_2c * g)
 
     program = _program(slacks, partials, 3)  # no lower bound on S
 
-    def refresh(lp, aux, lam):
+    def refresh(cold, lp, aux, lam):
         nonlocal c_ru, x_t, sq_t, sq_x, v_t, sig_t, sig_v, a_t, cap_a, g_t, a_max, f1_11c, g_c, g_2c
         c_ru = snr_lin(p, p.P_r, lp.d_ru, 1.0)  # SNR times alpha_ru
         x_t, sq_t, sq_x = square_coeffs(lp)
@@ -541,7 +571,7 @@ def _bandwidth_block(p: SystemParams, fit: SigmoidFit, alpha_floor: float) -> _B
         a_max = a_t + (gamma_min - g_t) / cap_a  # the ceiling meets gamma_min
         if a_max <= alpha_floor:
             return None
-        f1_11c, g_c, g_2c = m_wr * c_ru * c_ru, m_a2 * sig_v * fit.c1 * cap_a, m_c1 * cap_a
+        f1_11c, g_c, g_2c = m_wr * c_ru * c_ru, m_a2 * sig_v * c1 * cap_a, m_c1 * cap_a
         program.refresh(1.0 / (2.0 * lam * R0), aux)
         # The incumbent alpha_ru is not part of the expansion point, so the
         # auxiliary copy seeds that coordinate.

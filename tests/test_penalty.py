@@ -236,7 +236,7 @@ class TestRunEdges:
         def one_max_iter(*args):
             sol = solve_placement(*args)
             calls.append(None)
-            return dataclasses.replace(sol, status="max-iter", warm=()) if len(calls) == 5 else sol
+            return sol._replace(status="max-iter", warm=()) if len(calls) == 5 else sol
 
         monkeypatch.setattr(penalty, "solve_placement", one_max_iter)
         report = run(SystemParams(W=1e5), fit, cfg)
@@ -328,6 +328,50 @@ class TestRandomSystems:
                 if report.status == "converged":
                     assert is_feasible(p, f, report.best), (seed, i)
                     assert effective_rate(p, f, report.best) == report.best.eta, (seed, i)
+
+
+def _unit_cases():
+    """The default system at W = 1e6 and systems 0-3 of the rng 7 draw."""
+    cases = [("default", SystemParams(), SigmoidFit())]
+    rng = np.random.default_rng(7)
+    for i in range(4):
+        cases.append((f"rng7-{i}", random_params(rng), random_fit(rng)))
+    return cases
+
+
+class TestUnitInvariance:
+    """Metamorphic tests (Chen et al., "Metamorphic testing: a review of
+    challenges and opportunities", ACM Comput. Surv. 51(1), 2018): two
+    changes of units that leave every SNR and rate as they are leave the
+    status, phases and cycles of `run` as they are, and eta within 1e-9
+    relative. The distance rescale holds only with nu divided by 100, as
+    nu weighs the distance penalty in m^2 (ROADMAP item 8). The rate
+    rescale, W times k with N0 divided by k, adds phases today, because
+    lambda0 is absolute, so it waits for that item."""
+
+    _base = {}
+
+    @classmethod
+    def _check(cls, name, p, f, cfg, scaled, scaled_cfg):
+        if name not in cls._base:
+            cls._base[name] = run(p, f, cfg)
+        base, got = cls._base[name], run(scaled, f, scaled_cfg)
+        assert (got.status, got.outer_iters, got.inner_iters) == (
+            base.status, base.outer_iters, base.inner_iters), name
+        assert got.best.eta == pytest.approx(base.best.eta, rel=1e-9, abs=0.0), name
+
+    @pytest.mark.parametrize("name,p,f", _unit_cases(), ids=[c[0] for c in _unit_cases()])
+    def test_powers_and_noise_times_ten(self, name, p, f, cfg):
+        scaled = dataclasses.replace(p, P_b=10.0 * p.P_b, P_r=10.0 * p.P_r,
+                                     N0_dbm_hz=p.N0_dbm_hz + 10.0)
+        self._check(name, p, f, cfg, scaled, cfg)
+
+    @pytest.mark.parametrize("name,p,f", _unit_cases(), ids=[c[0] for c in _unit_cases()])
+    def test_distances_times_ten(self, name, p, f, cfg):
+        # Distances times 10 scale the path factor by 10^beta, and rho0 by
+        # 10^beta (+10 beta dB) takes it back.
+        scaled = dataclasses.replace(p, D=10.0 * p.D, H=10.0 * p.H, rho0_db=p.rho0_db + 10.0 * p.beta)
+        self._check(name, p, f, cfg, scaled, dataclasses.replace(cfg, nu=cfg.nu / 100.0))
 
 
 class TestConfigValidation:

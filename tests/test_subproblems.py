@@ -14,6 +14,7 @@ from semrelay.model import (
     bit_rate_ru,
     max_semantic_bandwidth,
     min_snr_threshold_db,
+    path_factor,
     semantic_bit_rate,
     semantic_similarity,
     snr_br_db,
@@ -76,7 +77,7 @@ def _built(slacks, partials, missing, w, hat):
 def _synthetic_block(program, start, R0=1.0):
     """A `_Block` of program, whose refresh leaves the program as it is and
     returns start, for `_solve(block, warm)`."""
-    return _Block(program, lambda: start, ("x0", "x1", "x2"), R0)
+    return _Block(program, lambda cold: start, ("x0", "x1", "x2"), R0)
 
 
 def _record_programs(m, on_warm_point=lambda record, call: None):
@@ -154,30 +155,52 @@ class TestSolvePlacement:
     def test_degenerate_relay_user_tangent_is_taken_at_the_margin(self, fit):
         # At H = 0 the default run reaches an incumbent with d_ru = 4e-50 at
         # alpha_ru = 2e-6. The relay->user tangent there has u_t = 6e-149
-        # and slope -inf, so F1 would be -inf or NaN at every d_ru. The
-        # block takes the tangent at the cold start's d_ru, DIST_MARGIN_FRAC
-        # * D, instead, and is solved: its rate stays below the exact
-        # relay->user rate, which that tangent bounds from below.
+        # and slope -inf, so F1 would be -inf or NaN at every d_ru. At
+        # alpha_ru = 0.7 the slope is finite, about -2e148, but the tangent
+        # is about -2e145 at the cold start's d_ru, DIST_MARGIN_FRAC * D,
+        # where the spectral efficiency it bounds is >= 0. In both cases the
+        # block takes the tangent at that d_ru instead, and is solved: its
+        # rate stays below the exact relay->user rate, which that tangent
+        # bounds from below.
         p = SystemParams(H=0.0)
-        d, alpha = (p.D / 2.0, 4e-50), (0.3, 2e-6)
-        lp = _incumbent_lp(p, fit, d, alpha)
-        assert math.isinf(rate_ru_coeffs(p, lp, alpha[1]).slope)
-        margin = replace(lp, d_ru=DIST_MARGIN_FRAC * p.D)
-        assert math.isfinite(rate_ru_coeffs(p, margin, alpha[1]).slope)
-        sol = solve_placement(p, fit, lp, alpha[1], d, 1000.0, 1e-4)
-        assert sol.status == "optimal" and sol.warm
-        assert 0.0 < sol.point["d_ru"] < p.D
-        assert sol.point["eta"] <= float(bit_rate_ru(p, sol.point["d_ru"], alpha[1])) * (1 + 1e-9)
-        # At alpha_ru = 0.7 the slope there is finite, -2e148, and the block
-        # keeps that tangent. F1 falls by about 1e150 from d_ru = 4e-50 to
-        # the start's d_ru, and the steps do not reach the center: the solve
-        # returns the start unmoved, d_ru at the margin, as "max-iter".
-        lp = _incumbent_lp(p, fit, d, (0.3, 0.7))
-        assert -math.inf < rate_ru_coeffs(p, lp, 0.7).slope < -1e148
-        sol = solve_placement(p, fit, lp, 0.7, d, 1000.0, 1e-4)
-        assert sol.status == "max-iter" and sol.warm == ()
-        assert (sol.point["d_br"], sol.point["d_ru"]) == (d[0], DIST_MARGIN_FRAC * p.D)
+        d = (p.D / 2.0, 4e-50)
+        margin_d_ru = DIST_MARGIN_FRAC * p.D
+        for alpha, slope_finite in (((0.3, 2e-6), False), ((0.3, 0.7), True)):
+            lp = _incumbent_lp(p, fit, d, alpha)
+            tangent = rate_ru_coeffs(p, lp, alpha[1])
+            assert math.isfinite(tangent.slope) == slope_finite, alpha
+            assert not tangent.at(path_factor(p, margin_d_ru)) > -1e140, alpha
+            margin = replace(lp, d_ru=margin_d_ru)
+            assert math.isfinite(rate_ru_coeffs(p, margin, alpha[1]).slope)
+            sol = solve_placement(p, fit, lp, alpha[1], d, 1000.0, 1e-4)
+            assert sol.status == "optimal" and sol.warm, alpha
+            assert 0.0 < sol.point["d_ru"] < p.D
+            assert sol.point["eta"] <= float(bit_rate_ru(p, sol.point["d_ru"], alpha[1])) * (1 + 1e-9)
 
+    def test_warm_solve_keeps_a_tangent_negative_at_the_margin(self, fit):
+        # A warm solve starts from the block's last point, not at the
+        # margin, and keeps the incumbent's relay->user tangent even where
+        # it is negative at the margin, as the default H = 0 run does in 251
+        # warm solves whose incumbent d_ru lies below the margin. A solve
+        # through a block newly built for the incumbent, from the same warm
+        # point and slacks, gives the same bits.
+        p = SystemParams(H=0.0)
+        d, alpha = (p.D - 0.01, 0.01), (0.3, 0.7)
+        lp = _incumbent_lp(p, fit, d, alpha)
+        tangent = rate_ru_coeffs(p, lp, alpha[1])
+        assert tangent.at(path_factor(p, DIST_MARGIN_FRAC * p.D)) < 0.0
+        first = solve_placement(p, fit, lp, alpha[1], d, 1000.0, 1e-4)
+        assert first.status == "optimal"
+        z, s, block = first.warm
+        warm = solve_placement(p, fit, lp, alpha[1], d, 900.0, 1e-4, first.warm)
+        fresh = solve_placement(p, fit, lp, alpha[1], d, 900.0, 1e-4,
+                                (z, s, subproblems._block((), subproblems._placement_block, p, fit)))
+        assert warm.status == "optimal" and _hex(warm) == _hex(fresh)
+        # The warm solve's rate at its point is the incumbent's tangent's.
+        a1c = alpha[1] * p.W / rate_scale(p, fit)
+        x = warm.warm[0]
+        assert warm.warm[1][0] == pytest.approx(
+            a1c * tangent.at(path_factor(p, x[1])) - x[3], rel=1e-9, abs=1e-12)
 
 class TestSolveBandwidth:
     def test_matches_grid_oracle(self, params, fit):
@@ -844,6 +867,104 @@ class TestBlockReuse:
                 assert _hex(got) == _hex(fresh), k
                 assert (got.warm[2] is warm[2]) == reuse, k
                 assert all(map(operator.is_, got.warm[2].made_for, made_for)), k
+
+
+def _bits(x):
+    """x with every float in it, however nested in tuples and lists, as
+    float.hex, so that == compares bits (0.0 and -0.0 differ)."""
+    if isinstance(x, float):
+        return x.hex()
+    return x if x is None else [_bits(v) for v in x]
+
+
+class TestSharedEvaluation:
+    """A block's partials take the subexpressions they share with its
+    slacks from the program's last slacks call: d_ru^2 + H^2 and
+    logistic_v(gamma) in the placement block, logistic_v at the SNR
+    ceiling and log1p(c_ru/a_ru) in the bandwidth block. Whatever the
+    program evaluated before, and after a refresh, eval_full and step at a
+    point see the partials, bit for bit, that a block newly built and
+    refreshed in the same way sees at its first evaluation of the point."""
+
+    T = 10.0
+
+    @staticmethod
+    def _blocks(p, f):
+        """For each block: its builder and system (`_Block.made_for`), and
+        its refresh arguments after the cold flag, as a function of the
+        incumbent (d, alpha), which is also the hat, and lam."""
+        def place(d, alpha, lam):
+            return _incumbent_lp(p, f, d, alpha), alpha[1], d, lam, 1e-4
+
+        def band(d, alpha, lam):
+            return _incumbent_lp(p, f, d, alpha), alpha, lam
+
+        return (((subproblems._placement_block, p, f), place),
+                ((subproblems._bandwidth_block, p, f, DEFAULT_ALPHA_FLOOR), band))
+
+    @classmethod
+    def _probe(cls, program, z, seen):
+        """eval_full and step of program at z, and the partials that each
+        of them computed."""
+        seen.clear()
+        full = program.eval_full(z, cls.T)
+        c = program.slacks(z)
+        step = program.step(z, cls.T, [2.0 / ci for ci in c], list(c))
+        assert len(seen) == 2, (z, program.slacks(z))  # z is inside the domain
+        return _bits((full, step, seen))
+
+    def test_partials_are_those_of_the_point(self, params, fit, monkeypatch):
+        seen = []
+        build = subproblems._program
+
+        def logging(slacks, partials, missing):
+            def logged(*x):
+                seen.append(partials(*x))
+                return seen[-1]
+
+            return build(slacks, logged, missing)
+
+        monkeypatch.setattr(subproblems, "_program", logging)
+        for i, (p, f, d, alpha) in enumerate(
+                [(params, fit, (50.0, 50.0), (0.3, 0.7)), *_random_cases()]):
+            moved_d = (d[0] + 0.01 * p.D, d[1] - 0.01 * p.D)
+            moved_alpha = (0.98 * alpha[0], alpha[1] + 0.02 * alpha[0])
+            for made_for, args in self._blocks(p, f):
+                block = subproblems._block((), *made_for)
+                sol = _solve(block, (), *args(d, alpha, 1000.0))
+                assert sol.status == "optimal", i
+                # Inside the domain of the block before and after the move:
+                # x0 (d_br or alpha_br) and x2 (gamma or S) off their
+                # constraints, and a lower rate.
+                program, x = block.program, sol.warm[0]
+                z1 = [0.95 * x[0], x[1], x[2] - 0.01 * abs(x[2]), x[3] - 0.05]
+                z2 = [0.99 * z1[0], 1.01 * z1[1], z1[2], z1[3] - 0.01]
+
+                def fresh(*refresh):
+                    new = subproblems._block((), *made_for)
+                    assert new.refresh(*refresh) is not None
+                    return self._probe(new.program, z1, seen)
+
+                first = self._probe(program, z1, seen)
+                assert first == fresh(True, *args(d, alpha, 1000.0)), i
+                # Other points between two evaluations of z1: the iterates of
+                # primal-dual steps, a trial, a Newton point.
+                s2 = [max(abs(c), 1e-3) for c in program.slacks(z2)]
+                between = (lambda: program.warm_point(z2, s2, self.T, 3),
+                           lambda: program.eval_value(z2, self.T),
+                           lambda: program.eval_full(z2, self.T))
+                for evaluate in between:
+                    assert self._probe(program, z1, seen) == first, i
+                    evaluate()
+                    assert self._probe(program, z1, seen) == first, i
+                # A refresh changes the coefficients at the same point.
+                block.refresh(False, *args(moved_d, moved_alpha, 900.0))
+                moved = self._probe(program, z1, seen)
+                assert moved == fresh(False, *args(moved_d, moved_alpha, 900.0)), i
+                assert moved != first, i
+                for evaluate in reversed(between):
+                    evaluate()
+                    assert self._probe(program, z1, seen) == moved, i
 
 
 class TestPrimalDualLoop:
