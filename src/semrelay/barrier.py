@@ -7,7 +7,8 @@ meets the requested gap (Boyd & Vandenberghe, *Convex Optimization*,
 §11.3). It follows no path. The block programs reach a point near that
 center first, by infeasible-start primal-dual steps at the same t
 (`warm_point` of `subproblems._program`, built once per run and block
-and refreshed for each solve), and solve its Newton system, whose
+by `placement_block` and `bandwidth_block` and refreshed for each solve,
+from the block's warm start or cold), and solve its Newton system, whose
 sparsity they know, in closed form. Everything is deterministic;
 no randomness, no iteration-order ambiguity.
 

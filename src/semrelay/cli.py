@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import io
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -141,6 +142,8 @@ def sweep_bandwidths(w_min: float, w_max: float, points: int, log_spacing: bool 
         raise ValueError("w_min must be positive")
     if w_max < w_min:
         raise ValueError("w_max must be at least w_min")
+    if not isinstance(points, numbers.Integral):
+        raise ValueError("points must be an integer")
     if points < 2:
         raise ValueError("points must be at least 2")
     if log_spacing:

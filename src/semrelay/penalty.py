@@ -33,6 +33,8 @@ from semrelay.model import (
 from semrelay.subproblems import (
     DIST_MARGIN_FRAC,
     ETA_CAP_FACTOR,
+    bandwidth_block,
+    placement_block,
     rate_scale,
     solve_auxiliary,
     solve_bandwidth,
@@ -68,6 +70,8 @@ class PenaltyConfig:
             raise ValueError("lambda0 must be positive")
         if not self.eps1 > 0:
             raise ValueError("eps1 must be positive")
+        if not self.inner_tol >= 0:
+            raise ValueError("inner_tol must not be negative")
         if self.max_inner < 1 or self.max_outer < 1:
             raise ValueError("iteration caps must be at least 1")
         if not self.nu > 0:
@@ -174,11 +178,9 @@ def run(
     # lp carries the incumbent to the blocks: d, alpha_br, and the SNR and
     # similarity recomputed from them.
     lp, eta = _tighten(p, fit, d, alpha, eta_cap)
-    # Each block's solve starts from the warm state of its previous solve:
-    # its final point and slacks, and the block itself, built at the run's
-    # first solve and refreshed for each later one. A solve that is not
-    # optimal leaves none, so the next rebuilds the block and starts cold.
-    pl_warm = bw_warm = ()
+    # The run's two blocks, each refreshed for every solve of it, and each
+    # keeping the warm start of its next solve.
+    pl_block, bw_block = placement_block(p, fit), bandwidth_block(p, fit, cfg.alpha_floor)
 
     lam = cfg.lambda0
     traces = []
@@ -191,15 +193,13 @@ def run(
         phase = [_p3_objective(eta, d, alpha, aux, lam, cfg.nu)]
         prev_obj = phase[0]
         for _cycle in range(cfg.max_inner):
-            pl = solve_placement(p, fit, lp, alpha[1], aux[0], lam, cfg.nu, pl_warm)
-            pl_warm = pl.warm
+            pl = solve_placement(pl_block, lp, alpha[1], aux[0], lam, cfg.nu)
             if pl.status != "infeasible":
                 d = (pl.point["d_br"], pl.point["d_ru"])
                 lp, eta = _tighten(p, fit, d, alpha, eta_cap)
                 phase.append(_p3_objective(eta, d, alpha, aux, lam, cfg.nu))
 
-            bw = solve_bandwidth(p, fit, lp, aux[1], lam, cfg.alpha_floor, bw_warm)
-            bw_warm = bw.warm
+            bw = solve_bandwidth(bw_block, lp, aux[1], lam)
             if bw.status != "infeasible":
                 alpha = (bw.point["alpha_br"], bw.point["alpha_ru"])
                 lp, eta = _tighten(p, fit, d, alpha, eta_cap)

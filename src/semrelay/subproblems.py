@@ -10,10 +10,11 @@ cold from the incumbent. Each block supplies its surrogates, built from
 the tangents in `bounds`, and that incumbent point. `_program` runs the
 barrier's callbacks and the primal-dual steps as scalar code on plain
 floats, in one fixed order over the seven slacks. A run builds each block
-once (`_Block`): its constants, its slack and partial functions and its
-program; each later solve only refreshes the tangent coefficients, the
-penalty weight and the hat that these read. The auxiliary block is a
-closed-form Euclidean projection.
+once (`placement_block`, `bandwidth_block`): its constants, its slack and
+partial functions and its program; each solve (`solve_placement`,
+`solve_bandwidth`) only refreshes the tangent coefficients, the penalty
+weight and the hat that these read, and the block keeps the warm start of
+its next solve. The auxiliary block is a closed-form Euclidean projection.
 
 Internally the rate variable is normalized by the semantic-hop ceiling
 W*mu*(a1+a2)/K so that tolerances are scale-free; distances stay in meters
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from operator import is_, itemgetter
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from semrelay import barrier
@@ -91,9 +92,6 @@ class SubproblemSolution(NamedTuple):
     point: dict[str, float]
     objective: float  # penalized block objective, bits/s
     status: str  # "optimal" | "max-iter" | "infeasible"
-    # When optimal, the next solve's warm state: (final point, its slacks,
-    # the block), the block built once per run (`_Block`).
-    warm: tuple = ()
 
 
 def rate_scale(p: SystemParams, fit: SigmoidFit) -> float:
@@ -166,7 +164,7 @@ def _program(slacks, partials, missing) -> _Program:
     partials may take the subexpressions they share with its slacks from
     that call.
 
-    A block builds its program once per run (`_Block`). Before each solve
+    A block builds its program once per run (`Block`). Before each solve
     it puts that solve's tangent coefficients into the cells that slacks
     and partials read, and calls refresh(w, hat), which sets w and hat and
     forgets the last evaluation.
@@ -365,47 +363,42 @@ def _program(slacks, partials, missing) -> _Program:
     return _Program(eval_full, eval_value, step, warm_point, slack_values, objective, refresh)
 
 
-class _Block(NamedTuple):
-    """A barrier block of one run: its program, built at the run's first
-    solve of the block, and refresh(cold, ...), which puts one solve's
-    tangent coefficients, w and hat into it and returns the solve's start
-    (see `_solve`), or None when the block is infeasible at the incumbent;
-    cold tells whether the steps start there."""
+class Block:
+    """A barrier block of one run: its program; refresh(cold, ...), which
+    puts one solve's tangent coefficients, w and hat into it and returns
+    the solve's start (see `_solve`), or None when the block is infeasible
+    at the incumbent, cold telling whether the steps start there; the
+    labels of (x0, x1, x2) in a solution's point; the rate unit R0
+    (`rate_scale`); and warm, the final point and slacks (z, s) of its last
+    solve when that was optimal, else (), from which its next solve
+    starts."""
 
-    program: _Program
-    refresh: Callable
-    names: tuple  # labels of (x0, x1, x2) in a solution's point
-    R0: float  # the rate unit, `rate_scale`
-    made_for: tuple = ()  # (builder, p, fit, ...), set by `_block`
+    __slots__ = ("program", "refresh", "names", "R0", "warm")
 
-
-def _block(warm, *made_for) -> _Block:
-    """The block of the warm state warm when it was made for made_for =
-    (build, p, fit, ...), compared by identity; else a new one,
-    build(p, fit, ...)."""
-    if warm and all(map(is_, warm[2].made_for, made_for)):
-        return warm[2]
-    return made_for[0](*made_for[1:])._replace(made_for=made_for)
+    def __init__(self, program: _Program, refresh: Callable, names: tuple, R0: float):
+        self.program, self.refresh, self.names, self.R0 = program, refresh, names, R0
+        self.warm = ()
 
 
-def _solve(block, warm, *incumbent) -> SubproblemSolution:
+def _solve(block, *incumbent) -> SubproblemSolution:
     """Refresh block at the incumbent and solve its program, or report it
     infeasible there; y is the rate in units of block.R0, and block.names
     label (x0, x1, x2) in the returned point.
 
     Primal-dual steps (`_Program.warm_point`) at t_final = m/TOL_SUB reach
     a point near the center there, and the barrier centers from it
-    (`barrier.maximize`). warm is the `SubproblemSolution.warm` of the
-    block's previous solve: its final point z and slacks s, from which the
-    steps start (its block is the caller's choice, `_block`). Without a
-    warm state, or when the warm steps or that centering fail, the steps
+    (`barrier.maximize`). The steps start from block.warm, the final point
+    z and slacks s of the block's last solve when that was optimal. Without
+    a warm start, or when the warm steps or that centering fail, the steps
     start cold from z0 = (*start, y0), with start = (x0, x1, x2) the
     block's incumbent, as refresh returns it, and y0 = min(F1, F2,
     ETA_CAP_FACTOR) there, and with the slacks at z0, each raised to at
     least _S_FLOOR, as slack variables; the block is refreshed for a cold
     start first. When the cold steps fail too, the solve returns z0
-    unmoved, as "max-iter".
+    unmoved, as "max-iter". The solve leaves its own final point and
+    slacks in block.warm when it is optimal, else ().
     """
+    warm, block.warm = block.warm, ()
     start = block.refresh(not warm, *incumbent)
     if start is None:
         return SubproblemSolution({}, -math.inf, "infeasible")
@@ -428,11 +421,12 @@ def _solve(block, warm, *incumbent) -> SubproblemSolution:
     objective = program.objective(x0, x1, x2, y) * R0
     if not ok:
         return SubproblemSolution(point, objective, "max-iter")
-    return SubproblemSolution(point, objective, "optimal", (tuple(z), program.slacks(z), block))
+    block.warm = (tuple(z), program.slacks(z))
+    return SubproblemSolution(point, objective, "optimal")
 
 
-def _placement_block(p: SystemParams, fit: SigmoidFit) -> _Block:
-    """The placement block of a run on (p, fit); see `solve_placement`."""
+def placement_block(p: SystemParams, fit: SigmoidFit) -> Block:
+    """The placement block of a run on (p, fit), for `solve_placement`."""
     R0, gamma_min = rate_scale(p, fit), min_snr_threshold_db(fit)
     H, W, mu, beta, a1, a2, c1 = p.H, p.W, p.mu, p.beta, fit.a1, fit.a2, fit.c1
     H2, half_beta, K_R0, margin = H * H, beta / 2.0, fit.K * R0, DIST_MARGIN_FRAC * p.D
@@ -492,18 +486,16 @@ def _placement_block(p: SystemParams, fit: SigmoidFit) -> _Block:
         program.refresh(nu / (2.0 * lam * R0), aux)
         return lp.d_br, max(lp.d_ru, margin), lp.gamma_br_db
 
-    return _Block(program, refresh, ("d_br", "d_ru", "gamma_br_db"), R0)
+    return Block(program, refresh, ("d_br", "d_ru", "gamma_br_db"), R0)
 
 
 def solve_placement(
-    p: SystemParams,
-    fit: SigmoidFit,
+    block: Block,
     lp: LocalPoint,
     alpha_ru: float,
     aux: tuple[float, float],
     lam: float,
     nu: float,
-    warm: tuple = (),
 ) -> SubproblemSolution:
     """Optimize (d_br, d_ru, gamma, eta) at the fixed split (lp.alpha_br,
     alpha_ru).
@@ -514,16 +506,15 @@ def solve_placement(
     must be the exact SNR at (lp.d_br, lp.alpha_br). Infeasible when no
     d_br admits the threshold at the fixed split, which signals that the
     bandwidth block must move first.
-    warm is the `SubproblemSolution.warm` of the block's previous solve,
-    from which the solve starts when it can (`_solve`), and whose block it
-    refreshes when that was built for this p and fit (`_block`); the
-    default builds the block and solves cold.
+    block is the run's `placement_block`; the solve starts from its warm
+    start when it can (`_solve`).
     """
-    return _solve(_block(warm, _placement_block, p, fit), warm, lp, alpha_ru, aux, lam, nu)
+    return _solve(block, lp, alpha_ru, aux, lam, nu)
 
 
-def _bandwidth_block(p: SystemParams, fit: SigmoidFit, alpha_floor: float) -> _Block:
-    """The bandwidth block of a run on (p, fit, alpha_floor); see
+def bandwidth_block(p: SystemParams, fit: SigmoidFit,
+                    alpha_floor: float = DEFAULT_ALPHA_FLOOR) -> Block:
+    """The bandwidth block of a run on (p, fit, alpha_floor), for
     `solve_bandwidth`."""
     R0 = rate_scale(p, fit)
     gamma_min = min_snr_threshold_db(fit)
@@ -577,17 +568,14 @@ def _bandwidth_block(p: SystemParams, fit: SigmoidFit, alpha_floor: float) -> _B
         # auxiliary copy seeds that coordinate.
         return lp.alpha_br, max(aux[1], 2.0 * alpha_floor), lp.similarity
 
-    return _Block(program, refresh, ("alpha_br", "alpha_ru", "S"), R0)
+    return Block(program, refresh, ("alpha_br", "alpha_ru", "S"), R0)
 
 
 def solve_bandwidth(
-    p: SystemParams,
-    fit: SigmoidFit,
+    block: Block,
     lp: LocalPoint,
     aux: tuple[float, float],
     lam: float,
-    alpha_floor: float = DEFAULT_ALPHA_FLOOR,
-    warm: tuple = (),
 ) -> SubproblemSolution:
     """Optimize (alpha_br, alpha_ru, S, eta) at the fixed placement
     (lp.d_br, lp.d_ru).
@@ -601,10 +589,9 @@ def solve_bandwidth(
     optimum and needs no variable of its own; the threshold becomes
     alpha_br < a_max, where the ceiling meets it. Infeasible when a_max is
     at or below the floor.
-    warm is as in `solve_placement`; its block is refreshed when it was
-    built for this p, fit and alpha_floor.
+    block is the run's `bandwidth_block`, as in `solve_placement`.
     """
-    return _solve(_block(warm, _bandwidth_block, p, fit, alpha_floor), warm, lp, aux, lam)
+    return _solve(block, lp, aux, lam)
 
 
 def solve_auxiliary(

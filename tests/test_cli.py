@@ -91,6 +91,16 @@ class TestLoadConfig:
         assert moved > base
         assert moved == pytest.approx(want, rel=1e-12)
 
+    def test_negative_inner_tol_rejected(self, tmp_path):
+        # A negative stall tolerance would make every phase run all
+        # max_inner cycles; 0 stops a phase only on an exact repeat.
+        with pytest.raises(ConfigError, match="inner_tol"):
+            build_config({"inner_tol": -1.0})
+        with pytest.raises(ConfigError, match="inner_tol"):
+            load_config(_write(tmp_path, "inner_tol=-1e-6\n"))
+        _, _, cfg = load_config(_write(tmp_path, "inner_tol=0\n", name="ok.txt"))
+        assert cfg.inner_tol == 0.0
+
     def test_integer_keys_must_be_integral(self, tmp_path):
         with pytest.raises(ConfigError, match="max_inner"):
             load_config(_write(tmp_path, "max_inner=10.5\n"))
@@ -209,6 +219,15 @@ class TestSweepCsv:
             sweep_bandwidths(0.0, 1e6, 3)
         with pytest.raises(ValueError):
             sweep_bandwidths(1e5, 1e6, 1)
+
+    def test_points_must_be_an_integer(self):
+        # numpy's logspace would take 2.5 only to fail in int() with a
+        # TypeError; an integral numpy scalar is an integer.
+        with pytest.raises(ValueError, match="points must be an integer"):
+            sweep_bandwidths(1e5, 1e7, 2.5)
+        with pytest.raises(ValueError, match="points must be an integer"):
+            sweep_bandwidths(1e5, 1e7, 3.0)
+        assert sweep_bandwidths(1e5, 1e7, np.int64(3)) == sweep_bandwidths(1e5, 1e7, 3)
 
     def test_compute_sweep_statuses_and_dominance(self, tmp_path):
         params, fit, cfg = build_config({"lambda0": 1e-6, "c": 0.5})

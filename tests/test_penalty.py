@@ -87,24 +87,22 @@ class TestRunDefaults:
         assert run(p, fit, cfg) == first
 
     def test_each_block_is_built_once_per_run(self, fit, cfg, monkeypatch):
-        # A block builds its program at its first solve of the run and
-        # refreshes it for every later one; a solve that returns no warm
-        # state makes the block's next solve build it anew (none does here).
-        builds, solves = [], {}
+        # A run builds its two blocks before its first solve and refreshes
+        # them for every solve. A solve that is not optimal clears its
+        # block's warm start, and the next solve starts cold in the same
+        # block: one placement solve ends "max-iter", and in a run on
+        # system 9 of the rng 7 draw both blocks are infeasible.
+        builds = []
         program = subproblems._program
         monkeypatch.setattr(subproblems, "_program",
                             lambda *args: builds.append(args) or program(*args))
-        for name in ("solve_placement", "solve_bandwidth"):
-            def recording(*args, solve=getattr(penalty, name), out=solves.setdefault(name, [])):
-                out.append(solve(*args))
-                return out[-1]
-
-            monkeypatch.setattr(penalty, name, recording)
+        calls = _fifth_placement_max_iter(monkeypatch)
         report = run(SystemParams(W=1e5), fit, cfg)
-        assert [len(out) for out in solves.values()] == [report.inner_iters] * 2
-        rebuilds = sum(not sol.warm for out in solves.values() for sol in out[:-1])
-        assert len(builds) == 2 + rebuilds
-        assert rebuilds == 0
+        assert len(calls) > 5 and report.max_iter_blocks == 1
+        assert len(builds) == 2
+        builds.clear()
+        assert run(*_standard_cases()["rng7-9"], cfg).status == "infeasible"
+        assert len(builds) == 2
 
     def test_at_most_one_trial_point_per_barrier_evaluation(self, fit, cfg, barrier_evals):
         # Most Newton steps are accepted at full length, so a run evaluates
@@ -113,6 +111,25 @@ class TestRunDefaults:
         # halved; at this W it evaluates 0.48 per Newton point.
         run(SystemParams(W=1e5), fit, cfg)
         assert 0 < barrier_evals.value <= barrier_evals.full, (barrier_evals.value, barrier_evals.full)
+
+
+def _fifth_placement_max_iter(monkeypatch):
+    """Patch penalty.solve_placement so that its fifth solve ends
+    "max-iter": with its point, and with its block's warm start cleared, as
+    a solve that is not optimal leaves it. Returns a list with one entry per
+    placement solve."""
+    calls = []
+
+    def one_max_iter(block, *args):
+        sol = solve_placement(block, *args)
+        calls.append(None)
+        if len(calls) != 5:
+            return sol
+        block.warm = ()
+        return sol._replace(status="max-iter")
+
+    monkeypatch.setattr(penalty, "solve_placement", one_max_iter)
+    return calls
 
 
 def _standard_cases():
@@ -230,15 +247,8 @@ class TestRunEdges:
 
     def test_max_iter_blocks_counts_each_unconverged_block(self, fit, cfg, monkeypatch):
         # One placement solve, the fifth, ends "max-iter" with its point and
-        # no warm state: the run goes on from that point and counts it.
-        calls = []
-
-        def one_max_iter(*args):
-            sol = solve_placement(*args)
-            calls.append(None)
-            return sol._replace(status="max-iter", warm=()) if len(calls) == 5 else sol
-
-        monkeypatch.setattr(penalty, "solve_placement", one_max_iter)
+        # no warm start: the run goes on from that point and counts it.
+        calls = _fifth_placement_max_iter(monkeypatch)
         report = run(SystemParams(W=1e5), fit, cfg)
         assert len(calls) > 5 and report.status == "converged"
         assert report.max_iter_blocks == 1
@@ -380,6 +390,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             PenaltyConfig(**{name: 2.5})
         assert getattr(PenaltyConfig(**{name: np.int64(3)}), name) == 3
+
+    @pytest.mark.parametrize("inner_tol", [-1.0, -1e-300])
+    def test_inner_tol_must_not_be_negative(self, inner_tol):
+        # The stall test |obj - prev_obj| <= inner_tol * ... could never
+        # pass, so every phase would run all max_inner cycles.
+        with pytest.raises(ValueError, match="inner_tol must not be negative"):
+            PenaltyConfig(inner_tol=inner_tol)
+        assert PenaltyConfig(inner_tol=0.0).inner_tol == 0.0
 
     def test_rejects_bad_scaling(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,4 @@
 import math
-import operator
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +8,6 @@ from semrelay import barrier, subproblems
 from semrelay.bounds import LocalPoint, rate_ru_coeffs
 from semrelay.model import (
     DEFAULT_ALPHA_FLOOR,
-    SigmoidFit,
     SystemParams,
     bit_rate_ru,
     max_semantic_bandwidth,
@@ -23,9 +21,11 @@ from semrelay.subproblems import (
     DIST_MARGIN_FRAC,
     ETA_CAP_FACTOR,
     TOL_SUB,
-    _Block,
+    Block,
     _newton_dx,
     _solve,
+    bandwidth_block,
+    placement_block,
     rate_scale,
     solve_auxiliary,
     solve_bandwidth,
@@ -57,12 +57,24 @@ def _random_cases(n=3, seed=3):
         yield p, fit, (p.D / 2.0, p.D / 2.0), (a_br, 1.0 - a_br)
 
 
-def _hex(sol):
-    """Every field of a block solution, each float as float.hex: the warm
-    state's point and slacks, but not its block, which a solve without a
-    warm state builds anew."""
+def _hex(sol, block):
+    """Every field of a block solution, and the warm start that its solve
+    left in block, each float as float.hex."""
     return (sol.status, sol.objective.hex(), {k: v.hex() for k, v in sol.point.items()},
-            [[v.hex() for v in part] for part in sol.warm[:2]])
+            [[v.hex() for v in part] for part in block.warm])
+
+
+def _solvers(p, f):
+    """For each barrier block of (p, f): a function that builds it anew,
+    and its solve at the incumbent (d, alpha), with d and alpha also the
+    hat, as a function of (block, d, alpha, lam)."""
+    def place(block, d, alpha, lam):
+        return solve_placement(block, _incumbent_lp(p, f, d, alpha), alpha[1], d, lam, 1e-4)
+
+    def band(block, d, alpha, lam):
+        return solve_bandwidth(block, _incumbent_lp(p, f, d, alpha), alpha, lam)
+
+    return (lambda: placement_block(p, f), place), (lambda: bandwidth_block(p, f), band)
 
 
 def _built(slacks, partials, missing, w, hat):
@@ -75,9 +87,9 @@ def _built(slacks, partials, missing, w, hat):
 
 
 def _synthetic_block(program, start, R0=1.0):
-    """A `_Block` of program, whose refresh leaves the program as it is and
-    returns start, for `_solve(block, warm)`."""
-    return _Block(program, lambda cold: start, ("x0", "x1", "x2"), R0)
+    """A `Block` of program, whose refresh leaves the program as it is and
+    returns start, for `_solve(block)`."""
+    return Block(program, lambda cold: start, ("x0", "x1", "x2"), R0)
 
 
 def _record_programs(m, on_warm_point=lambda record, call: None):
@@ -113,7 +125,7 @@ class TestSolvePlacement:
         for i, (p, f, d, alpha) in enumerate(
                 [(params, fit, (50.0, 50.0), (0.3, 0.7)), *_random_cases(n=8)]):
             lp = _incumbent_lp(p, f, d, alpha)
-            sol = solve_placement(p, f, lp, alpha[1], d, 1000.0, 1e-4)
+            sol = solve_placement(placement_block(p, f), lp, alpha[1], d, 1000.0, 1e-4)
             assert sol.status == "optimal", i
             cap = ETA_CAP_FACTOR * rate_scale(p, f)
             ref = placement_grid_oracle(p, f, lp, alpha, d, 1000.0, 1e-4, cap)
@@ -126,14 +138,14 @@ class TestSolvePlacement:
         alpha = (0.3, 0.7)
         aux = (42.0, 58.0)
         lp = _incumbent_lp(params, fit, aux, alpha)
-        sol = solve_placement(params, fit, lp, alpha[1], aux, 1e-12, 1e-4)
+        sol = solve_placement(placement_block(params, fit), lp, alpha[1], aux, 1e-12, 1e-4)
         assert sol.point["d_br"] == pytest.approx(aux[0], abs=1e-3)
         assert sol.point["d_ru"] == pytest.approx(aux[1], abs=1e-3)
 
     def test_surrogate_point_feasible_for_exact_constraints(self, params, fit):
         alpha = (0.4, 0.6)
         lp = _incumbent_lp(params, fit, (60.0, 40.0), alpha)
-        sol = solve_placement(params, fit, lp, alpha[1], (60.0, 40.0), 10.0, 1e-4)
+        sol = solve_placement(placement_block(params, fit), lp, alpha[1], (60.0, 40.0), 10.0, 1e-4)
         d_br, d_ru = sol.point["d_br"], sol.point["d_ru"]
         gamma_var, eta = sol.point["gamma_br_db"], sol.point["eta"]
         # lower-bound surrogates guarantee the exact rates dominate eta
@@ -149,7 +161,7 @@ class TestSolvePlacement:
         alpha = (0.9, 0.1)
         gamma = float(snr_br_db(p, 50.0, alpha[0]))
         lp = LocalPoint(50.0, 50.0, alpha[0], gamma, float(semantic_similarity(fit, gamma)))
-        sol = solve_placement(p, fit, lp, alpha[1], (50.0, 50.0), 1000.0, 1e-4)
+        sol = solve_placement(placement_block(p, fit), lp, alpha[1], (50.0, 50.0), 1000.0, 1e-4)
         assert sol.status == "infeasible"
 
     def test_degenerate_relay_user_tangent_is_taken_at_the_margin(self, fit):
@@ -172,8 +184,9 @@ class TestSolvePlacement:
             assert not tangent.at(path_factor(p, margin_d_ru)) > -1e140, alpha
             margin = replace(lp, d_ru=margin_d_ru)
             assert math.isfinite(rate_ru_coeffs(p, margin, alpha[1]).slope)
-            sol = solve_placement(p, fit, lp, alpha[1], d, 1000.0, 1e-4)
-            assert sol.status == "optimal" and sol.warm, alpha
+            block = placement_block(p, fit)
+            sol = solve_placement(block, lp, alpha[1], d, 1000.0, 1e-4)
+            assert sol.status == "optimal" and block.warm, alpha
             assert 0.0 < sol.point["d_ru"] < p.D
             assert sol.point["eta"] <= float(bit_rate_ru(p, sol.point["d_ru"], alpha[1])) * (1 + 1e-9)
 
@@ -189,18 +202,19 @@ class TestSolvePlacement:
         lp = _incumbent_lp(p, fit, d, alpha)
         tangent = rate_ru_coeffs(p, lp, alpha[1])
         assert tangent.at(path_factor(p, DIST_MARGIN_FRAC * p.D)) < 0.0
-        first = solve_placement(p, fit, lp, alpha[1], d, 1000.0, 1e-4)
+        block, new = placement_block(p, fit), placement_block(p, fit)
+        first = solve_placement(block, lp, alpha[1], d, 1000.0, 1e-4)
         assert first.status == "optimal"
-        z, s, block = first.warm
-        warm = solve_placement(p, fit, lp, alpha[1], d, 900.0, 1e-4, first.warm)
-        fresh = solve_placement(p, fit, lp, alpha[1], d, 900.0, 1e-4,
-                                (z, s, subproblems._block((), subproblems._placement_block, p, fit)))
-        assert warm.status == "optimal" and _hex(warm) == _hex(fresh)
+        new.warm = block.warm
+        warm = solve_placement(block, lp, alpha[1], d, 900.0, 1e-4)
+        fresh = solve_placement(new, lp, alpha[1], d, 900.0, 1e-4)
+        assert warm.status == "optimal" and _hex(warm, block) == _hex(fresh, new)
         # The warm solve's rate at its point is the incumbent's tangent's.
         a1c = alpha[1] * p.W / rate_scale(p, fit)
-        x = warm.warm[0]
-        assert warm.warm[1][0] == pytest.approx(
-            a1c * tangent.at(path_factor(p, x[1])) - x[3], rel=1e-9, abs=1e-12)
+        x, c = block.warm
+        assert c[0] == pytest.approx(a1c * tangent.at(path_factor(p, x[1])) - x[3],
+                                     rel=1e-9, abs=1e-12)
+
 
 class TestSolveBandwidth:
     def test_matches_grid_oracle(self, params, fit):
@@ -208,7 +222,7 @@ class TestSolveBandwidth:
         for i, (p, f, d, alpha) in enumerate(
                 [(params, fit, (50.0, 50.0), (0.5, 0.5)), *_random_cases(n=8)]):
             lp = _incumbent_lp(p, f, d, alpha)
-            sol = solve_bandwidth(p, f, lp, alpha, lam)
+            sol = solve_bandwidth(bandwidth_block(p, f), lp, alpha, lam)
             assert sol.status == "optimal", i
             cap = ETA_CAP_FACTOR * rate_scale(p, f)
             ref = bandwidth_grid_oracle(p, f, lp, d, alpha, lam, 1e-6, cap)
@@ -219,14 +233,14 @@ class TestSolveBandwidth:
         d = (50.0, 50.0)
         aux = (0.35, 0.65)
         lp = _incumbent_lp(params, fit, d, aux)
-        sol = solve_bandwidth(params, fit, lp, aux, 1e-12)
+        sol = solve_bandwidth(bandwidth_block(params, fit), lp, aux, 1e-12)
         assert sol.point["alpha_br"] == pytest.approx(aux[0], abs=1e-5)
         assert sol.point["alpha_ru"] == pytest.approx(aux[1], abs=1e-5)
 
     def test_relaxed_similarity_chain_holds(self, params, fit):
         d = (50.0, 50.0)
         lp = _incumbent_lp(params, fit, d, (0.5, 0.5))
-        sol = solve_bandwidth(params, fit, lp, (0.5, 0.5), 1000.0)
+        sol = solve_bandwidth(bandwidth_block(params, fit), lp, (0.5, 0.5), 1000.0)
         # the block's SNR is its ceiling tangent, which stays below the exact
         # SNR, so S stays below the exact similarity, and the point meets
         # the similarity floor
@@ -240,7 +254,7 @@ class TestSolveBandwidth:
         d = (95.0, 5.0)
         gamma = float(snr_br_db(p, d[0], 0.5))
         lp = LocalPoint(d[0], d[1], 0.5, gamma, float(semantic_similarity(fit, gamma)))
-        sol = solve_bandwidth(p, fit, lp, (0.5, 0.5), 1000.0)
+        sol = solve_bandwidth(bandwidth_block(p, fit), lp, (0.5, 0.5), 1000.0)
         assert sol.status == "infeasible"
 
 
@@ -296,9 +310,8 @@ def _cold_calls(monkeypatch, p, f, d, alpha):
     made = []
     with monkeypatch.context() as m:
         _record_programs(m, lambda record, call: made.append((*record, *call)))
-        lp = _incumbent_lp(p, f, d, alpha)
-        assert solve_placement(p, f, lp, alpha[1], d, 1000.0, 1e-4).status == "optimal"
-        assert solve_bandwidth(p, f, lp, alpha, 1000.0).status == "optimal"
+        for new, solve in _solvers(p, f):
+            assert solve(new(), d, alpha, 1000.0).status == "optimal"
     assert len(made) == 2
     return made
 
@@ -411,8 +424,8 @@ class TestBlockDerivatives:
         calls = self._record(monkeypatch)
         for p, f, d, alpha in [(params, fit, (50.0, 50.0), (0.3, 0.7)), *_random_cases()]:
             lp = _incumbent_lp(p, f, d, alpha)
-            solve_placement(p, f, lp, alpha[1], d, 1000.0, 1e-4)
-            solve_bandwidth(p, f, lp, alpha, 1000.0)
+            solve_placement(placement_block(p, f), lp, alpha[1], d, 1000.0, 1e-4)
+            solve_bandwidth(bandwidth_block(p, f), lp, alpha, 1000.0)
         assert [len(x0) for _, x0, _ in calls] == [4, 4] * 4
         for program, x0, x in calls:
             self._check_points(program, x0, x)
@@ -424,8 +437,8 @@ class TestBlockDerivatives:
         calls = self._record(monkeypatch)
         for p, f, d, alpha in [(params, fit, (50.0, 50.0), (0.3, 0.7)), *_random_cases()]:
             lp = _incumbent_lp(p, f, d, alpha)
-            solve_placement(p, f, lp, alpha[1], d, 1e-3, 1e-4)
-            solve_bandwidth(p, f, lp, alpha, 1e-3)
+            solve_placement(placement_block(p, f), lp, alpha[1], d, 1e-3, 1e-4)
+            solve_bandwidth(bandwidth_block(p, f), lp, alpha, 1e-3)
         for program, x0, x in calls:
             self._check_points(program, x0, x)
 
@@ -439,8 +452,8 @@ class TestBlockDerivatives:
         calls = self._record(monkeypatch)
         for p, f, d, alpha in [(params, fit, (50.0, 50.0), (0.3, 0.7)), *_random_cases()]:
             lp = _incumbent_lp(p, f, d, alpha)
-            solve_placement(p, f, lp, alpha[1], d, 1000.0, 1e-4)
-            solve_bandwidth(p, f, lp, alpha, 1000.0)
+            solve_placement(placement_block(p, f), lp, alpha[1], d, 1000.0, 1e-4)
+            solve_bandwidth(bandwidth_block(p, f), lp, alpha, 1000.0)
         t = 10.0
         for program, x0, x in calls:
             def slacks(v):
@@ -498,8 +511,8 @@ class TestBlockDerivatives:
         # (the rate F1 rises with alpha_ru, so alpha_ru alone stays inside).
         calls = self._record(monkeypatch)
         lp = _incumbent_lp(params, fit, (50.0, 50.0), (0.3, 0.7))
-        solve_placement(params, fit, lp, 0.7, (50.0, 50.0), 1000.0, 1e-4)
-        solve_bandwidth(params, fit, lp, (0.3, 0.7), 1000.0)
+        solve_placement(placement_block(params, fit), lp, 0.7, (50.0, 50.0), 1000.0, 1e-4)
+        solve_bandwidth(bandwidth_block(params, fit), lp, (0.3, 0.7), 1000.0)
         (pl, pl_x0, _), (bw, bw_x0, _) = calls
         (_, *pl_rest), (a_br, _, *bw_rest) = pl_x0.tolist(), bw_x0.tolist()
         outside = [(pl, [-1.0, *pl_rest])]
@@ -524,8 +537,8 @@ class TestBlockDerivatives:
         # Newton step raises the rate.
         calls = self._record(monkeypatch)
         lp = _incumbent_lp(params, fit, (50.0, 50.0), (0.3, 0.7))
-        solve_placement(params, fit, lp, 0.7, (50.0, 50.0), 1000.0, 1e-4)
-        solve_bandwidth(params, fit, lp, (0.3, 0.7), 1000.0)
+        solve_placement(placement_block(params, fit), lp, 0.7, (50.0, 50.0), 1000.0, 1e-4)
+        solve_bandwidth(bandwidth_block(params, fit), lp, (0.3, 0.7), 1000.0)
         assert len(calls) == 2
         for program, x0, _ in calls:
             z = [*x0[:-1].tolist(), -10.0 * ETA_CAP_FACTOR]
@@ -539,8 +552,8 @@ class TestBlockDerivatives:
         # domain; a later slack <= 0 must then not reach math.log.
         calls = self._record(monkeypatch)
         lp = _incumbent_lp(params, fit, (50.0, 50.0), (0.3, 0.7))
-        solve_placement(params, fit, lp, 0.7, (50.0, 50.0), 1000.0, 1e-4)
-        solve_bandwidth(params, fit, lp, (0.3, 0.7), 1000.0)
+        solve_placement(placement_block(params, fit), lp, 0.7, (50.0, 50.0), 1000.0, 1e-4)
+        solve_bandwidth(bandwidth_block(params, fit), lp, (0.3, 0.7), 1000.0)
         (pl, pl_x0, _), (bw, bw_x0, _) = calls
         nan, inf = math.nan, math.inf
         cases = (
@@ -573,6 +586,8 @@ class TestBlockProgram:
 
     @classmethod
     def _run(cls, curved, R0=1.0, warm=(), z0=Z0):
+        """The solve of a new block of the instance from the warm start
+        warm, and the block."""
         c = 1.0 if curved else 0.0
 
         def slacks(x0, x1, x2, y):
@@ -586,14 +601,16 @@ class TestBlockProgram:
                     -1.0 - 2.0 * c * x0, -2.0 * c)
 
         program = _built(slacks, partials, 3, 1.0, cls.HAT)  # no bound on x2
-        return _solve(_synthetic_block(program, z0, R0), warm)
+        block = _synthetic_block(program, z0, R0)
+        block.warm = warm
+        return _solve(block), block
 
     def test_affine_instance_reaches_its_vertex(self):
         # y = min(x1, x2 + x0/2) with x2 = 1 - x0 at the optimum; along that
         # kink the objective rises in x0 up to 0.72, so x0 stops at its
         # bound 0.3, and then x1 = y = 0.85: the KKT multipliers of the four
         # active slacks are 0.7, 0.3, 0.3 and 1.05, all positive.
-        sol = self._run(curved=False, R0=2.0)
+        sol, block = self._run(curved=False, R0=2.0)
         assert sol.status == "optimal"
         want = {"x0": 0.3, "x1": 0.85, "x2": 0.7, "eta": 2.0 * 0.85}
         assert sol.point.keys() == want.keys()
@@ -601,7 +618,8 @@ class TestBlockProgram:
             assert sol.point[name] == pytest.approx(v, abs=1e-7), name
         objective = 0.85 - (0.3 - 0.9) ** 2 - (0.85 - 0.5) ** 2
         assert sol.objective == pytest.approx(2.0 * objective, abs=1e-8)
-        assert self._run(curved=False, R0=2.0, warm=sol.warm).point == pytest.approx(sol.point, abs=1e-9)
+        again, _ = self._run(curved=False, R0=2.0, warm=block.warm)
+        assert again.point == pytest.approx(sol.point, abs=1e-9)
 
     @pytest.mark.parametrize("x0", [0.0, -0.1])
     def test_cold_start_on_or_off_a_bound_reaches_the_optimum(self, x0):
@@ -611,13 +629,13 @@ class TestBlockProgram:
         # only the slacks of F2 and G, which are not active there, so the
         # optimum leaves it free and the barrier's center fixes it only to
         # the tolerance of the centering, within 0.01 at this curvature.
-        want = self._run(curved=True)
-        sol = self._run(curved=True, z0=(x0, *self.Z0[1:]))
+        want, _ = self._run(curved=True)
+        sol, block = self._run(curved=True, z0=(x0, *self.Z0[1:]))
         assert want.status == sol.status == "optimal"
         assert sol.objective == pytest.approx(want.objective, rel=1e-12)
         for name in ("x0", "x1", "eta"):
             assert sol.point[name] == pytest.approx(want.point[name], rel=1e-9), name
-        assert min(sol.warm[1][1:3]) > 0.1
+        assert min(block.warm[1][1:3]) > 0.1
         assert sol.point["x2"] == pytest.approx(want.point["x2"], abs=0.01)
 
     @pytest.mark.parametrize("curved", [False, True])
@@ -635,21 +653,14 @@ class TestKeptSlacks:
     @staticmethod
     def _solve_blocks(params, fit):
         """Both blocks on the default system and `_random_cases()`, as in
-        TestBlockDerivatives, each solved cold and then warm from its own
-        warm state at half the penalty coefficient, through the same
-        program."""
-        sols = []
+        TestBlockDerivatives, each solved cold and then, in the same block,
+        warm from its own warm start at half the penalty coefficient."""
         for p, f, d, alpha in [(params, fit, (50.0, 50.0), (0.3, 0.7)), *_random_cases()]:
             lp = _incumbent_lp(p, f, d, alpha)
-            place = solve_placement(p, f, lp, alpha[1], d, 1000.0, 1e-4)
-            band = solve_bandwidth(p, f, lp, alpha, 1000.0)
-            sols += [
-                place,
-                band,
-                solve_placement(p, f, lp, alpha[1], d, 500.0, 1e-4, place.warm),
-                solve_bandwidth(p, f, lp, alpha, 500.0, DEFAULT_ALPHA_FLOOR, band.warm),
-            ]
-        return sols
+            place, band = placement_block(p, f), bandwidth_block(p, f)
+            for lam in (1000.0, 500.0):
+                solve_placement(place, lp, alpha[1], d, lam, 1e-4)
+                solve_bandwidth(band, lp, alpha, lam)
 
     def test_kept_slacks_match_a_fresh_evaluation(self, params, fit, monkeypatch):
         calls = TestBlockDerivatives._record(monkeypatch)
@@ -681,20 +692,12 @@ class TestKeptSlacks:
 
 
 class TestWarmStart:
-    """A block solve that starts from the warm state of an earlier solve
-    (its final point and slacks; the tests' names call it the path) lands
-    on the cold solution, and falls back to the cold solve when its
-    primal-dual steps fail."""
+    """A block solve that starts from the warm start that the block's
+    earlier solve left (its final point and slacks; the tests' names call
+    it the path) lands on the cold solution, and falls back to the cold
+    solve when its primal-dual steps fail."""
 
-    @staticmethod
-    def _blocks(p, f, d, alpha):
-        """The placement and bandwidth solves at one incumbent, each as a
-        function of the warm state."""
-        lp = _incumbent_lp(p, f, d, alpha)
-        return (
-            lambda warm=(): solve_placement(p, f, lp, alpha[1], d, 1000.0, 1e-4, warm),
-            lambda warm=(): solve_bandwidth(p, f, lp, alpha, 1000.0, DEFAULT_ALPHA_FLOOR, warm),
-        )
+    D, ALPHA = (50.0, 50.0), (0.3, 0.7)
 
     def test_resolve_from_own_path_matches_cold_with_fewer_steps(self, params, fit, barrier_evals,
                                                                  monkeypatch):
@@ -715,16 +718,17 @@ class TestWarmStart:
 
         for i, (p, f, d, alpha) in enumerate(
                 [(params, fit, (50.0, 50.0), (0.3, 0.7)), *_random_cases(n=8)]):
-            for solve in self._blocks(p, f, d, alpha):
+            for new, solve in _solvers(p, f):
+                block = new()
                 barrier_evals.reset()
                 systems.clear()
-                cold = solve()
+                cold = solve(block, d, alpha, 1000.0)
                 cold_work = work()
+                assert block.warm, i
                 barrier_evals.reset()
                 systems.clear()
-                warm = solve(cold.warm)
+                warm = solve(block, d, alpha, 1000.0)
                 assert cold.status == warm.status == "optimal", i
-                assert cold.warm, i
                 assert work() < cold_work, i
                 assert warm.objective == pytest.approx(cold.objective, rel=1e-9), i
                 for name, v in cold.point.items():
@@ -760,64 +764,73 @@ class TestWarmStart:
                 assert np.all(np.abs(np.subtract(got, ref)) <= 1e-6 * np.abs(ref)), (got, ref)
 
     def test_empty_or_outside_path_gives_cold_solution(self, params, fit, monkeypatch):
-        place, band = self._blocks(params, fit, (50.0, 50.0), (0.3, 0.7))
-        for solve in (place, band):
-            cold = solve()
-            assert _hex(solve(())) == _hex(cold)
-            z, s, block = cold.warm
+        d, alpha = self.D, self.ALPHA
+        for new, solve in _solvers(params, fit):
+            block = new()
+            cold = _hex(solve(block, d, alpha, 1000.0), block)
+            z, s = block.warm
+            block.warm = ()
+            assert _hex(solve(block, d, alpha, 1000.0), block) == cold
             # Slack variables three times the slacks, so duals a third of
             # 1/c_i: no primal-dual step may be taken, and the start is not
             # centered enough to skip them.
+            block.warm = (z, [3.0 * si for si in s])
             with monkeypatch.context() as m:
                 m.setattr(subproblems, "_PD_MAX_STEPS", 0)
-                assert _hex(solve((z, [3.0 * si for si in s], block))) == _hex(cold)
+                assert _hex(solve(block, d, alpha, 1000.0), block) == cold
         # alpha_ru < 0 lies outside the domain of the bandwidth block's
-        # exact rate, where its partials are undefined.
-        z, s, block = band().warm
-        assert _hex(band(((z[0], -0.1, *z[2:]), s, block))) == _hex(band())
+        # exact rate, where its partials are undefined; block is that block
+        # now, with the warm start of its cold solution.
+        z, s = block.warm
+        block.warm = ((z[0], -0.1, *z[2:]), s)
+        assert _hex(solve(block, d, alpha, 1000.0), block) == cold
+
+    def test_a_solve_that_is_not_optimal_clears_the_warm_start(self, fit, monkeypatch):
+        # An infeasible solve, and a "max-iter" one whose centerings all
+        # stop unconverged, leave the block without a warm start, so that
+        # its next solve starts cold. At W = 1 GHz the SNR threshold fails
+        # at alpha_br = 0.9 even at d_br = 0, and holds at 0.001.
+        (new, solve), _ = _solvers(SystemParams(W=1e9), fit)
+        block = new()
+        for alpha, status in (((0.001, 0.999), "optimal"), ((0.9, 0.1), "infeasible"),
+                              ((0.001, 0.999), "optimal")):
+            assert solve(block, self.D, alpha, 1000.0).status == status, alpha
+            assert bool(block.warm) == (status == "optimal"), alpha
+        maximize = barrier.maximize
+        monkeypatch.setattr(barrier, "maximize", lambda *args: (maximize(*args)[0], False))
+        assert solve(block, self.D, (0.001, 0.999), 1000.0).status == "max-iter"
+        assert block.warm == ()
 
     def test_infeasible_start_is_repaired(self, params, fit):
         # d_br < 0 lies outside the placement block's domain, but inside
         # that of its functions: an infeasible start, which the
         # primal-dual steps repair.
-        place, _ = self._blocks(params, fit, (50.0, 50.0), (0.3, 0.7))
-        cold = place()
-        z, s, block = cold.warm
-        warm = place(((-1.0, *z[1:]), s, block))
+        (new, solve), _ = _solvers(params, fit)
+        block = new()
+        cold = solve(block, self.D, self.ALPHA, 1000.0)
+        z, s = block.warm
+        block.warm = ((-1.0, *z[1:]), s)
+        warm = solve(block, self.D, self.ALPHA, 1000.0)
         assert warm.status == "optimal"
         assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
 
     def test_path_is_not_mutated(self, params, fit):
-        for solve in self._blocks(params, fit, (50.0, 50.0), (0.3, 0.7)):
-            z, s, block = solve().warm
-            state = ([*z[:-1], 0.99 * z[-1]], list(s), block)
-            before = [list(x) for x in state[:2]]
-            warm = solve(state)
-            assert [list(x) for x in state[:2]] == before
-            assert warm.warm[0] is not state[0] and warm.warm[1] is not state[1]
+        for new, solve in _solvers(params, fit):
+            block = new()
+            solve(block, self.D, self.ALPHA, 1000.0)
+            z, s = block.warm
+            block.warm = state = ([*z[:-1], 0.99 * z[-1]], list(s))
+            before = [list(x) for x in state]
+            solve(block, self.D, self.ALPHA, 1000.0)
+            assert [list(x) for x in state] == before
+            assert block.warm[0] is not state[0] and block.warm[1] is not state[1]
 
 
 class TestBlockReuse:
-    """A block is built at its run's first solve of it and travels in each
-    warm state (`subproblems._block`). A solve through a reused block
-    equals, bit for bit, a solve through a block newly built for the same
-    system from the same warm point and slacks."""
-
-    @staticmethod
-    def _solvers(p, f, alpha_floor=DEFAULT_ALPHA_FLOOR):
-        """For each block: its solve at the incumbent (d, alpha), with d and
-        alpha also the hat, as a function of (d, alpha, lam, warm), and the
-        builder and system (`_Block.made_for`) of its block."""
-        def place(d, alpha, lam, warm):
-            lp = _incumbent_lp(p, f, d, alpha)
-            return solve_placement(p, f, lp, alpha[1], d, lam, 1e-4, warm)
-
-        def band(d, alpha, lam, warm):
-            lp = _incumbent_lp(p, f, d, alpha)
-            return solve_bandwidth(p, f, lp, alpha, lam, alpha_floor, warm)
-
-        return ((place, (subproblems._placement_block, p, f)),
-                (band, (subproblems._bandwidth_block, p, f, alpha_floor)))
+    """A run builds each block once and refreshes it for every solve. A
+    solve through a reused block equals, bit for bit, a solve through a
+    block newly built for the same system from the same warm point and
+    slacks."""
 
     def test_reused_block_matches_a_new_one(self, params, fit):
         # Between the two solves the incumbent, lam and the hat move, and
@@ -828,45 +841,14 @@ class TestBlockReuse:
                 [(params, fit, (50.0, 50.0), (0.3, 0.7)), *_random_cases(n=8)]):
             moved_d = (d[0] + 0.01 * p.D, d[1] - 0.01 * p.D)
             moved_alpha = (0.98 * alpha[0], alpha[1] + 0.02 * alpha[0])
-            for solve, made_for in self._solvers(p, f):
-                first = solve(d, alpha, 1000.0, ())
-                z, s, block = first.warm
-                reused = solve(moved_d, moved_alpha, 900.0, first.warm)
-                assert reused.status == "optimal" and reused.warm[2] is block, i
-                new = subproblems._block((), *made_for)
-                assert new is not block and new.made_for == block.made_for
-                fresh = solve(moved_d, moved_alpha, 900.0, (z, s, new))
-                assert fresh.warm[2] is new, i
-                assert _hex(reused) == _hex(fresh), i
-
-    def test_warm_state_of_another_system_is_not_reused(self, params, fit):
-        # A warm state made for another p, fit or alpha_floor, compared by
-        # identity (an equal copy is another object), does not bring its
-        # block: the solve builds one for its own system, and gives what a
-        # block newly built for that system gives from the same warm point
-        # and slacks.
-        d, alpha = (50.0, 50.0), (0.3, 0.7)
-        warms = [solve(d, alpha, 1000.0, ()).warm for solve, _ in self._solvers(params, fit)]
-        # Each system, (p, fit, alpha_floor), and whether the placement and
-        # the bandwidth warm state bring their block; the placement block is
-        # made for (p, fit) alone.
-        systems = [
-            ((params, fit, DEFAULT_ALPHA_FLOOR), (True, True)),
-            ((SystemParams(W=2e6), fit, DEFAULT_ALPHA_FLOOR), (False, False)),
-            ((replace(params), fit, DEFAULT_ALPHA_FLOOR), (False, False)),
-            ((params, SigmoidFit(eps_bar=0.85), DEFAULT_ALPHA_FLOOR), (False, False)),
-            ((params, replace(fit), DEFAULT_ALPHA_FLOOR), (False, False)),
-            ((params, fit, 2e-6), (True, False)),
-            ((params, fit, float(str(DEFAULT_ALPHA_FLOOR))), (True, False)),
-        ]
-        for k, (system, reuses) in enumerate(systems):
-            for (solve, made_for), warm, reuse in zip(self._solvers(*system), warms, reuses):
-                got = solve(d, alpha, 1000.0, warm)
-                fresh = solve(d, alpha, 1000.0, (*warm[:2], subproblems._block((), *made_for)))
-                assert got.status == "optimal", k
-                assert _hex(got) == _hex(fresh), k
-                assert (got.warm[2] is warm[2]) == reuse, k
-                assert all(map(operator.is_, got.warm[2].made_for, made_for)), k
+            for new, solve in _solvers(p, f):
+                block, fresh_block = new(), new()
+                assert solve(block, d, alpha, 1000.0).status == "optimal", i
+                fresh_block.warm = block.warm
+                reused = solve(block, moved_d, moved_alpha, 900.0)
+                fresh = solve(fresh_block, moved_d, moved_alpha, 900.0)
+                assert reused.status == "optimal", i
+                assert _hex(reused, block) == _hex(fresh, fresh_block), i
 
 
 def _bits(x):
@@ -890,17 +872,16 @@ class TestSharedEvaluation:
 
     @staticmethod
     def _blocks(p, f):
-        """For each block: its builder and system (`_Block.made_for`), and
-        its refresh arguments after the cold flag, as a function of the
-        incumbent (d, alpha), which is also the hat, and lam."""
+        """For each block: a function that builds it anew, and its refresh
+        arguments after the cold flag, as a function of the incumbent
+        (d, alpha), which is also the hat, and lam."""
         def place(d, alpha, lam):
             return _incumbent_lp(p, f, d, alpha), alpha[1], d, lam, 1e-4
 
         def band(d, alpha, lam):
             return _incumbent_lp(p, f, d, alpha), alpha, lam
 
-        return (((subproblems._placement_block, p, f), place),
-                ((subproblems._bandwidth_block, p, f, DEFAULT_ALPHA_FLOOR), band))
+        return ((lambda: placement_block(p, f), place), (lambda: bandwidth_block(p, f), band))
 
     @classmethod
     def _probe(cls, program, z, seen):
@@ -929,19 +910,19 @@ class TestSharedEvaluation:
                 [(params, fit, (50.0, 50.0), (0.3, 0.7)), *_random_cases()]):
             moved_d = (d[0] + 0.01 * p.D, d[1] - 0.01 * p.D)
             moved_alpha = (0.98 * alpha[0], alpha[1] + 0.02 * alpha[0])
-            for made_for, args in self._blocks(p, f):
-                block = subproblems._block((), *made_for)
-                sol = _solve(block, (), *args(d, alpha, 1000.0))
+            for new_block, args in self._blocks(p, f):
+                block = new_block()
+                sol = _solve(block, *args(d, alpha, 1000.0))
                 assert sol.status == "optimal", i
                 # Inside the domain of the block before and after the move:
                 # x0 (d_br or alpha_br) and x2 (gamma or S) off their
                 # constraints, and a lower rate.
-                program, x = block.program, sol.warm[0]
+                program, x = block.program, block.warm[0]
                 z1 = [0.95 * x[0], x[1], x[2] - 0.01 * abs(x[2]), x[3] - 0.05]
                 z2 = [0.99 * z1[0], 1.01 * z1[1], z1[2], z1[3] - 0.01]
 
                 def fresh(*refresh):
-                    new = subproblems._block((), *made_for)
+                    new = new_block()
                     assert new.refresh(*refresh) is not None
                     return self._probe(new.program, z1, seen)
 
@@ -1011,11 +992,14 @@ class TestPrimalDualLoop:
         out = []
         with monkeypatch.context() as m:
             made = _record_programs(m)
-            for solve in (lambda l: solve_placement(p, f, l, alpha[1], d, 1000.0, 1e-4),
-                          lambda l: solve_bandwidth(p, f, l, alpha, 1000.0)):
+            place = lambda block, l: solve_placement(block, l, alpha[1], d, 1000.0, 1e-4)
+            band = lambda block, l: solve_bandwidth(block, l, alpha, 1000.0)
+            for build, solve in ((placement_block, place), (bandwidth_block, band)):
                 made.clear()
-                x = solve(lp).warm[0]
-                solve(moved)
+                block = build(p, f)
+                solve(block, lp)
+                x = block.warm[0]
+                solve(build(p, f), moved)
                 (_, old), new = made
                 out.append((old, list(x), new))
         return out
@@ -1075,9 +1059,9 @@ class TestPrimalDualLoop:
         # instance at curvature 0.8 with another hat.
         old = _built(*self._synthetic(missing, 1.0), 1.0, (0.9, 0.5))
         start = (0.1, 0.3, 0.2)
-        sol = _solve(_synthetic_block(old, start), ())
-        assert sol.status == "optimal"
-        x = sol.warm[0]
+        block = _synthetic_block(old, start)
+        assert _solve(block).status == "optimal"
+        x = block.warm[0]
         z = [*(0.5 * (a + b) for a, b in zip(x, start)), x[3] - 0.05]
         args = (*self._synthetic(missing, 0.8), 1.0, (0.6, 0.8))
         got, steps = self._compare(args, _built(*args), z, old.slacks(z), 10.0)
@@ -1219,14 +1203,14 @@ class TestAscentProperty:
         prev = full_objective(d, alpha, aux_d, aux_a)
         for _ in range(5):
             lp = _incumbent_lp(params, fit, d, alpha)
-            sol = solve_placement(params, fit, lp, alpha[1], aux_d, lam, nu)
+            sol = solve_placement(placement_block(params, fit), lp, alpha[1], aux_d, lam, nu)
             d = (sol.point["d_br"], sol.point["d_ru"])
             now = full_objective(d, alpha, aux_d, aux_a)
             assert now >= prev - slack
             prev = now
 
             lp = _incumbent_lp(params, fit, d, alpha)
-            sol = solve_bandwidth(params, fit, lp, aux_a, lam)
+            sol = solve_bandwidth(bandwidth_block(params, fit), lp, aux_a, lam)
             alpha = (sol.point["alpha_br"], sol.point["alpha_ru"])
             now = full_objective(d, alpha, aux_d, aux_a)
             assert now >= prev - slack
